@@ -18,7 +18,6 @@ from .abelian import (
     cokernel,
     combine_doubles,
     direct_sum,
-    direct_sum_all,
     from_elementary_divisors,
     from_presentation,
     is_double,
@@ -102,7 +101,6 @@ __all__ = [
     "combine_doubles",
     "determinant",
     "direct_sum",
-    "direct_sum_all",
     "from_elementary_divisors",
     "from_presentation",
     "intersection_form",

@@ -128,13 +128,6 @@ def direct_sum(g: FiniteAbelianGroup, h: FiniteAbelianGroup) -> FiniteAbelianGro
         list((g.elementary_divisors() + h.elementary_divisors()).elements()))
 
 
-def direct_sum_all(groups: Iterable[FiniteAbelianGroup]) -> FiniteAbelianGroup:
-    out = FiniteAbelianGroup.trivial()
-    for g in groups:
-        out = direct_sum(out, g)
-    return out
-
-
 def is_isomorphic(g: FiniteAbelianGroup, h: FiniteAbelianGroup) -> bool:
     """Canonical forms make isomorphism plain list equality."""
     return g.invariant_factors == h.invariant_factors

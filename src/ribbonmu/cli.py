@@ -25,11 +25,11 @@ from .exactla import (
     DimensionError,
     FormError,
     IntMatrix,
-    signature,
     smith_normal_form,
 )
 from .obstruct import Verdict, obstruct_ribbon_equivalent, obstruct_ribbon_trivial
 from .spinmu import (
+    SeifertMatrix,
     SeifertValidationError,
     SpinStructureError,
     TwoKnotInvariants,
@@ -59,7 +59,7 @@ class KnotRecord:
 
     name: str
     source: str  # catalog | braid | seifert-matrix | even-form
-    seifert: Any = None           # SeifertMatrix | None
+    seifert: SeifertMatrix | None = None
     even_form: IntMatrix | None = None
 
     def invariants(self) -> TwoKnotInvariants:
@@ -160,7 +160,7 @@ def _invariant_record(knot: KnotRecord) -> dict[str, Any]:
         "source": knot.source,
         "mu": str(inv.mu.value),
         "modulus": "16",
-        "signature": str(signature(inv.form)),
+        "signature": str(inv.signature),
         "form_determinant": str(inv.form_determinant),
         "h1_invariant_factors": [str(d) for d in inv.cover_torsion.invariant_factors],
         "h1_is_double": half is not None,

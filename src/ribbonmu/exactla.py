@@ -1,15 +1,17 @@
 """Exact linear algebra over the integers.
 
 Everything in this module works with arbitrary-precision Python integers
-(and exact rationals where elimination forces denominators), so there is
-no overflow and no floating-point round-off anywhere.  The main entry
+and fraction-free elimination, so there is no overflow, no rational
+arithmetic and no floating-point round-off anywhere.  The main entry
 points are
 
 * :func:`smith_normal_form` -- U * M * V = D with unimodular U, V and a
-  nonnegative diagonal satisfying the divisibility chain d1 | d2 | ...
+  nonnegative diagonal satisfying the divisibility chain d1 | d2 | ...;
+  :func:`cokernel_invariants` and :func:`invariant_factors` run the same
+  reduction on the diagonal only, without building U and V.
 * :func:`determinant` -- fraction-free (Bareiss) exact determinant.
-* :func:`signature` -- signature of a symmetric form by congruence
-  diagonalization over the rationals.
+* :func:`signature_and_determinant` -- both invariants of a symmetric
+  form from one fraction-free symmetric elimination.
 * :func:`block_diag` -- block-diagonal sum of square matrices.
 
 Matrices are immutable values (safe to share across threads); the
@@ -22,7 +24,6 @@ bearing rather than corner cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 
@@ -186,36 +187,15 @@ def _min_abs_pivot(m: list[list[int]], start: int, rows: int, cols: int) -> tupl
     return best
 
 
-def smith_normal_form(matrix: IntMatrix) -> SnfResult:
-    """Smith normal form with unimodular transforms.
+def _smith_reduce(m: list[list[int]], rows: int, cols: int) -> None:
+    """Reduce the leading rows x cols block of m in place to Smith form.
 
-    Works on any rectangular integer matrix, including empty ones, and
-    is deterministic for a fixed input.
+    Entries right of the block follow the row operations and rows below
+    it follow the column operations; the block never depends on them.
     """
-    rows, cols = matrix.rows, matrix.cols
-    m = matrix.to_lists()
-    u = IntMatrix.identity(rows).to_lists()
-    v = IntMatrix.identity(cols).to_lists()
 
     def row_op(dst: int, src: int, q: int) -> None:  # row dst -= q * row src
         m[dst] = [a - q * b for a, b in zip(m[dst], m[src])]
-        u[dst] = [a - q * b for a, b in zip(u[dst], u[src])]
-
-    def col_op(dst: int, src: int, q: int) -> None:  # col dst -= q * col src
-        for r in m:
-            r[dst] -= q * r[src]
-        for r in v:
-            r[dst] -= q * r[src]
-
-    def swap_rows(i: int, j: int) -> None:
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for r in m:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
 
     n = min(rows, cols)
     for k in range(n):
@@ -224,10 +204,9 @@ def smith_normal_form(matrix: IntMatrix) -> SnfResult:
             break
         while True:
             pi, pj = pivot
-            if pi != k:
-                swap_rows(pi, k)
-            if pj != k:
-                swap_cols(pj, k)
+            m[pi], m[k] = m[k], m[pi]
+            for r in m:
+                r[pj], r[k] = r[k], r[pj]
             p = m[k][k]
             # Clear column k, then row k, by exact floor division; any
             # nonzero remainder becomes the next, strictly smaller pivot.
@@ -239,7 +218,9 @@ def smith_normal_form(matrix: IntMatrix) -> SnfResult:
                         dirty = True
             for j in range(cols):
                 if j != k and m[k][j] != 0:
-                    col_op(j, k, m[k][j] // p)
+                    q = m[k][j] // p
+                    for r in m:  # col j -= q * col k
+                        r[j] -= q * r[k]
                     if m[k][j] != 0:
                         dirty = True
             if dirty:
@@ -264,12 +245,24 @@ def smith_normal_form(matrix: IntMatrix) -> SnfResult:
     for k in range(n):
         if m[k][k] < 0:
             m[k] = [-a for a in m[k]]
-            u[k] = [-a for a in u[k]]
 
+
+def smith_normal_form(matrix: IntMatrix) -> SnfResult:
+    """Smith normal form with unimodular transforms.
+
+    Works on any rectangular integer matrix, including empty ones, and
+    is deterministic for a fixed input.
+    """
+    rows, cols = matrix.rows, matrix.cols
+    # U rides to the right of M and V below it, starting as identities.
+    m = [list(r) + [int(i == j) for j in range(rows)]
+         for i, r in enumerate(matrix.entries)]
+    m += [[int(i == j) for j in range(cols)] for i in range(cols)]
+    _smith_reduce(m, rows, cols)
     return SnfResult(
-        U=IntMatrix.from_rows(u, cols=rows),
-        D=IntMatrix.from_rows(m, cols=cols),
-        V=IntMatrix.from_rows(v, cols=cols),
+        U=IntMatrix.from_rows([r[cols:] for r in m[:rows]], cols=rows),
+        D=IntMatrix.from_rows([r[:cols] for r in m[:rows]], cols=cols),
+        V=IntMatrix.from_rows(m[rows:], cols=cols),
     )
 
 
@@ -296,19 +289,22 @@ def determinant(matrix: IntMatrix) -> int:
                     break
             else:
                 return 0
+        p, tail = m[k][k], m[k][k + 1:]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Exact division: Bareiss guarantees divisibility by the
-                # previous pivot.
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
+            # Bareiss guarantees exact division by the previous pivot; a
+            # row with a zero in column k is only rescaled by p / prev.
+            row, a = m[i], m[i][k]
+            if a:
+                row[k + 1:] = [(x * p - a * y) // prev for x, y in zip(row[k + 1:], tail)]
+            elif p != prev:
+                row[k + 1:] = [x * p // prev for x in row[k + 1:]]
+        prev = p
     return sign * m[n - 1][n - 1]
 
 
 def invariant_factors(matrix: IntMatrix) -> tuple[int, ...]:
     """Diagonal entries >= 2 of the Smith form (the torsion data)."""
-    return tuple(d for d in smith_normal_form(matrix).diagonal() if d >= 2)
+    return cokernel_invariants(matrix)[1]
 
 
 def cokernel_invariants(matrix: IntMatrix) -> tuple[int, tuple[int, ...]]:
@@ -317,22 +313,52 @@ def cokernel_invariants(matrix: IntMatrix) -> tuple[int, tuple[int, ...]]:
     The matrix is read as a presentation: columns are relations among
     ``rows`` free generators.
     """
-    diag = smith_normal_form(matrix).diagonal()
+    m = matrix.to_lists()
+    _smith_reduce(m, matrix.rows, matrix.cols)
+    diag = [m[k][k] for k in range(min(matrix.rows, matrix.cols))]
     rank = sum(1 for d in diag if d != 0)
     torsion = tuple(d for d in diag if d >= 2)
     return matrix.rows - rank, torsion
 
 
-def signature(form: IntMatrix) -> int:
-    """Signature of a symmetric integer form, exactly.
+def _repair_pivot(m: list[list[int]], k: int) -> bool:
+    """Make the zero pivot m[k][k] nonzero by a congruence of the
+    trailing variables k, k+1, ...; False when the trailing block is zero.
 
-    Congruence diagonalization over the rationals: at each step a
-    nonzero diagonal pivot clears its row and column by a symmetric
-    elimination.  A zero diagonal entry with nonzero coupling to some
-    later variable x_j is repaired by the basis change x_i -> x_i +/- x_j
-    (one of the two signs always produces a nonzero pivot), which keeps
-    the procedure total without ever leaving exact arithmetic.  An
-    isolated hyperbolic pair then contributes +1 and -1, i.e. zero.
+    A later nonzero diagonal entry d is swapped into place.  When the
+    whole trailing diagonal vanishes, the shear x_d -> x_d + x_j on a
+    coupled pair (d, j) first makes m[d][d] = 2 * m[d][j] nonzero.
+    """
+    n = len(m)
+    for i in range(k, n):  # mirror the upper triangle into the lower one
+        for j in range(i + 1, n):
+            m[j][i] = m[i][j]
+    d = next((d for d in range(k + 1, n) if m[d][d] != 0), None)
+    if d is None:
+        pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
+                     if m[i][j] != 0), None)
+        if pair is None:
+            return False
+        d, j = pair
+        for r in range(k, n):  # column d += column j, then row d += row j
+            m[r][d] += m[r][j]
+        m[d][k:] = [a + b for a, b in zip(m[d][k:], m[j][k:])]
+    m[k], m[d] = m[d], m[k]  # exchange variables d and k
+    for r in range(k, n):
+        m[r][k], m[r][d] = m[r][d], m[r][k]
+    return True
+
+
+def signature_and_determinant(form: IntMatrix) -> tuple[int, int]:
+    """Signature and determinant of a symmetric integer form, in one pass.
+
+    Symmetric Bareiss elimination on the upper triangle: pivot k is the
+    leading minor D_k, so sign(D_k * D_{k-1}) is the sign of the k-th
+    diagonal entry of a congruence diagonalization.  Zero pivots are
+    repaired by unimodular congruences of the trailing variables only
+    (:func:`_repair_pivot`), so Sylvester's identity still makes every
+    division exact and the determinant does not change.  A zero
+    trailing block ends the pass: the rank is k and the determinant 0.
     """
     if not form.is_square:
         raise DimensionError(
@@ -340,35 +366,26 @@ def signature(form: IntMatrix) -> int:
     if not form.is_symmetric:
         raise FormError("signature needs a symmetric matrix")
     n = form.rows
-    q: list[list[Fraction]] = [[Fraction(a) for a in row] for row in form.entries]
-
-    def add_basis(i: int, j: int, s: int) -> None:  # x_i -> x_i + s * x_j
-        for r in range(n):
-            q[i][r] += s * q[j][r]
-        for r in range(n):
-            q[r][i] += s * q[r][j]
-
-    sig = 0
+    m = form.to_lists()
+    sig, prev = 0, 1
     for k in range(n):
-        if q[k][k] == 0:
-            coupled = next((j for j in range(k + 1, n) if q[k][j] != 0), None)
-            if coupled is None:
-                continue  # row is dead from here on; contributes nothing
-            add_basis(k, coupled, 1)
-            if q[k][k] == 0:
-                add_basis(k, coupled, -2)  # undo and retry with x_i - x_j
-            # q[k][k] = +-2*coupling + q[j][j] for one of the signs; both
-            # vanishing would force the coupling itself to vanish.
-        p = q[k][k]
-        for i in range(k + 1, n):
-            if q[i][k] != 0:
-                f = q[i][k] / p
-                for j in range(k, n):
-                    q[i][j] -= f * q[k][j]
-                for j in range(k, n):
-                    q[j][i] -= f * q[j][k]
-        sig += 1 if p > 0 else -1
-    return sig
+        if m[k][k] == 0 and not _repair_pivot(m, k):
+            return sig, 0
+        p, pivot_row = m[k][k], m[k]
+        sig += 1 if (p > 0) == (prev > 0) else -1
+        for i in range(k + 1, n):  # the same row update as determinant's
+            row, a = m[i], pivot_row[i]
+            if a:
+                row[i:] = [(x * p - a * y) // prev for x, y in zip(row[i:], pivot_row[i:])]
+            elif p != prev:
+                row[i:] = [x * p // prev for x in row[i:]]
+        prev = p
+    return sig, prev
+
+
+def signature(form: IntMatrix) -> int:
+    """Signature of a symmetric integer form, exactly."""
+    return signature_and_determinant(form)[0]
 
 
 def block_diag(first: IntMatrix, second: IntMatrix) -> IntMatrix:

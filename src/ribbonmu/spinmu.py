@@ -34,7 +34,7 @@ from .exactla import (
     IntMatrix,
     block_diag_all,
     determinant,
-    signature,
+    signature_and_determinant,
 )
 
 
@@ -119,6 +119,11 @@ def mu_from_even_form(form: IntMatrix) -> Mu:
     makes the spin structure on its boundary unique, so the residue is
     well defined.
     """
+    return Mu(_spin_form_invariants(form)[0])
+
+
+def _spin_form_invariants(form: IntMatrix) -> tuple[int, int]:
+    """Signature and determinant of a valid bounding form, in one pass."""
     if not form.is_square:
         raise DimensionError(
             f"bounding form must be square, got {form.rows}x{form.cols}")
@@ -128,10 +133,11 @@ def mu_from_even_form(form: IntMatrix) -> Mu:
         if form[i, i] % 2 != 0:
             raise FormError(
                 f"form not even: diagonal entry {form[i, i]} at index {i}")
-    if determinant(form) % 2 == 0:
+    sig, det = signature_and_determinant(form)
+    if det % 2 == 0:
         raise SpinStructureError(
             "spin structure not unique: even form determinant; recipe inapplicable")
-    return Mu(signature(form))
+    return sig, det
 
 
 def mu_boundary_link_sum(components: Sequence[SeifertMatrix]) -> Mu:
@@ -157,32 +163,31 @@ class TwoKnotInvariants:
     """The computable invariant record of a 2-knot.
 
     ``form`` is the even bounding form the invariants were read from
-    (S + S^t for a 2-twist spin); ``cover_torsion`` is the torsion of
-    the first homology of the chosen Seifert hypersurface.
+    (S + S^t for a 2-twist spin), with signature ``signature``;
+    ``cover_torsion`` is the torsion of the first homology of the chosen
+    Seifert hypersurface.
     """
 
-    mu: Mu
+    signature: int
     cover_torsion: FiniteAbelianGroup
     form_determinant: int
     form: IntMatrix
 
+    @property
+    def mu(self) -> Mu:
+        return Mu(self.signature)
+
     @staticmethod
     def from_seifert(seifert: SeifertMatrix) -> TwoKnotInvariants:
-        form = intersection_form(seifert)
-        return TwoKnotInvariants(
-            mu=mu_from_even_form(form),
-            cover_torsion=from_presentation(form),
-            form_determinant=determinant(form),
-            form=form,
-        )
+        return TwoKnotInvariants.from_even_form(intersection_form(seifert))
 
     @staticmethod
     def from_even_form(form: IntMatrix) -> TwoKnotInvariants:
-        mu = mu_from_even_form(form)  # validates shape, evenness, parity
+        sig, det = _spin_form_invariants(form)  # validates shape, evenness, parity
         return TwoKnotInvariants(
-            mu=mu,
+            signature=sig,
             cover_torsion=from_presentation(form),
-            form_determinant=determinant(form),
+            form_determinant=det,
             form=form,
         )
 

@@ -3,8 +3,12 @@ import json
 import subprocess
 import sys
 
-from ribbonmu import IntMatrix, TwoKnotInvariants, signature
+import pytest
+
+from ribbonmu import IntMatrix, TwoKnotInvariants, braid, cli, exactla, signature, spinmu
 from ribbonmu.cli import main
+
+from support import sturm_signature
 
 
 def run_cli(*argv):
@@ -255,6 +259,45 @@ class TestKnotFiles:
         record = json.loads(text.strip())
         form = IntMatrix.from_decimal_rows(record["form"])
         assert str(TwoKnotInvariants.from_even_form(form).mu.value) == record["mu"]
+
+
+class TestEachFactOnce:
+    """One invariants record eliminates each matrix once, and only as needed."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        log: dict[str, list] = {"pass": [], "det": [], "smith": []}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                log[key].append(args)
+                return fn(*args)
+            return wrapper
+
+        for key, name in (("pass", "signature_and_determinant"), ("det", "determinant")):
+            original = getattr(exactla, name)
+            for mod in (exactla, spinmu, braid, cli):
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counted(key, original))
+        monkeypatch.setattr(exactla, "_smith_reduce",
+                            counted("smith", exactla._smith_reduce))
+        return log
+
+    def test_braid_knot_record(self, tmp_path, calls):
+        letters = [1, 1, -2, 1, 3, -2, 3, 1, -2, 1, 3, 3, -2]
+        path = tmp_path / "knot.json"
+        path.write_text(json.dumps({"braid": {"strands": 4, "letters": letters}}))
+        code, text = run_cli("invariants", str(path), "--json")
+        assert code == 0
+        form = IntMatrix.from_decimal_rows(json.loads(text)["form"])
+        assert form.rows >= 4
+        assert json.loads(text)["signature"] == str(sturm_signature(form))
+        assert [args[0] for args in calls["pass"]] == [form]
+        [(m, rows, cols)] = calls["smith"]
+        assert (rows, cols) == (form.rows, form.rows)
+        assert len(m) == rows and all(len(r) == cols for r in m)  # no U or V
+        [(skew,)] = calls["det"]  # det(S - S^t) when the braid is validated
+        assert skew == -skew.transpose() and skew.rows == form.rows
 
 
 class TestModuleEntryPoint:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ribbonmu import (
     DimensionError,
@@ -12,7 +14,7 @@ from ribbonmu import (
     signature,
     smith_normal_form,
 )
-from ribbonmu.exactla import cokernel_invariants
+from ribbonmu.exactla import cokernel_invariants, signature_and_determinant
 
 from support import (
     det_cofactor,
@@ -84,6 +86,36 @@ class TestSmithNormalForm:
             m = rand_matrix(rng, max_dim=6, lo=-30, hi=30)
             snf_is_valid(m)
             assert list(smith_normal_form(m).diagonal()) == snf_diagonal_oracle(m)
+
+
+class TestDiagonalOnlySmith:
+    """cokernel_invariants and invariant_factors reduce without U and V."""
+
+    @staticmethod
+    def check(m: IntMatrix) -> None:
+        diag = snf_diagonal_oracle(m)
+        assert list(smith_normal_form(m).diagonal()) == diag
+        rank = sum(1 for d in diag if d != 0)
+        torsion = tuple(d for d in diag if d >= 2)
+        assert cokernel_invariants(m) == (m.rows - rank, torsion)
+        assert invariant_factors(m) == torsion
+
+    @pytest.mark.parametrize("rows,cols", [(0, 0), (3, 0), (0, 3), (1, 1)])
+    def test_empty_and_tiny(self, rows, cols):
+        self.check(IntMatrix.zero(rows, cols))
+
+    def test_rectangular(self):
+        rng = random.Random(16)
+        for _ in range(80):
+            self.check(rand_matrix(rng, max_dim=7, lo=-20, hi=20))
+
+    def test_rank_deficient(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            inner = rng.randint(0, 3)
+            a = rand_matrix(rng, rows=rng.randint(1, 6), cols=inner, lo=-6, hi=6)
+            b = rand_matrix(rng, rows=inner, cols=rng.randint(1, 6), lo=-6, hi=6)
+            self.check(a @ b)
 
 
 class TestDeterminant:
@@ -191,6 +223,84 @@ class TestSignature:
         for _ in range(60):
             q = rand_symmetric(rng, max_dim=6)
             assert signature(q) == sturm_signature(q)
+
+
+# Blocks with known (signature, determinant), for congruence tests.
+KNOWN_BLOCKS = (
+    (IntMatrix.from_rows(E8_ROWS), 8, 1),
+    (-IntMatrix.from_rows(E8_ROWS), -8, 1),
+    (IntMatrix.from_rows([[0, 1], [1, 0]]), 0, -1),
+    (IntMatrix.from_rows([[2, 1], [1, 4]]), 2, 7),
+    (IntMatrix.from_rows([[-2, 1], [1, -6]]), -2, 11),
+    (IntMatrix.from_rows([[2, 1], [1, -8]]), 0, -17),
+    (IntMatrix.from_rows([[0]]), 0, 0),
+)
+
+
+def structured_symmetric(rng: random.Random) -> IntMatrix:
+    """Symmetric matrix that is often hard on a symmetric elimination:
+    zero or sparse diagonals, hyperbolic pairs, repeated rows, zeros."""
+    n = rng.randint(0, 7)
+    zero_diag = rng.random() < 0.5
+    bound = rng.choice((0, 1, 3, 40))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or not zero_diag:
+                m[i][j] = m[j][i] = rng.randint(-bound, bound)
+    q = IntMatrix.from_rows(m, cols=n)
+    shape = rng.random()
+    if shape < 0.2 and n >= 2:  # last variable repeats the first: singular
+        p = IntMatrix.identity(n).to_lists()
+        for row in p:
+            row[-1] = row[0]
+        pm = IntMatrix.from_rows(p, cols=n)
+        q = pm.transpose() @ q @ pm
+    elif shape < 0.4:
+        q = block_diag(q, IntMatrix.from_rows([[0, 1], [1, 0]]))
+    return q
+
+
+class TestSignatureAndDeterminant:
+    def test_empty_form(self):
+        assert signature_and_determinant(IntMatrix.empty()) == (0, 1)
+
+    def test_zero_forms(self):
+        for n in range(1, 5):
+            assert signature_and_determinant(IntMatrix.zero(n, n)) == (0, 0)
+
+    def test_hyperbolic_and_zero_diagonal_examples(self):
+        h = IntMatrix.from_rows([[0, 1], [1, 0]])
+        assert signature_and_determinant(h) == (0, -1)
+        q = IntMatrix.from_rows([[0, 2, 0], [2, 0, 3], [0, 3, 0]])
+        assert signature_and_determinant(q) == (sturm_signature(q), det_cofactor(q))
+
+    def test_structured_against_oracles(self):
+        rng = random.Random(18)
+        for _ in range(300):
+            q = structured_symmetric(rng)
+            assert signature_and_determinant(q) == \
+                (sturm_signature(q), det_cofactor(q))
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(DimensionError):
+            signature_and_determinant(IntMatrix.from_rows([[1, 2]]))
+        with pytest.raises(FormError):
+            signature_and_determinant(IntMatrix.from_rows([[1, 2], [3, 4]]))
+
+    @settings(max_examples=25, deadline=None)
+    @given(blocks=st.lists(st.sampled_from(KNOWN_BLOCKS), min_size=1, max_size=40),
+           seed=st.integers(0, 2 ** 32))
+    def test_unimodular_congruence_invariance(self, blocks, seed):
+        b, sig, det = IntMatrix.empty(), 0, 1
+        for block, s, d in blocks:
+            if b.rows >= 20 and b.rows + block.rows > 60:
+                break
+            b, sig, det = block_diag(b, block), sig + s, det * d
+        while b.rows < 20:  # pad to the stress size with hyperbolic pairs
+            b, det = block_diag(b, KNOWN_BLOCKS[2][0]), -det
+        p = rand_unimodular(random.Random(seed), b.rows, steps=2 * b.rows)
+        assert signature_and_determinant(p.transpose() @ b @ p) == (sig, det)
 
 
 class TestBlockDiag:
