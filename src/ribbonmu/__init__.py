@@ -18,7 +18,6 @@ from .abelian import (
     cokernel,
     combine_doubles,
     direct_sum,
-    from_elementary_divisors,
     from_presentation,
     is_double,
     is_isomorphic,
@@ -101,7 +100,6 @@ __all__ = [
     "combine_doubles",
     "determinant",
     "direct_sum",
-    "from_elementary_divisors",
     "from_presentation",
     "intersection_form",
     "invariant_factors",

@@ -2,24 +2,24 @@
 
 A group is stored as its canonical chain of invariant factors
 d1 | d2 | ... | dk with every di >= 2; the empty chain is the trivial
-group.  Elementary divisors (prime powers) are derived on demand, which
-is the natural direction here because Smith normal form hands us the
-invariant-factor chain directly.
+group.  Smith normal form hands us this chain directly, and every
+operation here works on it with gcd, lcm and equality alone: no integer
+is ever factored, so no cover order, however hard to factor, can stall
+a verdict.
 
 The doubling test -- is G isomorphic to H + H for some H? -- holds iff
-every elementary divisor p^k occurs with even multiplicity.  It is the
+the chain pairs up, d1 = d2, d3 = d4, ... (equivalently, every
+elementary divisor p^k occurs with even multiplicity).  It is the
 executable form of the torsion obstruction: the combined torsion of
 Seifert-hypersurface homology of ribbon-move equivalent 2-links is
-always such a double.
+always such a double.  Direct sums join two chains and restore
+divisibility by pairwise (gcd, lcm) replacement.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
 
 from .exactla import IntMatrix, cokernel_invariants
 
@@ -63,46 +63,10 @@ class FiniteAbelianGroup:
     def order(self) -> int:
         return math.prod(self.invariant_factors)
 
-    def elementary_divisors(self) -> Counter[int]:
-        """Multiset of prime powers p^k whose direct sum gives the group."""
-        out: Counter[int] = Counter()
-        for d in self.invariant_factors:
-            for p, k in _factorize(d).items():
-                out[p ** k] += 1
-        return out
-
     def __str__(self) -> str:
         if self.is_trivial:
             return "0"
         return " ⊕ ".join(f"Z{d}" for d in self.invariant_factors)
-
-
-def from_elementary_divisors(prime_powers: Iterable[int]) -> FiniteAbelianGroup:
-    """Reassemble the canonical chain from a multiset of prime powers.
-
-    Grouping by prime and right-aligning the descending power lists, the
-    j-th largest invariant factor is the product of the j-th largest
-    power of each prime.
-    """
-    by_prime: dict[int, list[int]] = {}
-    for q in prime_powers:
-        fac = _factorize(q)
-        if len(fac) != 1:
-            raise ValueError(f"{q} is not a prime power")
-        ((p, k),) = fac.items()
-        by_prime.setdefault(p, []).append(p ** k)
-    for powers in by_prime.values():
-        powers.sort(reverse=True)
-    depth = max((len(v) for v in by_prime.values()), default=0)
-    factors = []
-    for layer in range(depth):
-        f = 1
-        for powers in by_prime.values():
-            if layer < len(powers):
-                f *= powers[layer]
-        factors.append(f)
-    factors.reverse()
-    return FiniteAbelianGroup(tuple(factors))
 
 
 def from_presentation(matrix: IntMatrix) -> FiniteAbelianGroup:
@@ -123,9 +87,20 @@ def cokernel(matrix: IntMatrix) -> tuple[int, FiniteAbelianGroup]:
 
 
 def direct_sum(g: FiniteAbelianGroup, h: FiniteAbelianGroup) -> FiniteAbelianGroup:
-    """Canonical invariant factors of g + h."""
-    return from_elementary_divisors(
-        list((g.elementary_divisors() + h.elementary_divisors()).elements()))
+    """Canonical invariant factors of g + h.
+
+    The joined chain is normalised by replacing (di, dj) with
+    (gcd, lcm) for every pair i < j in turn.  On the exponents of any
+    one prime that is a compare-exchange (min, max), and running it over
+    all pairs in this order is a selection sort, so the result is a
+    divisibility chain; the 1s it leaves at the front are dropped.
+    """
+    d = list(g.invariant_factors + h.invariant_factors)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            gcd = math.gcd(d[i], d[j])
+            d[i], d[j] = gcd, d[i] // gcd * d[j]
+    return FiniteAbelianGroup(tuple(x for x in d if x > 1))
 
 
 def is_isomorphic(g: FiniteAbelianGroup, h: FiniteAbelianGroup) -> bool:
@@ -136,14 +111,14 @@ def is_isomorphic(g: FiniteAbelianGroup, h: FiniteAbelianGroup) -> bool:
 def is_double(g: FiniteAbelianGroup) -> FiniteAbelianGroup | None:
     """Return h with g = h + h if one exists, else None.
 
-    g is a double exactly when every elementary divisor occurs with
-    even multiplicity; the half is obtained by halving multiplicities.
+    The chain of h + h is h1, h1, h2, h2, ..., and invariant factors
+    are unique, so g is a double exactly when its chain pairs up: even
+    length with d1 = d2, d3 = d4, ...  The half is then d2, d4, ...
     """
-    divisors = g.elementary_divisors()
-    if any(m % 2 for m in divisors.values()):
+    d = g.invariant_factors
+    if d[0::2] != d[1::2]:
         return None
-    return from_elementary_divisors(
-        [q for q, m in divisors.items() for _ in range(m // 2)])
+    return FiniteAbelianGroup(d[1::2])
 
 
 def combine_doubles(a: FiniteAbelianGroup, b: FiniteAbelianGroup,
@@ -164,74 +139,3 @@ def combine_doubles(a: FiniteAbelianGroup, b: FiniteAbelianGroup,
     assert half is not None, "parity argument guarantees a + c is a double"
     return half
 
-
-# -- integer factorization ------------------------------------------
-# Deterministic Miller-Rabin (the 12-base set below is exact for all
-# n < 3.3 * 10^24) plus Pollard rho, so invariant factors as large as
-# determinants of sizeable integer matrices factor quickly.
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int, rng: random.Random) -> int:
-    while True:
-        c = rng.randrange(1, n)
-        x = y = rng.randrange(0, n)
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-
-
-def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization as {prime: exponent}; n must be >= 1."""
-    if n < 1:
-        raise ValueError(f"cannot factorize {n}")
-    out: dict[int, int] = {}
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    if n == 1:
-        return out
-    rng = random.Random(n)
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m, rng)
-        stack.append(d)
-        stack.append(m // d)
-    return out

@@ -121,8 +121,14 @@ def _knot_from_file(path: Path) -> KnotRecord:
         spec = data["braid"]
         if not isinstance(spec, dict) or "strands" not in spec or "letters" not in spec:
             raise CliParseError(f"{path}: braid needs 'strands' and 'letters'")
-        word = BraidWord(int(spec["strands"]),
-                         tuple(int(x) for x in spec["letters"]))
+        strands, letters = spec["strands"], spec["letters"]
+        # type(...) is int: JSON true/false arrive as bool, a subclass of int
+        if (type(strands) is not int or not isinstance(letters, list)
+                or any(type(x) is not int for x in letters)):
+            raise CliParseError(
+                f"{path}: braid 'strands' must be an integer and 'letters' "
+                "a list of integers")
+        word = BraidWord(strands, tuple(letters))
         return KnotRecord(name=name, source="braid",
                           seifert=seifert_matrix_from_braid(word),
                           even_form=even_form)

@@ -4,8 +4,9 @@ The oracles here deliberately take different algorithmic routes from the
 package under test: the Smith-form oracle diagonalizes with first-found
 pivots and fixes divisibility afterwards by gcd/lcm sweeps, the
 determinant oracle is cofactor expansion, the signature oracle counts
-characteristic-polynomial root signs with Sturm sequences, and group
-isomorphism is checked by brute-force element-order counting.
+characteristic-polynomial root signs with Sturm sequences, group
+isomorphism is checked by brute-force element-order counting, and group
+arithmetic by trial-division elementary divisors.
 """
 
 from __future__ import annotations
@@ -386,6 +387,30 @@ def _trial_prime_powers(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def elementary_divisors_oracle(factors: tuple[int, ...]) -> Counter[int]:
+    """Prime powers p^k whose direct sum is Z_f1 + ... + Z_fk, found by
+    trial division of each factor."""
+    out: Counter[int] = Counter()
+    for f in factors:
+        for p, k in _trial_prime_powers(f).items():
+            out[p ** k] += 1
+    return out
+
+
+def chain_from_elementary_divisors_oracle(divisors: Counter[int]) -> tuple[int, ...]:
+    """Invariant-factor chain with the given prime powers: group them by
+    prime, right-align the descending power lists and multiply across."""
+    by_prime: dict[int, list[int]] = {}
+    for q in divisors.elements():
+        [p] = _trial_prime_powers(q)
+        by_prime.setdefault(p, []).append(q)
+    columns = [sorted(v, reverse=True) for v in by_prime.values()]
+    depth = max(map(len, columns), default=0)
+    chain = [prod(c[layer] for c in columns if layer < len(c))
+             for layer in range(depth)]
+    return tuple(reversed(chain))
 
 
 def _partitions(n: int) -> list[list[int]]:

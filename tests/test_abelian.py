@@ -1,6 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from ribbonmu import (
     DoublingHypothesisError,
@@ -9,14 +12,15 @@ from ribbonmu import (
     cokernel,
     combine_doubles,
     direct_sum,
-    from_elementary_divisors,
     from_presentation,
     is_double,
     is_isomorphic,
 )
 
 from support import (
+    chain_from_elementary_divisors_oracle,
     double_half_bruteforce,
+    elementary_divisors_oracle,
     groups_isomorphic_bruteforce,
     order_multiset,
     rand_group_factors,
@@ -42,19 +46,6 @@ class TestCanonicalForm:
     def test_rendering(self):
         assert str(Z((2, 4, 8))) == "Z2 ⊕ Z4 ⊕ Z8"
         assert str(Z.trivial()) == "0"
-
-    def test_elementary_divisor_round_trip(self):
-        rng = random.Random(21)
-        for _ in range(200):
-            g = Z(rand_group_factors(rng))
-            divisors = g.elementary_divisors()
-            rebuilt = from_elementary_divisors(list(divisors.elements()))
-            assert rebuilt == g
-            assert rebuilt.elementary_divisors() == divisors
-
-    def test_from_elementary_divisors_rejects_non_prime_powers(self):
-        with pytest.raises(ValueError):
-            from_elementary_divisors([6])
 
 
 class TestFromPresentation:
@@ -163,6 +154,61 @@ class TestIsDouble:
             assert (half is None) == (brute is None)
             if half is not None:
                 assert order_multiset(half.invariant_factors) == order_multiset(brute)
+
+
+def _chain(start: int, steps: list[int]) -> tuple[int, ...]:
+    """Divisibility chain start | start*m1 | ..., cut before 10^6 is passed."""
+    chain, d = [], start
+    for m in [1, *steps]:
+        d *= m
+        if d > 10 ** 6:
+            break
+        if d > 1:
+            chain.append(d)
+    return tuple(chain)
+
+
+# Chains with factors up to 10^6; small starts give long chains, large
+# ones large prime factors.
+CHAINS = st.builds(
+    _chain, st.one_of(st.integers(1, 60), st.integers(1, 10 ** 6)),
+    st.lists(st.integers(1, 12), max_size=6))
+
+
+class TestAgainstElementaryDivisorOracle:
+    """direct_sum and is_double work on chains alone; the oracle factors
+    every invariant factor by trial division and regroups prime powers."""
+
+    def test_oracle_round_trip(self):
+        rng = random.Random(21)
+        for _ in range(200):
+            factors = _chain(rng.randint(1, 10 ** 6),
+                             [rng.randint(1, 12) for _ in range(rng.randint(0, 6))])
+            for g in (factors, rand_group_factors(rng)):
+                divisors = elementary_divisors_oracle(g)
+                assert chain_from_elementary_divisors_oracle(divisors) == g
+
+    @seed(20261018)
+    @settings(max_examples=300, deadline=None)
+    @given(a=CHAINS, b=CHAINS)
+    def test_direct_sum(self, a, b):
+        expected = chain_from_elementary_divisors_oracle(
+            elementary_divisors_oracle(a) + elementary_divisors_oracle(b))
+        assert direct_sum(Z(a), Z(b)).invariant_factors == expected
+
+    @seed(20261018)
+    @settings(max_examples=300, deadline=None)
+    @given(a=CHAINS, b=CHAINS, doubled=st.booleans())
+    def test_is_double(self, a, b, doubled):
+        divisors = elementary_divisors_oracle(a) + elementary_divisors_oracle(b)
+        if doubled:
+            divisors += elementary_divisors_oracle(a)
+        g = Z(chain_from_elementary_divisors_oracle(divisors))
+        if any(m % 2 for m in divisors.values()):
+            assert is_double(g) is None
+        else:
+            half = Counter({q: m // 2 for q, m in divisors.items()})
+            assert is_double(g) == Z(chain_from_elementary_divisors_oracle(half))
 
 
 class TestCombineDoubles:

@@ -1,5 +1,6 @@
 import io
 import json
+import signal
 import subprocess
 import sys
 
@@ -235,6 +236,17 @@ class TestKnotFiles:
         assert record["mu"] == "8"
         assert record["h1_invariant_factors"] == []
 
+    @pytest.mark.parametrize("spec", [
+        {"strands": 3, "letters": 5},
+        {"strands": "x", "letters": [1, 2]},
+    ], ids=["letters-not-a-list", "strands-not-an-int"])
+    def test_malformed_braid_is_parse_error(self, tmp_path, capsys, spec):
+        path = tmp_path / "bad_braid.json"
+        path.write_text(json.dumps({"braid": spec}))
+        code, _ = run_cli("invariants", str(path))
+        assert code == 3
+        assert "braid 'strands' must be an integer" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         code, _ = run_cli("invariants", f"@{tmp_path}/absent.json")
         assert code == 3
@@ -259,6 +271,51 @@ class TestKnotFiles:
         record = json.loads(text.strip())
         form = IntMatrix.from_decimal_rows(record["form"])
         assert str(TwoKnotInvariants.from_even_form(form).mu.value) == record["mu"]
+
+
+@pytest.fixture
+def one_second():
+    """Turn a hang into a failure: the test body gets one second."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError("took longer than 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestHardToFactorOrders:
+    """S = [[1,1],[0,B]] has form [[2,1],[1,2B]] and cover order 4B - 1 = p*q.
+
+    With p and q prime and large, no factorization finishes; the verdict
+    must not need one.
+    """
+
+    @pytest.mark.parametrize("p, q", [
+        (100000000000000000129, 300000000000000000139),
+        (20000000000000000000000000000000000000000000000041,
+         60000000000000000000000000000000000000000000000079),
+    ], ids=["41-digit", "100-digit"])
+    def test_semiprime_cover_order(self, one_second, p, q):
+        order = p * q
+        inline = f"[[1,1],[0,{(order + 1) // 4}]]"
+        code, text = run_cli("invariants", inline, "--json")
+        assert code == 0
+        record = json.loads(text)
+        assert record["h1_invariant_factors"] == [str(order)]
+        assert record["h1_is_double"] is False
+        code, text = run_cli("obstruct", inline, inline, "--json")
+        assert code == 0
+        # Z_pq + Z_pq is a double, so the torsion test passes
+        assert json.loads(text)["conclusion"] == "no-obstruction-found"
 
 
 class TestEachFactOnce:
