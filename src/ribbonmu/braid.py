@@ -130,32 +130,46 @@ def _consecutive_pairs(word: list[int]) -> list[tuple[int, int]]:
 
 
 def seifert_matrix_from_braid(braid: BraidWord) -> SeifertMatrix:
-    """Seifert matrix of the braid closure; the closure must be a knot."""
+    """Seifert matrix of the braid closure; the closure must be a knot.
+
+    One sweep over the word: when loop a = (i, p) closes at position p,
+    the loop of the same column starting at p shares its band, and in
+    each adjacent column h only the loop starting at the last occurrence
+    of h before p can interleave with a (it starts inside (i, p) and
+    ends after p).  So the build takes time linear in the word length.
+    """
     if not braid.is_knot_closure:
         raise NotAKnotError(
             f"closure has {braid.closure_components()} components, not a knot")
     word, _ = _destabilize(list(braid.letters), braid.strands)
     loops = _consecutive_pairs(word)
     m = len(loops)
+    starting_at = {i: a for a, (i, _) in enumerate(loops)}
     sign = lambda x: 1 if x > 0 else -1
     v = [[0] * m for _ in range(m)]
-    for a, (i, e) in enumerate(loops):
-        v[a][a] = (sign(word[i]) + sign(word[e])) // 2
-        for b in range(a + 1, m):
-            j, f = loops[b]
-            ga, gb = abs(word[i]), abs(word[j])
-            if ga == gb:
-                if e == j:  # consecutive loops sharing the band at j
-                    if word[j] > 0:
-                        v[b][a] = -1
-                    else:
-                        v[a][b] = 1
-            elif abs(ga - gb) == 1 and j < e < f:  # interleaved intervals
-                if ga > gb:
+    last: dict[int, int] = {}  # generator -> its latest position so far
+    for p, letter in enumerate(word):
+        g = abs(letter)
+        i = last.get(g)
+        if i is not None:  # loop a = (i, p) closes here
+            a = starting_at[i]
+            v[a][a] = (sign(word[i]) + sign(letter)) // 2
+            b = starting_at.get(p)
+            if b is not None:  # the next loop of this column shares band p
+                if letter > 0:
                     v[b][a] = -1
                 else:
                     v[a][b] = 1
-    return validate_seifert(IntMatrix.from_rows(v, cols=m))
+            for h in (g - 1, g + 1):
+                j = last.get(h, -1)
+                b = starting_at.get(j)
+                if j > i and b is not None:  # interleaved intervals
+                    if g > h:
+                        v[b][a] = -1
+                    else:
+                        v[a][b] = 1
+        last[g] = p
+    return validate_seifert(IntMatrix(m, m, tuple(map(tuple, v))))
 
 
 def alexander_at(seifert: SeifertMatrix, t: int) -> int:

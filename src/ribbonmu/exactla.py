@@ -19,11 +19,42 @@ algorithms copy entries into plain lists of ints internally.  Empty
 matrices (0x0, n x 0, 0 x n) are legal everywhere: the empty matrix is
 the Seifert matrix of the unknot, so the degenerate cases are load
 bearing rather than corner cases.
+
+Cost model.  All three eliminations do work only where the matrix has
+nonzeros, with one code path for dense and sparse input.  Dense input
+still costs O(n^3) operations on growing integers; a form of
+bandwidth w costs about O(n * w^2), so the sparse forms S + S^t of
+long braid closures stay cheap.
+
+* Envelopes.  Each Bareiss row keeps its envelope, one past its last
+  nonzero.  Step k updates row i only on [k+1, max(end_i, end_k)),
+  since fill-in never leaves the union of the two envelopes.  In the
+  symmetric pass a row i >= end_k has m[k][i] = 0, so the step visits
+  only the rows k+1 .. end_k - 1.
+* Deferred rescale.  A row that is zero in the pivot column is only
+  multiplied by p / prev at each step.  The chain of those exact
+  steps telescopes to x * D_now / D_then, where D_then is the pivot at
+  which the row was last exact and D_now the current one.  The
+  quotient is the Bareiss intermediate the eager chain would hold, so
+  one floor division on the row's next use is exact.  Untouched rows
+  cost nothing.  A pivot repair first brings the trailing rows up to
+  date.  It then mirrors only the rows and columns it reads in full,
+  and recomputes the envelopes it changed.
+* Smith.  The reduction performs the same operations in the same order
+  as a dense one, so U, V and D do not depend on sparsity.  It skips
+  only steps that change nothing.  A unit pivot divides everything, so
+  the divisibility sweep is skipped.  A column swap with itself is
+  skipped.  A column operation touches only the rows that are nonzero
+  in the pivot column, which on the diagonal-only path is the pivot
+  row alone once the column is cleared.  A row operation touches only
+  the source row's support.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import add, sub
 from typing import Iterable, Sequence
 
 
@@ -90,24 +121,24 @@ class IntMatrix:
 
     @property
     def is_symmetric(self) -> bool:
-        return self.is_square and all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.rows) for j in range(i + 1, self.cols))
+        return self.is_square and self.entries == tuple(zip(*self.entries))
 
     def transpose(self) -> IntMatrix:
-        return IntMatrix(self.cols, self.rows, tuple(
-            tuple(self.entries[i][j] for i in range(self.rows))
-            for j in range(self.cols)))
+        # zip(*()) is empty, so a 0 x c matrix needs its c empty rows spelled out
+        return IntMatrix(self.cols, self.rows,
+                         tuple(zip(*self.entries)) if self.rows else ((),) * self.cols)
 
     def __add__(self, other: IntMatrix) -> IntMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("matrix addition needs equal shapes")
         return IntMatrix(self.rows, self.cols, tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)))
+            tuple(map(add, ra, rb)) for ra, rb in zip(self.entries, other.entries)))
 
     def __sub__(self, other: IntMatrix) -> IntMatrix:
-        return self + (-other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionError("matrix addition needs equal shapes")
+        return IntMatrix(self.rows, self.cols, tuple(
+            tuple(map(sub, ra, rb)) for ra, rb in zip(self.entries, other.entries)))
 
     def __neg__(self) -> IntMatrix:
         return IntMatrix(self.rows, self.cols, tuple(
@@ -137,7 +168,7 @@ class IntMatrix:
     # numbers, so arbitrary-precision entries survive JSON bit-exactly.
 
     def to_decimal_rows(self) -> list[list[str]]:
-        return [[str(a) for a in row] for row in self.entries]
+        return [list(map(str, row)) for row in self.entries]
 
     @staticmethod
     def from_decimal_rows(rows: Sequence[Sequence[str]], cols: int | None = None) -> IntMatrix:
@@ -195,7 +226,11 @@ def _smith_reduce(m: list[list[int]], rows: int, cols: int) -> None:
     """
 
     def row_op(dst: int, src: int, q: int) -> None:  # row dst -= q * row src
-        m[dst] = [a - q * b for a, b in zip(m[dst], m[src])]
+        # Row src is zero left of column k, which earlier steps cleared,
+        # and right of its envelope, so only that span changes.
+        a, b = m[dst], m[src]
+        hi = _envelope(b)
+        a[k:hi] = [x - q * y for x, y in zip(a[k:hi], b[k:hi])]
 
     n = min(rows, cols)
     for k in range(n):
@@ -205,8 +240,9 @@ def _smith_reduce(m: list[list[int]], rows: int, cols: int) -> None:
         while True:
             pi, pj = pivot
             m[pi], m[k] = m[k], m[pi]
-            for r in m:
-                r[pj], r[k] = r[k], r[pj]
+            if pj != k:  # rows above k are zero in both columns
+                for r in m[k:]:
+                    r[pj], r[k] = r[k], r[pj]
             p = m[k][k]
             # Clear column k, then row k, by exact floor division; any
             # nonzero remainder becomes the next, strictly smaller pivot.
@@ -216,16 +252,21 @@ def _smith_reduce(m: list[list[int]], rows: int, cols: int) -> None:
                     row_op(i, k, m[i][k] // p)
                     if m[i][k] != 0:
                         dirty = True
+            # Column k does not change while row k is cleared, and a
+            # column operation leaves rows with a zero there untouched.
+            carriers = [r for r in m if r[k]]
             for j in range(cols):
                 if j != k and m[k][j] != 0:
                     q = m[k][j] // p
-                    for r in m:  # col j -= q * col k
+                    for r in carriers:  # col j -= q * col k
                         r[j] -= q * r[k]
                     if m[k][j] != 0:
                         dirty = True
             if dirty:
                 pivot = _min_abs_pivot(m, k, rows, cols)
                 continue
+            if p in (1, -1):  # a unit divides the whole trailing block
+                break
             # Pivot must divide the whole trailing block; if not, fold
             # the offending row in and keep reducing.
             offender = None
@@ -266,6 +307,19 @@ def smith_normal_form(matrix: IntMatrix) -> SnfResult:
     )
 
 
+def _envelope(row: list[int]) -> int:
+    """One past the index of the last nonzero entry of row; 0 if none."""
+    return next(compress(range(len(row), 0, -1), reversed(row)), 0)
+
+
+def _catch_up(row: list[int], lo: int, hi: int, then: int, now: int) -> None:
+    """Apply a row's deferred Bareiss rescale to row[lo:hi]: x * now / then,
+    exact (see the module docstring), for the pivot ``then`` at which the
+    row was last exact and the current pivot ``now``."""
+    if then != now:
+        row[lo:hi] = [x * now // then for x in row[lo:hi]]
+
+
 def determinant(matrix: IntMatrix) -> int:
     """Exact determinant by fraction-free Bareiss elimination.
 
@@ -278,6 +332,8 @@ def determinant(matrix: IntMatrix) -> int:
     if n == 0:
         return 1
     m = matrix.to_lists()
+    end = [_envelope(row) for row in m]  # nonzeros of row i lie left of end[i]
+    exact = [1] * n  # the pivot at which each row was last rescaled
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -285,21 +341,29 @@ def determinant(matrix: IntMatrix) -> int:
             for i in range(k + 1, n):
                 if m[i][k] != 0:
                     m[k], m[i] = m[i], m[k]
+                    end[k], end[i] = end[i], end[k]
+                    exact[k], exact[i] = exact[i], exact[k]
                     sign = -sign
                     break
             else:
                 return 0
-        p, tail = m[k][k], m[k][k + 1:]
+        pivot_row, e = m[k], end[k]
+        _catch_up(pivot_row, k, e, exact[k], prev)
+        p = pivot_row[k]
+        # Bareiss guarantees exact division by the previous pivot.  A row
+        # with a zero in column k is left alone: its rescale by p / prev
+        # is deferred to its next use (_catch_up).
         for i in range(k + 1, n):
-            # Bareiss guarantees exact division by the previous pivot; a
-            # row with a zero in column k is only rescaled by p / prev.
-            row, a = m[i], m[i][k]
-            if a:
-                row[k + 1:] = [(x * p - a * y) // prev for x, y in zip(row[k + 1:], tail)]
-            elif p != prev:
-                row[k + 1:] = [x * p // prev for x in row[k + 1:]]
+            row = m[i]
+            if row[k]:
+                hi = max(end[i], e)
+                _catch_up(row, k, end[i], exact[i], prev)
+                a = row[k]
+                row[k + 1:hi] = [(x * p - a * y) // prev
+                                 for x, y in zip(row[k + 1:hi], pivot_row[k + 1:hi])]
+                end[i], exact[i] = hi, p
         prev = p
-    return sign * m[n - 1][n - 1]
+    return sign * (m[n - 1][n - 1] * prev // exact[n - 1])
 
 
 def invariant_factors(matrix: IntMatrix) -> tuple[int, ...]:
@@ -321,31 +385,46 @@ def cokernel_invariants(matrix: IntMatrix) -> tuple[int, tuple[int, ...]]:
     return matrix.rows - rank, torsion
 
 
-def _repair_pivot(m: list[list[int]], k: int) -> bool:
+def _repair_pivot(m: list[list[int]], k: int, end: list[int],
+                  exact: list[int], prev: int) -> bool:
     """Make the zero pivot m[k][k] nonzero by a congruence of the
     trailing variables k, k+1, ...; False when the trailing block is zero.
 
     A later nonzero diagonal entry d is swapped into place.  When the
     whole trailing diagonal vanishes, the shear x_d -> x_d + x_j on a
     coupled pair (d, j) first makes m[d][d] = 2 * m[d][j] nonzero.
+    The trailing rows are brought up to date first and their envelopes
+    recomputed last.  Only the rows and columns of the variables k, d
+    and j are read in full, so only they are mirrored from the upper
+    triangle; the rest of the lower triangle stays stale and unread.
     """
     n = len(m)
-    for i in range(k, n):  # mirror the upper triangle into the lower one
-        for j in range(i + 1, n):
-            m[j][i] = m[i][j]
+    for i in range(k, n):
+        _catch_up(m[i], i, end[i], exact[i], prev)
+        exact[i] = prev
     d = next((d for d in range(k + 1, n) if m[d][d] != 0), None)
+    j = None
     if d is None:
-        pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
-                     if m[i][j] != 0), None)
-        if pair is None:
+        d, j = next(((i, j) for i in range(k, n)
+                     for j in compress(range(i + 1, end[i]), m[i][i + 1:end[i]])),
+                    (None, None))
+        if d is None:
             return False
-        d, j = pair
+    for c in (k, d) if j is None else (k, d, j):
+        row = m[c]
+        for r in range(k, c):
+            row[r] = m[r][c]
+        for r in range(c + 1, n):
+            m[r][c] = row[r]
+    if j is not None:
         for r in range(k, n):  # column d += column j, then row d += row j
             m[r][d] += m[r][j]
         m[d][k:] = [a + b for a, b in zip(m[d][k:], m[j][k:])]
     m[k], m[d] = m[d], m[k]  # exchange variables d and k
     for r in range(k, n):
         m[r][k], m[r][d] = m[r][d], m[r][k]
+    for i in range(k, d + 1):  # only these rows changed above the diagonal
+        end[i] = _envelope(m[i])
     return True
 
 
@@ -359,6 +438,9 @@ def signature_and_determinant(form: IntMatrix) -> tuple[int, int]:
     (:func:`_repair_pivot`), so Sylvester's identity still makes every
     division exact and the determinant does not change.  A zero
     trailing block ends the pass: the rank is k and the determinant 0.
+    Rows are updated as in :func:`determinant`, within their envelopes
+    and with deferred rescales; by symmetry only rows i < end[k] can
+    have m[k][i] != 0.
     """
     if not form.is_square:
         raise DimensionError(
@@ -367,18 +449,24 @@ def signature_and_determinant(form: IntMatrix) -> tuple[int, int]:
         raise FormError("signature needs a symmetric matrix")
     n = form.rows
     m = form.to_lists()
+    end = [_envelope(row) for row in m]
+    exact = [1] * n
     sig, prev = 0, 1
     for k in range(n):
-        if m[k][k] == 0 and not _repair_pivot(m, k):
+        if m[k][k] == 0 and not _repair_pivot(m, k, end, exact, prev):
             return sig, 0
-        p, pivot_row = m[k][k], m[k]
+        pivot_row, e = m[k], end[k]
+        _catch_up(pivot_row, k, e, exact[k], prev)
+        p = pivot_row[k]
         sig += 1 if (p > 0) == (prev > 0) else -1
-        for i in range(k + 1, n):  # the same row update as determinant's
-            row, a = m[i], pivot_row[i]
+        for i in range(k + 1, e):
+            a = pivot_row[i]
             if a:
-                row[i:] = [(x * p - a * y) // prev for x, y in zip(row[i:], pivot_row[i:])]
-            elif p != prev:
-                row[i:] = [x * p // prev for x in row[i:]]
+                row, hi = m[i], max(end[i], e)
+                _catch_up(row, i, end[i], exact[i], prev)
+                row[i:hi] = [(x * p - a * y) // prev
+                             for x, y in zip(row[i:hi], pivot_row[i:hi])]
+                end[i], exact[i] = hi, p
         prev = p
     return sig, prev
 

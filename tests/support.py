@@ -5,19 +5,45 @@ package under test: the Smith-form oracle diagonalizes with first-found
 pivots and fixes divisibility afterwards by gcd/lcm sweeps, the
 determinant oracle is cofactor expansion, the signature oracle counts
 characteristic-polynomial root signs with Sturm sequences, group
-isomorphism is checked by brute-force element-order counting, and group
-arithmetic by trial-division elementary divisors.
+isomorphism is checked by brute-force element-order counting, group
+arithmetic by trial-division elementary divisors, and braid Seifert
+matrices by testing every pair of loops.
 """
 
 from __future__ import annotations
 
 import random
+import signal
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm, prod
 
 from ribbonmu import BraidWord, IntMatrix, SeifertMatrix, block_diag, validate_seifert
+from ribbonmu.braid import _consecutive_pairs, _destabilize
+
+# -- time limit -------------------------------------------------------
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Turn a hang into a failure: raise TimeoutError after ``seconds``."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"took longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 # -- random inputs ----------------------------------------------------
 
@@ -175,6 +201,36 @@ def snf_diagonal_oracle(matrix: IntMatrix) -> list[int]:
                     diag[i], diag[j] = g, l
                     changed = True
     return diag
+
+
+# -- braid Seifert matrix oracle -------------------------------------
+
+
+def seifert_matrix_pairwise(braid: BraidWord) -> IntMatrix:
+    """Seifert matrix of a braid closure by testing every pair of loops
+    for the three interaction shapes (quadratic in the loop count)."""
+    word, _ = _destabilize(list(braid.letters), braid.strands)
+    loops = _consecutive_pairs(word)
+    m = len(loops)
+    sign = lambda x: 1 if x > 0 else -1
+    v = [[0] * m for _ in range(m)]
+    for a, (i, e) in enumerate(loops):
+        v[a][a] = (sign(word[i]) + sign(word[e])) // 2
+        for b in range(a + 1, m):
+            j, f = loops[b]
+            ga, gb = abs(word[i]), abs(word[j])
+            if ga == gb:
+                if e == j:  # consecutive loops sharing the band at j
+                    if word[j] > 0:
+                        v[b][a] = -1
+                    else:
+                        v[a][b] = 1
+            elif abs(ga - gb) == 1 and j < e < f:  # interleaved intervals
+                if ga > gb:
+                    v[b][a] = -1
+                else:
+                    v[a][b] = 1
+    return IntMatrix.from_rows(v, cols=m)
 
 
 # -- determinant oracle ----------------------------------------------

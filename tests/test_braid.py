@@ -19,7 +19,7 @@ from ribbonmu import (
     validate_seifert,
 )
 
-from support import rand_braid_knot
+from support import rand_braid_knot, seifert_matrix_pairwise
 
 TREFOIL_BRAID = BraidWord(2, (1, 1, 1))
 FIGURE8_BRAID = BraidWord(3, (1, -2, 1, -2))
@@ -116,6 +116,33 @@ class TestSeifertMatrixFromBraid:
             assert s.size == len(word.letters) - word.strands + 1
             checked += 1
         assert checked > 50
+
+
+def six_strand_knot_word(rng: random.Random, length: int) -> BraidWord:
+    """Random 6-strand word of the given (odd) length closing to a knot."""
+    while True:
+        word = BraidWord(6, tuple(rng.choice((1, -1)) * rng.randint(1, 5)
+                                  for _ in range(length)))
+        if word.is_knot_closure:
+            return word
+
+
+class TestAgainstPairwiseOracle:
+    """The one-sweep build gives the matrix of the all-pairs build."""
+
+    def test_random_words(self):
+        rng = random.Random(56)
+        for _ in range(300):
+            word = rand_braid_knot(rng, max_strands=6, max_len=30)
+            assert seifert_matrix_from_braid(word).matrix == \
+                seifert_matrix_pairwise(word)
+
+    @pytest.mark.parametrize("length", [151, 301, 601])
+    def test_long_six_strand_words(self, length):
+        word = six_strand_knot_word(random.Random(length), length)
+        s = seifert_matrix_from_braid(word).matrix
+        assert s.rows == length - 5
+        assert s == seifert_matrix_pairwise(word)
 
 
 class TestMarkovStability:

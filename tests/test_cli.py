@@ -1,6 +1,5 @@
 import io
 import json
-import signal
 import subprocess
 import sys
 
@@ -9,7 +8,7 @@ import pytest
 from ribbonmu import IntMatrix, TwoKnotInvariants, braid, cli, exactla, signature, spinmu
 from ribbonmu.cli import main
 
-from support import sturm_signature
+from support import sturm_signature, time_limit
 
 
 def run_cli(*argv):
@@ -276,20 +275,8 @@ class TestKnotFiles:
 @pytest.fixture
 def one_second():
     """Turn a hang into a failure: the test body gets one second."""
-    if not hasattr(signal, "SIGALRM"):
+    with time_limit(1.0):
         yield
-        return
-
-    def expire(signum, frame):
-        raise TimeoutError("took longer than 1 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 class TestHardToFactorOrders:

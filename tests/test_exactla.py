@@ -1,7 +1,8 @@
 import random
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from ribbonmu import (
@@ -9,6 +10,7 @@ from ribbonmu import (
     FormError,
     IntMatrix,
     block_diag,
+    block_diag_all,
     determinant,
     invariant_factors,
     signature,
@@ -23,6 +25,7 @@ from support import (
     rand_unimodular,
     snf_diagonal_oracle,
     sturm_signature,
+    time_limit,
 )
 
 E8_ROWS = [
@@ -301,6 +304,105 @@ class TestSignatureAndDeterminant:
             b, det = block_diag(b, KNOWN_BLOCKS[2][0]), -det
         p = rand_unimodular(random.Random(seed), b.rows, steps=2 * b.rows)
         assert signature_and_determinant(p.transpose() @ b @ p) == (sig, det)
+
+
+def tridiagonal(diagonal: list[int], off: int = 1) -> IntMatrix:
+    """Symmetric tridiagonal form with the given diagonal."""
+    n = len(diagonal)
+    m = [[0] * n for _ in range(n)]
+    for i, a in enumerate(diagonal):
+        m[i][i] = a
+        if i + 1 < n:
+            m[i][i + 1] = m[i + 1][i] = off
+    return IntMatrix.from_rows(m, cols=n)
+
+
+def arrow(n: int, far: int = 3) -> IntMatrix:
+    """Variable 0 coupled only to the last one, with a path in between:
+    the last row is used at step 0 and then not again for n - 3 steps,
+    while the pivots in between change."""
+    m = tridiagonal([2 + i % 3 for i in range(n)], off=-1).to_lists()
+    m[0][1] = m[1][0] = 0
+    m[0][n - 1] = m[n - 1][0] = far
+    return IntMatrix.from_rows(m, cols=n)
+
+
+HYPERBOLIC = IntMatrix.from_rows([[0, 1], [1, 0]])
+
+# Sparse forms with the shapes that need pivot repair or deferred rescales.
+SPARSE_FORMS = (
+    [tridiagonal([0 if i % 3 == 0 else 2 for i in range(n)]) for n in range(1, 9)]
+    + [tridiagonal([0] * n, off=2) for n in range(1, 9)]
+    + [tridiagonal([(-1) ** i * 2 for i in range(n)], off=3) for n in range(2, 9)]
+    + [arrow(n) for n in range(4, 9)] + [arrow(n, far=0) for n in range(4, 8)]
+    + [block_diag_all([HYPERBOLIC] * 3), block_diag_all([tridiagonal([0, 2, 0]), HYPERBOLIC]),
+       block_diag(tridiagonal([2, 0, 2, 0, 2]), IntMatrix.zero(2, 2)),  # singular tail
+       block_diag(HYPERBOLIC, IntMatrix.zero(3, 3)),
+       block_diag(arrow(5), tridiagonal([0, 0]))]
+)
+
+# Mostly zeros, so rows often miss the pivot column for several steps.
+BAND_ENTRY = st.sampled_from((0,) * 7 + (1, -1, 2, -2, 3, -5))
+
+
+@st.composite
+def band_matrices(draw, max_n: int, symmetric: bool) -> IntMatrix:
+    """Random matrix whose nonzeros lie within w = 1..4 of the diagonal."""
+    n = draw(st.integers(0, max_n))
+    w = draw(st.integers(1, 4))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i if symmetric else max(0, i - w), min(n, i + w + 1)):
+            m[i][j] = draw(BAND_ENTRY)
+            if symmetric:
+                m[j][i] = m[i][j]
+    return IntMatrix.from_rows(m, cols=n)
+
+
+class TestSparseInput:
+    """Sparse and banded input: the kernels skip zero work, the answers
+    stay those of the independent oracles."""
+
+    @pytest.mark.parametrize("form", SPARSE_FORMS, ids=lambda q: f"{q.rows}x{q.rows}")
+    def test_structured_forms_against_oracles(self, form):
+        det = det_cofactor(form)
+        assert signature_and_determinant(form) == (sturm_signature(form), det)
+        assert determinant(form) == det
+        TestDiagonalOnlySmith.check(form)
+
+    @seed(20261018)
+    @settings(max_examples=300, deadline=None)
+    @given(m=band_matrices(max_n=8, symmetric=False))
+    def test_band_determinant_against_cofactor(self, m):
+        assert determinant(m) == det_cofactor(m)
+
+    @seed(20261018)
+    @settings(max_examples=150, deadline=None)
+    @given(q=band_matrices(max_n=8, symmetric=True))
+    def test_band_forms_against_oracles(self, q):
+        assert signature_and_determinant(q) == (sturm_signature(q), det_cofactor(q))
+
+    @seed(20261018)
+    @settings(max_examples=150, deadline=None)
+    @given(m=band_matrices(max_n=14, symmetric=False))
+    def test_band_smith_against_oracle(self, m):
+        TestDiagonalOnlySmith.check(m)
+        assert abs(determinant(m)) == prod(snf_diagonal_oracle(m))
+
+    @pytest.mark.parametrize("kernel", [determinant, signature_and_determinant,
+                                        cokernel_invariants])
+    def test_long_tridiagonal_form_is_not_cubic(self, kernel):
+        # Dense elimination needs several seconds for this form.
+        form = tridiagonal([0 if i % 3 == 0 else 2 for i in range(600)])
+        with time_limit(1.5):
+            result = kernel(form)
+        # det by the three-term recurrence D_k = a_k D_{k-1} - D_{k-2}
+        before, det = 0, 1
+        for a in form.diagonal():
+            before, det = det, a * det - before
+        expected = {determinant: det, signature_and_determinant: det,
+                    cokernel_invariants: (0, (abs(det),))}[kernel]
+        assert (result[1] if kernel is signature_and_determinant else result) == expected
 
 
 class TestBlockDiag:
