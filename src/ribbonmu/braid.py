@@ -68,25 +68,26 @@ class BraidWord:
                 raise ValueError(
                     f"letter {letter} out of range for {self.strands} strands")
 
-    def permutation(self) -> tuple[int, ...]:
-        """strand_at[p] = index of the strand ending at position p."""
-        at = list(range(self.strands))
+    def closure_components(self) -> int:
+        """Cycles of the strand permutation: components of the closure.
+
+        Strands no letter moves are fixed points, one component each, so
+        only the moved ones are traced: the cost is linear in the word
+        length, whatever the strand count.
+        """
+        at: dict[int, int] = {}  # position -> strand ending there, if touched
         for letter in self.letters:
             a = abs(letter) - 1
-            at[a], at[a + 1] = at[a + 1], at[a]
-        return tuple(at)
-
-    def closure_components(self) -> int:
-        perm = self.permutation()
-        seen = [False] * self.strands
-        cycles = 0
-        for start in range(self.strands):
-            if not seen[start]:
+            at[a], at[a + 1] = at.get(a + 1, a + 1), at.get(a, a)
+        cycles = self.strands - len(at)
+        seen: set[int] = set()
+        for start in at:
+            if start not in seen:
                 cycles += 1
                 p = start
-                while not seen[p]:
-                    seen[p] = True
-                    p = perm[p]
+                while p not in seen:
+                    seen.add(p)
+                    p = at[p]
         return cycles
 
     @property

@@ -18,33 +18,28 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .abelian import DoublingHypothesisError, is_double
-from .alink import ClassificationError, InducedMap, alinking, mod2_alinking
-from .braid import BraidWord, CatalogError, NotAKnotError, catalog, seifert_matrix_from_braid
-from .exactla import (
-    DimensionError,
-    FormError,
-    IntMatrix,
-    smith_normal_form,
-)
+from .abelian import FiniteAbelianGroup, is_double
+from .alink import InducedMap, alinking
+from .braid import BraidWord, CatalogError, catalog, seifert_matrix_from_braid
+from .exactla import IntMatrix, smith_normal_form
 from .obstruct import Verdict, obstruct_ribbon_equivalent, obstruct_ribbon_trivial
-from .spinmu import (
-    SeifertMatrix,
-    SeifertValidationError,
-    SpinStructureError,
-    TwoKnotInvariants,
-    validate_seifert,
-)
-
-VALIDATION_ERRORS = (
-    SeifertValidationError, SpinStructureError, NotAKnotError, CatalogError,
-    ClassificationError, DimensionError, FormError, DoublingHypothesisError,
-    ValueError,
-)
+from .spinmu import SeifertMatrix, TwoKnotInvariants, validate_seifert
 
 
 class CliParseError(Exception):
     """Malformed command-line or file input."""
+
+
+# The exit contract, one status per error family.  Every validation
+# error of the package is a ValueError; CatalogError is a LookupError.
+# Any other exception is a bug and keeps its traceback.
+EXIT_CODES: dict[type[Exception], int] = {
+    CliParseError: 3, ValueError: 2, CatalogError: 2}
+
+
+def _exit_code(exc: Exception) -> int:
+    """Exit status of an instance of an :data:`EXIT_CODES` family."""
+    return next(EXIT_CODES[t] for t in type(exc).__mro__ if t in EXIT_CODES)
 
 
 @dataclass(frozen=True)
@@ -70,15 +65,24 @@ class KnotRecord:
         raise CliParseError(f"knot {self.name!r} carries no usable payload")
 
 
-def _parse_matrix_text(text: str) -> IntMatrix:
-    """Inline matrix: JSON array of arrays of ints or decimal strings."""
+def _read_json(source: str | Path) -> Any:
+    """Decode inline JSON text (a matrix), or the JSON file at a path."""
+    if isinstance(source, Path):
+        where = f"{source}:"
+        try:
+            text = source.read_text()
+        except (OSError, UnicodeError) as exc:
+            raise CliParseError(f"cannot read {source}: {exc}") from None
+    else:
+        where, text = "matrix", source
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliParseError(
-            f"matrix parse error at line {exc.lineno}, column {exc.colno}: "
+            f"{where} parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from None
-    return _matrix_from_json(data)
+    except RecursionError:
+        raise CliParseError(f"{where} parse error: nested too deeply") from None
 
 
 def _matrix_from_json(data: Any) -> IntMatrix:
@@ -86,19 +90,12 @@ def _matrix_from_json(data: Any) -> IntMatrix:
         raise CliParseError("matrix must be an array of arrays")
     try:
         return IntMatrix.from_decimal_rows(data)
-    except (ValueError, DimensionError) as exc:
+    except ValueError as exc:
         raise CliParseError(f"bad matrix: {exc}") from None
 
 
 def _knot_from_file(path: Path) -> KnotRecord:
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise CliParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise CliParseError(
-            f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}") from None
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise CliParseError(f"{path}: knot file must be a JSON object")
     sources = [k for k in ("catalog", "braid", "seifert_matrix") if k in data]
@@ -108,16 +105,12 @@ def _knot_from_file(path: Path) -> KnotRecord:
         raise CliParseError(
             f"{path}: need one of catalog/braid/seifert_matrix (or an "
             f"even_form), got {sources or 'none'}")
-    name = str(data.get("name", path.stem))
-    if not sources:
-        return KnotRecord(name=name, source="even-form", even_form=even_form)
-    (source,) = sources
+    source, seifert = (sources or ["even_form"])[0], None
     if source == "catalog":
-        entry = _knot_from_catalog(str(data["catalog"]))
-        return entry if even_form is None else KnotRecord(
-            name=name, source="catalog", seifert=entry.seifert,
-            even_form=even_form)
-    if source == "braid":
+        entry = catalog(str(data["catalog"]))
+        seifert = entry.seifert
+        even_form = entry.even_form if even_form is None else even_form
+    elif source == "braid":
         spec = data["braid"]
         if not isinstance(spec, dict) or "strands" not in spec or "letters" not in spec:
             raise CliParseError(f"{path}: braid needs 'strands' and 'letters'")
@@ -128,19 +121,12 @@ def _knot_from_file(path: Path) -> KnotRecord:
             raise CliParseError(
                 f"{path}: braid 'strands' must be an integer and 'letters' "
                 "a list of integers")
-        word = BraidWord(strands, tuple(letters))
-        return KnotRecord(name=name, source="braid",
-                          seifert=seifert_matrix_from_braid(word),
-                          even_form=even_form)
-    matrix = _matrix_from_json(data["seifert_matrix"])
-    return KnotRecord(name=name, source="seifert-matrix",
-                      seifert=validate_seifert(matrix), even_form=even_form)
-
-
-def _knot_from_catalog(name: str) -> KnotRecord:
-    entry = catalog(name)
-    return KnotRecord(name=entry.name, source="catalog",
-                      seifert=entry.seifert, even_form=entry.even_form)
+        seifert = seifert_matrix_from_braid(BraidWord(strands, tuple(letters)))
+    elif source == "seifert_matrix":
+        seifert = validate_seifert(_matrix_from_json(data["seifert_matrix"]))
+    return KnotRecord(name=str(data.get("name", path.stem)),
+                      source=source.replace("_", "-"),
+                      seifert=seifert, even_form=even_form)
 
 
 def resolve_knot(spec: str) -> KnotRecord:
@@ -148,12 +134,43 @@ def resolve_knot(spec: str) -> KnotRecord:
     if spec.startswith("@"):
         return _knot_from_file(Path(spec[1:]))
     if spec.lstrip().startswith("["):
+        matrix = _matrix_from_json(_read_json(spec))
         return KnotRecord(name="<inline>", source="seifert-matrix",
-                          seifert=validate_seifert(_parse_matrix_text(spec)))
+                          seifert=validate_seifert(matrix))
     path = Path(spec)
     if spec.endswith(".json") or path.is_file():
         return _knot_from_file(path)
-    return _knot_from_catalog(spec)
+    entry = catalog(spec)
+    return KnotRecord(name=entry.name, source="catalog",
+                      seifert=entry.seifert, even_form=entry.even_form)
+
+
+def _matrix_arg(args) -> IntMatrix:
+    """The matrix of ``snf`` and ``alink``: ``--file``, else inline JSON."""
+    if not args.file and args.matrix is None:
+        raise CliParseError(f"{args.command} needs a matrix argument or --file")
+    return _matrix_from_json(_read_json(Path(args.file) if args.file else args.matrix))
+
+
+_COLUMN_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
+
+
+def _induced_map(args) -> InducedMap:
+    """Columns "(a,b) (c,d) ..." or a 2-row matrix, inline or from --file."""
+    text = args.matrix
+    if args.file or text is None or text.lstrip().startswith("["):
+        matrix = _matrix_arg(args)
+        if matrix.rows != 2:
+            raise CliParseError(
+                f"induced map needs exactly 2 rows, got {matrix.rows}")
+        return InducedMap(matrix)
+    columns = [[int(a), int(b)] for a, b in _COLUMN_RE.findall(text)]
+    leftover = _COLUMN_RE.sub("", text).strip(" ,;\t\n")
+    if leftover or not columns:
+        raise CliParseError(
+            f"cannot parse induced map from {text!r}; use \"(a,b) (c,d)\" "
+            "columns or a JSON 2-row matrix")
+    return InducedMap.from_columns(columns)
 
 
 # -- reports ---------------------------------------------------------
@@ -184,13 +201,11 @@ def _print_invariant_text(record: dict[str, Any], out) -> None:
     print(f"mu = {record['mu']} (mod 16)", file=out)
     print(f"signature = {record['signature']}", file=out)
     print(f"form determinant = {record['form_determinant']}", file=out)
-    factors = record["h1_invariant_factors"]
-    h1 = " ⊕ ".join(f"Z{d}" for d in factors) if factors else "0"
+    h1 = FiniteAbelianGroup(record["h1_invariant_factors"])
     print(f"H1(Seifert hypersurface) = {h1}", file=out)
     if record["h1_is_double"]:
-        half = record["h1_double_half"]
-        rendered = " ⊕ ".join(f"Z{d}" for d in half) if half else "0"
-        print(f"doubling test: passes, half = {rendered}", file=out)
+        half = FiniteAbelianGroup(record["h1_double_half"])
+        print(f"doubling test: passes, half = {half}", file=out)
     else:
         print("doubling test: fails (not of the form G + G)", file=out)
 
@@ -215,7 +230,13 @@ def _print_verdict_text(record: dict[str, Any], out) -> None:
     print(record["explanation"], file=out)
 
 
+def _print_alink_text(record: dict[str, Any], out) -> None:
+    print(f"alinking = {record['alinking']}", file=out)
+    print(f"alinking mod 2 = {record['mod2']}", file=out)
+
+
 def _emit(record: dict[str, Any], as_json: bool, printer, out) -> None:
+    """Print a record as one JSON line, or through its text printer."""
     if as_json:
         print(json.dumps(record), file=out)
     else:
@@ -226,18 +247,29 @@ def _emit(record: dict[str, Any], as_json: bool, printer, out) -> None:
 
 def _cmd_invariants(args, out) -> int:
     if args.batch:
-        directory = Path(args.batch)
-        if not directory.is_dir():
-            raise CliParseError(f"batch path {directory} is not a directory")
-        for path in sorted(directory.glob("*.json")):
-            record = _invariant_record(_knot_from_file(path))
-            print(json.dumps(record), file=out)
-        return 0
+        return _batch(Path(args.batch), out)
     if args.knot is None:
         raise CliParseError("invariants needs a knot argument or --batch DIR")
     record = _invariant_record(resolve_knot(args.knot))
     _emit(record, args.json, _print_invariant_text, out)
     return 0
+
+
+def _batch(directory: Path, out) -> int:
+    """One JSON line per *.json file, failures included; the worst status."""
+    if not directory.is_dir():
+        raise CliParseError(f"batch path {directory} is not a directory")
+    codes = []
+    for path in sorted(directory.glob("*.json")):
+        try:
+            record = _invariant_record(_knot_from_file(path))
+            codes.append(0)
+        except tuple(EXIT_CODES) as exc:
+            codes.append(_exit_code(exc))
+            record = {"name": path.name, "error": str(exc), "exit": codes[-1]}
+        _emit(record, True, None, out)
+    print(f"{len(codes)} files, {sum(map(bool, codes))} failed", file=sys.stderr)
+    return max(codes, default=0)
 
 
 def _cmd_obstruct(args, out) -> int:
@@ -255,81 +287,25 @@ def _cmd_obstruct(args, out) -> int:
 
 
 def _cmd_snf(args, out) -> int:
-    if args.file:
-        matrix = _knot_file_matrix(args)
-    elif args.matrix is not None:
-        matrix = _parse_matrix_text(args.matrix)
-    else:
-        raise CliParseError("snf needs a matrix argument or --file")
-    result = smith_normal_form(matrix)
-    record = {"d": result.D.to_decimal_rows()}
+    result = smith_normal_form(_matrix_arg(args))
+    shown = {"d": result.D}
     if args.full:
-        record["u"] = result.U.to_decimal_rows()
-        record["v"] = result.V.to_decimal_rows()
-    if args.json:
-        print(json.dumps(record), file=out)
-    else:
-        print("D =", file=out)
-        print(result.D, file=out)
-        if args.full:
-            print("U =", file=out)
-            print(result.U, file=out)
-            print("V =", file=out)
-            print(result.V, file=out)
+        shown.update(u=result.U, v=result.V)
+
+    def print_text(record, out):
+        for key, matrix in shown.items():
+            print(f"{key.upper()} =", file=out)
+            print(matrix, file=out)
+
+    record = {key: matrix.to_decimal_rows() for key, matrix in shown.items()}
+    _emit(record, args.json, print_text, out)
     return 0
 
 
-def _knot_file_matrix(args) -> IntMatrix:
-    path = Path(args.file)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise CliParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise CliParseError(
-            f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}") from None
-    return _matrix_from_json(data)
-
-
-_COLUMN_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
-
-
-def _parse_induced_map(text: str) -> InducedMap:
-    """Columns "(a,b) (c,d) ..." or a JSON 2-row matrix."""
-    if text.lstrip().startswith("["):
-        matrix = _parse_matrix_text(text)
-        if matrix.rows != 2:
-            raise CliParseError(
-                f"induced map needs exactly 2 rows, got {matrix.rows}")
-        return InducedMap(matrix)
-    columns = [[int(a), int(b)] for a, b in _COLUMN_RE.findall(text)]
-    leftover = _COLUMN_RE.sub("", text).strip(" ,;\t\n")
-    if leftover or not columns:
-        raise CliParseError(
-            f"cannot parse induced map from {text!r}; use \"(a,b) (c,d)\" "
-            "columns or a JSON 2-row matrix")
-    return InducedMap.from_columns(columns)
-
-
 def _cmd_alink(args, out) -> int:
-    if args.file:
-        matrix = _knot_file_matrix(args)
-        if matrix.rows != 2:
-            raise CliParseError(
-                f"induced map needs exactly 2 rows, got {matrix.rows}")
-        iota = InducedMap(matrix)
-    elif args.matrix is not None:
-        iota = _parse_induced_map(args.matrix)
-    else:
-        raise CliParseError("alink needs a matrix argument or --file")
-    v = alinking(iota)
-    record = {"alinking": str(v), "mod2": str(mod2_alinking(iota))}
-    if args.json:
-        print(json.dumps(record), file=out)
-    else:
-        print(f"alinking = {v}", file=out)
-        print(f"alinking mod 2 = {v % 2}", file=out)
+    v = alinking(_induced_map(args))
+    _emit({"alinking": str(v), "mod2": str(v % 2)}, args.json,
+          _print_alink_text, out)
     return 0
 
 
@@ -341,17 +317,17 @@ def _cmd_braid(args, out) -> int:
                 letters.append(int(piece))
             except ValueError:
                 raise CliParseError(f"bad braid letter {piece!r}") from None
-    word = BraidWord(args.strands, tuple(letters))
-    seifert = seifert_matrix_from_braid(word)
-    record = _invariant_record(KnotRecord(
-        name=f"closure of {letters} on {args.strands} strands",
-        source="braid", seifert=seifert))
-    if args.json:
-        print(json.dumps(record), file=out)
-    else:
+    seifert = seifert_matrix_from_braid(BraidWord(args.strands, tuple(letters)))
+
+    def print_text(record, out):
         print("Seifert matrix:", file=out)
         print(seifert.matrix, file=out)
         _print_invariant_text(record, out)
+
+    record = _invariant_record(KnotRecord(
+        name=f"closure of {letters} on {args.strands} strands",
+        source="braid", seifert=seifert))
+    _emit(record, args.json, print_text, out)
     return 0
 
 
@@ -409,16 +385,13 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args, out)
-    except CliParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 3
-    except VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except tuple(EXIT_CODES) as exc:
+        code = _exit_code(exc)
+        print(f"{'parse error' if code == 3 else 'error'}: {exc}", file=sys.stderr)
+        return code
 
 
 def entry_point() -> None:

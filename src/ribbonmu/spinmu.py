@@ -29,7 +29,6 @@ from typing import Sequence
 
 from .abelian import FiniteAbelianGroup, from_presentation
 from .exactla import (
-    DimensionError,
     FormError,
     IntMatrix,
     block_diag_all,
@@ -124,16 +123,11 @@ def mu_from_even_form(form: IntMatrix) -> Mu:
 
 def _spin_form_invariants(form: IntMatrix) -> tuple[int, int]:
     """Signature and determinant of a valid bounding form, in one pass."""
-    if not form.is_square:
-        raise DimensionError(
-            f"bounding form must be square, got {form.rows}x{form.cols}")
-    if not form.is_symmetric:
-        raise FormError("bounding form must be symmetric")
+    sig, det = signature_and_determinant(form)  # checks square and symmetric
     for i in range(form.rows):
         if form[i, i] % 2 != 0:
             raise FormError(
                 f"form not even: diagonal entry {form[i, i]} at index {i}")
-    sig, det = signature_and_determinant(form)
     if det % 2 == 0:
         raise SpinStructureError(
             "spin structure not unique: even form determinant; recipe inapplicable")

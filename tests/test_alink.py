@@ -11,7 +11,7 @@ from ribbonmu import (
     mod2_alinking,
 )
 
-from support import rand_unimodular
+from support import rand_unimodular, snf_diagonal_oracle
 
 
 def column(a: int, b: int) -> InducedMap:
@@ -50,6 +50,22 @@ class TestAlinking:
     def test_finite_torsion_cokernel_outside_classification(self):
         with pytest.raises(ClassificationError):
             alinking(InducedMap(IntMatrix.from_rows([[2, 0], [0, 4]])))
+
+    def test_against_smith_oracle(self):
+        # coker = Z/d1 + Z/d2: alinking is d1 when d2 = 0 (Z+Z -> 0,
+        # Z -> 1, Z+Z/n -> n) and undefined otherwise.
+        rng = random.Random(64)
+        for _ in range(500):
+            c = rng.randint(0, 4)
+            iota = InducedMap(IntMatrix.from_rows(
+                [[rng.choice((0, 0, rng.randint(-12, 12))) for _ in range(c)]
+                 for _ in range(2)], cols=c))
+            d1, d2 = (snf_diagonal_oracle(iota.matrix) + [0, 0])[:2]
+            if d2 == 0:
+                assert alinking(iota) == d1
+            else:
+                with pytest.raises(ClassificationError, match="free rank 0"):
+                    alinking(iota)
 
     def test_requires_two_rows(self):
         with pytest.raises(ValueError, match="2 rows"):

@@ -19,7 +19,7 @@ from ribbonmu import (
     validate_seifert,
 )
 
-from support import rand_braid_knot, seifert_matrix_pairwise
+from support import rand_braid_knot, seifert_matrix_pairwise, time_limit
 
 TREFOIL_BRAID = BraidWord(2, (1, 1, 1))
 FIGURE8_BRAID = BraidWord(3, (1, -2, 1, -2))
@@ -45,6 +45,31 @@ class TestBraidWord:
         assert FIGURE8_BRAID.is_knot_closure
         assert not BraidWord(2, ()).is_knot_closure
         assert not BraidWord(2, (1, 1)).is_knot_closure  # Hopf link
+
+    def test_components_against_dense_permutation(self):
+        rng = random.Random(47)
+        for _ in range(500):
+            strands = rng.randint(1, 8)
+            letters = tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                            for _ in range(rng.randint(0, 10) if strands > 1 else 0))
+            at = list(range(strands))
+            for letter in letters:
+                a = abs(letter) - 1
+                at[a], at[a + 1] = at[a + 1], at[a]
+            cycles, seen = 0, set()
+            for start in range(strands):
+                if start not in seen:
+                    cycles += 1
+                    while start not in seen:
+                        seen.add(start)
+                        start = at[start]
+            assert BraidWord(strands, letters).closure_components() == cycles
+
+    def test_huge_strand_count(self):
+        with time_limit(1.0):
+            word = BraidWord(10 ** 15, (1, -2, 1))  # swaps strands 0 and 2
+            assert word.closure_components() == 10 ** 15 - 1
+            assert not word.is_knot_closure
 
 
 class TestSeifertMatrixFromBraid:

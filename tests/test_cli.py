@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from ribbonmu import IntMatrix, TwoKnotInvariants, braid, cli, exactla, signature, spinmu
 from ribbonmu.cli import main
@@ -135,6 +137,11 @@ class TestSnfCommand:
         err = capsys.readouterr().err
         assert "parse error" in err and "line" in err and "column" in err
 
+    def test_deep_nesting_is_parse_error(self, capsys):
+        code, _ = run_cli("snf", "[" * 5000 + "]" * 5000)
+        assert code == 3
+        assert "nested too deeply" in capsys.readouterr().err
+
 
 class TestAlinkCommand:
     def test_column_syntax(self):
@@ -159,6 +166,13 @@ class TestAlinkCommand:
         code, _ = run_cli("alink", "twist")
         assert code == 3
 
+    def test_three_rows_is_parse_error(self, tmp_path, capsys):
+        matrix = "[[1], [2], [3]]"
+        (tmp_path / "m.json").write_text(matrix)
+        for argv in ([matrix], ["--file", str(tmp_path / "m.json")]):
+            assert run_cli("alink", *argv)[0] == 3
+            assert "exactly 2 rows, got 3" in capsys.readouterr().err
+
 
 class TestBraidCommand:
     def test_trefoil_braid(self):
@@ -181,6 +195,11 @@ class TestBraidCommand:
     def test_bad_letter_is_parse_error(self, capsys):
         code, _ = run_cli("braid", "--strands", "2", "x")
         assert code == 3
+
+    def test_huge_strand_count_is_not_a_knot(self, one_second, capsys):
+        code, _ = run_cli("braid", "--strands", "100000000000", "1")
+        assert code == 2
+        assert "99999999999 components" in capsys.readouterr().err
 
 
 class TestKnotFiles:
@@ -246,8 +265,40 @@ class TestKnotFiles:
         assert code == 3
         assert "braid 'strands' must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data", [
+        {"catalog": "trefoil"},
+        {"catalog": "poincare"},
+        {"catalog": "trefoil", "even_form": [["0", "1"], ["1", "0"]]},
+        {"braid": {"strands": 2, "letters": [1, 1, 1]}},
+        {"seifert_matrix": [["1", "1"], ["0", "1"]]},
+        {"even_form": [["0", "1"], ["1", "0"]]},
+    ], ids=["catalog", "catalog-form", "catalog-and-form", "braid", "seifert",
+            "form"])
+    def test_name_is_honoured_for_every_source(self, tmp_path, data):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(dict(data, name="mine")))
+        code, text = run_cli("invariants", str(path), "--json")
+        assert code == 0
+        assert json.loads(text)["name"] == "mine"
+        path.write_text(json.dumps(data))
+        assert json.loads(run_cli("invariants", str(path), "--json")[1])["name"] == "k"
+
+    def test_huge_strand_count_is_not_a_knot(self, tmp_path, one_second, capsys):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(
+            {"braid": {"strands": 100000000000, "letters": [1, -2, 1]}}))
+        code, _ = run_cli("invariants", str(path))
+        assert code == 2
+        assert "components" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         code, _ = run_cli("invariants", f"@{tmp_path}/absent.json")
+        assert code == 3
+
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, _ = run_cli("invariants", str(path))
         assert code == 3
 
     def test_batch_mode(self, tmp_path):
@@ -264,6 +315,28 @@ class TestKnotFiles:
         assert first["mu"] == "2"      # sorted order: a_... then b_...
         assert second["mu"] == "0"
 
+    def test_batch_reports_every_file(self, tmp_path, capsys):
+        (tmp_path / "a_good.json").write_text(json.dumps({"catalog": "trefoil"}))
+        (tmp_path / "b_truncated.json").write_text('{"braid": ')
+        (tmp_path / "c_list.json").write_text("[1, 2]")
+        (tmp_path / "d_link.json").write_text(
+            json.dumps({"braid": {"strands": 2, "letters": [1, 1]}}))
+        (tmp_path / "e_good.json").write_text(json.dumps({"catalog": "figure8"}))
+        code, text = run_cli("invariants", "--batch", str(tmp_path))
+        assert code == 3  # the worst status of any file
+        records = [json.loads(line) for line in text.splitlines()]
+        assert [r["name"] for r in records] == [
+            "a_good", "b_truncated.json", "c_list.json", "d_link.json", "e_good"]
+        assert [r.get("exit") for r in records] == [None, 3, 3, 2, None]
+        assert "parse error at line 1" in records[1]["error"]
+        assert "must be a JSON object" in records[2]["error"]
+        assert "components" in records[3]["error"]
+        assert records[4]["mu"] == "0"
+        assert capsys.readouterr().err == "5 files, 3 failed\n"
+        (tmp_path / "b_truncated.json").unlink()
+        (tmp_path / "c_list.json").unlink()
+        assert run_cli("invariants", "--batch", str(tmp_path))[0] == 2
+
     def test_batch_round_trip(self, tmp_path):
         (tmp_path / "k.json").write_text(json.dumps({"catalog": "poincare"}))
         code, text = run_cli("invariants", "--batch", str(tmp_path))
@@ -277,6 +350,61 @@ def one_second():
     """Turn a hang into a failure: the test body gets one second."""
     with time_limit(1.0):
         yield
+
+
+# Malformed knot files: wrong types, ragged or non-numeric matrices,
+# out-of-range or bool letters, missing or extra keys.  Strand counts are
+# small or far too large to allocate; nothing may depend on allocating them.
+def pick(*strategies):
+    """One of the strategies, each as likely (st.one_of would flatten)."""
+    return st.sampled_from(strategies).flatmap(lambda s: s)
+
+
+WRONG = st.one_of(st.text(max_size=3), st.booleans(), st.none(),
+                  st.floats(allow_nan=False, allow_infinity=False),
+                  st.integers(-10 ** 6, 10 ** 6))
+ENTRY = pick(st.integers(-3, 3), st.integers(-3, 3).map(str),
+             st.sampled_from(["", "x", "1.5", "0x10", " 7", "-"]), WRONG)
+MATRIX = pick(st.lists(st.lists(ENTRY, max_size=4), max_size=4),
+              st.lists(ENTRY, max_size=3), WRONG)
+STRANDS = pick(st.integers(-2, 10 ** 4), st.sampled_from([10 ** 11, 10 ** 15]),
+               WRONG)
+LETTERS = pick(st.lists(st.integers(-12, 12), max_size=12),
+               st.lists(st.integers(-12, 12) | st.booleans()
+                        | st.integers(-10 ** 16, 10 ** 16), max_size=4),
+               WRONG)
+EXTRAS = {"name": WRONG, "extra": WRONG}
+BRAID = pick(st.fixed_dictionaries({"strands": STRANDS, "letters": LETTERS},
+                                   optional={"extra": WRONG}),
+             st.fixed_dictionaries({}, optional={"strands": STRANDS,
+                                                 "letters": LETTERS}),
+             WRONG)
+KNOT = pick(
+    st.fixed_dictionaries({"braid": BRAID}, optional=EXTRAS),
+    st.fixed_dictionaries({}, optional=dict(
+        EXTRAS, catalog=pick(st.sampled_from(["trefoil", "poincare", "x"]), WRONG),
+        braid=BRAID, seifert_matrix=MATRIX, even_form=MATRIX)),
+    MATRIX)
+
+
+@st.composite
+def knot_file_texts(draw):
+    text = json.dumps(draw(KNOT))
+    if draw(st.sampled_from(["whole", "whole", "whole", "truncated"])) == "truncated":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+class TestExitContract:
+    @seed(20261018)
+    @settings(max_examples=300, deadline=None)
+    @given(text=knot_file_texts())
+    def test_malformed_knot_files(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_text(text)
+        with time_limit(1.0):
+            code, _ = run_cli("invariants", str(path), "--json")
+        assert code in (0, 2, 3)
 
 
 class TestHardToFactorOrders:

@@ -4,6 +4,7 @@ import pytest
 
 from ribbonmu import (
     E8,
+    DimensionError,
     FiniteAbelianGroup,
     FormError,
     IntMatrix,
@@ -140,6 +141,10 @@ class TestMuFromEvenForm:
     def test_asymmetric_rejected(self):
         with pytest.raises(FormError):
             mu_from_even_form(IntMatrix.from_rows([[2, 1], [0, 2]]))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionError):
+            mu_from_even_form(IntMatrix.from_rows([[2, 0], [0, 2], [0, 0]]))
 
 
 class TestParityTheorem:
