@@ -29,7 +29,6 @@ from .braid import (
     CatalogEntry,
     CatalogError,
     NotAKnotError,
-    alexander_at,
     catalog,
     catalog_names,
     seifert_matrix_from_braid,
@@ -39,8 +38,6 @@ from .exactla import (
     FormError,
     IntMatrix,
     SnfResult,
-    block_diag,
-    block_diag_all,
     determinant,
     invariant_factors,
     signature,
@@ -89,10 +86,7 @@ __all__ = [
     "SpinStructureError",
     "TwoKnotInvariants",
     "Verdict",
-    "alexander_at",
     "alinking",
-    "block_diag",
-    "block_diag_all",
     "branched_double_cover_h1",
     "catalog",
     "catalog_names",

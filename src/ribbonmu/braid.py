@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactla import IntMatrix, determinant
+from .exactla import IntMatrix
 from .spinmu import SeifertMatrix, validate_seifert
 
 
@@ -171,17 +171,6 @@ def seifert_matrix_from_braid(braid: BraidWord) -> SeifertMatrix:
                         v[a][b] = 1
         last[g] = p
     return validate_seifert(IntMatrix(m, m, tuple(map(tuple, v))))
-
-
-def alexander_at(seifert: SeifertMatrix, t: int) -> int:
-    """Exact value det(S - t * S^t) of the Alexander polynomial form.
-
-    At t = 1 this is the knot validation determinant +-1; at t = -1 it
-    is det(S + S^t), the branched double cover homology order up to
-    sign.
-    """
-    s = seifert.matrix
-    return determinant(s - s.transpose().scale(t))
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,8 @@ def _exit_code(exc: Exception) -> int:
 class KnotRecord:
     """A resolved knot input: one source, plus an optional even form.
 
+    Every record carries a Seifert matrix or an even form, or both.
+
     When an even bounding form is present it is the route to mu and
     cover homology (it is the hypersurface data for the 2-knot itself,
     e.g. for twist spins other than the 2-twist spin); a Seifert matrix
@@ -60,9 +62,7 @@ class KnotRecord:
     def invariants(self) -> TwoKnotInvariants:
         if self.even_form is not None:
             return TwoKnotInvariants.from_even_form(self.even_form)
-        if self.seifert is not None:
-            return TwoKnotInvariants.from_seifert(self.seifert)
-        raise CliParseError(f"knot {self.name!r} carries no usable payload")
+        return TwoKnotInvariants.from_seifert(self.seifert)
 
 
 def _read_json(source: str | Path) -> Any:
@@ -98,6 +98,9 @@ def _knot_from_file(path: Path) -> KnotRecord:
     data = _read_json(path)
     if not isinstance(data, dict):
         raise CliParseError(f"{path}: knot file must be a JSON object")
+    for key in ("catalog", "name"):
+        if key in data and not isinstance(data[key], str):
+            raise CliParseError(f"{path}: {key!r} must be a string")
     sources = [k for k in ("catalog", "braid", "seifert_matrix") if k in data]
     even_form = (_matrix_from_json(data["even_form"])
                  if "even_form" in data else None)
@@ -107,7 +110,7 @@ def _knot_from_file(path: Path) -> KnotRecord:
             f"even_form), got {sources or 'none'}")
     source, seifert = (sources or ["even_form"])[0], None
     if source == "catalog":
-        entry = catalog(str(data["catalog"]))
+        entry = catalog(data["catalog"])
         seifert = entry.seifert
         even_form = entry.even_form if even_form is None else even_form
     elif source == "braid":
@@ -124,7 +127,7 @@ def _knot_from_file(path: Path) -> KnotRecord:
         seifert = seifert_matrix_from_braid(BraidWord(strands, tuple(letters)))
     elif source == "seifert_matrix":
         seifert = validate_seifert(_matrix_from_json(data["seifert_matrix"]))
-    return KnotRecord(name=str(data.get("name", path.stem)),
+    return KnotRecord(name=data.get("name", path.stem),
                       source=source.replace("_", "-"),
                       seifert=seifert, even_form=even_form)
 

@@ -12,7 +12,6 @@ points are
 * :func:`determinant` -- fraction-free (Bareiss) exact determinant.
 * :func:`signature_and_determinant` -- both invariants of a symmetric
   form from one fraction-free symmetric elimination.
-* :func:`block_diag` -- block-diagonal sum of square matrices.
 
 Matrices are immutable values (safe to share across threads); the
 algorithms copy entries into plain lists of ints internally.  Empty
@@ -55,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from operator import add, sub
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class DimensionError(ValueError):
@@ -136,17 +135,9 @@ class IntMatrix:
 
     def __sub__(self, other: IntMatrix) -> IntMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError("matrix addition needs equal shapes")
+            raise DimensionError("matrix subtraction needs equal shapes")
         return IntMatrix(self.rows, self.cols, tuple(
             tuple(map(sub, ra, rb)) for ra, rb in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> IntMatrix:
-        return IntMatrix(self.rows, self.cols, tuple(
-            tuple(-a for a in row) for row in self.entries))
-
-    def scale(self, k: int) -> IntMatrix:
-        return IntMatrix(self.rows, self.cols, tuple(
-            tuple(k * a for a in row) for row in self.entries))
 
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
@@ -474,26 +465,3 @@ def signature_and_determinant(form: IntMatrix) -> tuple[int, int]:
 def signature(form: IntMatrix) -> int:
     """Signature of a symmetric integer form, exactly."""
     return signature_and_determinant(form)[0]
-
-
-def block_diag(first: IntMatrix, second: IntMatrix) -> IntMatrix:
-    """Block-diagonal sum of two square matrices; dimensions add."""
-    if not first.is_square or not second.is_square:
-        raise DimensionError("block_diag needs square blocks")
-    a, b = first.rows, second.rows
-    out = [[0] * (a + b) for _ in range(a + b)]
-    for i in range(a):
-        for j in range(a):
-            out[i][j] = first.entries[i][j]
-    for i in range(b):
-        for j in range(b):
-            out[a + i][a + j] = second.entries[i][j]
-    return IntMatrix.from_rows(out, cols=a + b)
-
-
-def block_diag_all(blocks: Iterable[IntMatrix]) -> IntMatrix:
-    """Block-diagonal sum of any number of square matrices."""
-    out = IntMatrix.empty()
-    for blk in blocks:
-        out = block_diag(out, blk)
-    return out

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm, prod
 
-from ribbonmu import BraidWord, IntMatrix, SeifertMatrix, block_diag, validate_seifert
+from ribbonmu import BraidWord, IntMatrix, SeifertMatrix, determinant, validate_seifert
 from ribbonmu.braid import _consecutive_pairs, _destabilize
 
 # -- time limit -------------------------------------------------------
@@ -43,6 +43,34 @@ def time_limit(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+# -- matrix helpers ---------------------------------------------------
+
+
+def block_diag(*blocks: IntMatrix) -> IntMatrix:
+    """Block-diagonal sum of square matrices; no blocks give the 0x0 matrix."""
+    n = sum(b.rows for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        assert b.is_square, "block_diag needs square blocks"
+        for i, row in enumerate(b.entries):
+            out[at + i][at:at + b.rows] = row
+        at += b.rows
+    return IntMatrix.from_rows(out, cols=n)
+
+
+def alexander_at(seifert: SeifertMatrix, t: int) -> int:
+    """Exact value det(S - t * S^t) of the Alexander polynomial form.
+
+    At t = 1 this is the knot validation determinant +-1; at t = -1 it
+    is det(S + S^t), the branched double cover homology order up to
+    sign.
+    """
+    s, n = seifert.matrix.entries, seifert.size
+    return determinant(IntMatrix.from_rows(
+        [[s[i][j] - t * s[j][i] for j in range(n)] for i in range(n)], cols=n))
 
 
 # -- random inputs ----------------------------------------------------

@@ -18,7 +18,6 @@ from ribbonmu import (
     IntMatrix,
     TwoKnotInvariants,
     alinking,
-    block_diag,
     branched_double_cover_h1,
     combine_doubles,
     determinant,
@@ -38,6 +37,7 @@ from ribbonmu import (
 from ribbonmu import BraidWord, catalog
 
 from support import (
+    block_diag,
     rand_group_factors,
     rand_matrix,
     rand_seifert,

@@ -7,7 +7,6 @@ from ribbonmu import (
     CatalogError,
     IntMatrix,
     NotAKnotError,
-    alexander_at,
     branched_double_cover_h1,
     catalog,
     catalog_names,
@@ -19,7 +18,7 @@ from ribbonmu import (
     validate_seifert,
 )
 
-from support import rand_braid_knot, seifert_matrix_pairwise, time_limit
+from support import alexander_at, rand_braid_knot, seifert_matrix_pairwise, time_limit
 
 TREFOIL_BRAID = BraidWord(2, (1, 1, 1))
 FIGURE8_BRAID = BraidWord(3, (1, -2, 1, -2))

@@ -265,6 +265,18 @@ class TestKnotFiles:
         assert code == 3
         assert "braid 'strands' must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data, key", [
+        ({"catalog": ["trefoil"]}, "catalog"),
+        ({"catalog": "trefoil", "name": {"a": 1}}, "name"),
+    ], ids=["catalog-not-a-string", "name-not-a-string"])
+    def test_non_string_catalog_or_name_is_parse_error(self, tmp_path, capsys,
+                                                       data, key):
+        path = tmp_path / "bad_type.json"
+        path.write_text(json.dumps(data))
+        code, text = run_cli("invariants", str(path), "--json")
+        assert (code, text) == (3, "")
+        assert f"'{key}' must be a string" in capsys.readouterr().err
+
     @pytest.mark.parametrize("data", [
         {"catalog": "trefoil"},
         {"catalog": "poincare"},
@@ -469,7 +481,7 @@ class TestEachFactOnce:
         assert (rows, cols) == (form.rows, form.rows)
         assert len(m) == rows and all(len(r) == cols for r in m)  # no U or V
         [(skew,)] = calls["det"]  # det(S - S^t) when the braid is validated
-        assert skew == -skew.transpose() and skew.rows == form.rows
+        assert skew + skew.transpose() == IntMatrix.zero(form.rows, form.rows)
 
 
 class TestModuleEntryPoint:

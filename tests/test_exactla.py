@@ -9,8 +9,6 @@ from ribbonmu import (
     DimensionError,
     FormError,
     IntMatrix,
-    block_diag,
-    block_diag_all,
     determinant,
     invariant_factors,
     signature,
@@ -19,6 +17,7 @@ from ribbonmu import (
 from ribbonmu.exactla import cokernel_invariants, signature_and_determinant
 
 from support import (
+    block_diag,
     det_cofactor,
     rand_matrix,
     rand_symmetric,
@@ -219,7 +218,7 @@ class TestSignature:
             q1 = rand_symmetric(rng, max_dim=4)
             q2 = rand_symmetric(rng, max_dim=4)
             assert signature(block_diag(q1, q2)) == signature(q1) + signature(q2)
-            assert signature(-q1) == -signature(q1)
+            assert signature(IntMatrix.zero(q1.rows, q1.rows) - q1) == -signature(q1)
 
     def test_random_against_sturm_oracle(self):
         rng = random.Random(13)
@@ -231,7 +230,7 @@ class TestSignature:
 # Blocks with known (signature, determinant), for congruence tests.
 KNOWN_BLOCKS = (
     (IntMatrix.from_rows(E8_ROWS), 8, 1),
-    (-IntMatrix.from_rows(E8_ROWS), -8, 1),
+    (IntMatrix.zero(8, 8) - IntMatrix.from_rows(E8_ROWS), -8, 1),
     (IntMatrix.from_rows([[0, 1], [1, 0]]), 0, -1),
     (IntMatrix.from_rows([[2, 1], [1, 4]]), 2, 7),
     (IntMatrix.from_rows([[-2, 1], [1, -6]]), -2, 11),
@@ -335,7 +334,7 @@ SPARSE_FORMS = (
     + [tridiagonal([0] * n, off=2) for n in range(1, 9)]
     + [tridiagonal([(-1) ** i * 2 for i in range(n)], off=3) for n in range(2, 9)]
     + [arrow(n) for n in range(4, 9)] + [arrow(n, far=0) for n in range(4, 8)]
-    + [block_diag_all([HYPERBOLIC] * 3), block_diag_all([tridiagonal([0, 2, 0]), HYPERBOLIC]),
+    + [block_diag(*[HYPERBOLIC] * 3), block_diag(tridiagonal([0, 2, 0]), HYPERBOLIC),
        block_diag(tridiagonal([2, 0, 2, 0, 2]), IntMatrix.zero(2, 2)),  # singular tail
        block_diag(HYPERBOLIC, IntMatrix.zero(3, 3)),
        block_diag(arrow(5), tridiagonal([0, 0]))]
@@ -405,28 +404,6 @@ class TestSparseInput:
         assert (result[1] if kernel is signature_and_determinant else result) == expected
 
 
-class TestBlockDiag:
-    def test_basic(self):
-        out = block_diag(IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[-2]]))
-        assert out == IntMatrix.from_rows([[2, 0], [0, -2]])
-
-    def test_empty_identity(self):
-        q = IntMatrix.from_rows([[5, 1], [1, 5]])
-        assert block_diag(q, IntMatrix.empty()) == q
-        assert block_diag(IntMatrix.empty(), q) == q
-
-    def test_signature_adds(self):
-        q = IntMatrix.from_rows([[2, 1], [1, 2]])
-        out = block_diag(q, q)
-        assert out.rows == 4
-        assert sturm_signature(out) == 4
-        assert signature(out) == 4
-
-    def test_rejects_rectangular(self):
-        with pytest.raises(DimensionError):
-            block_diag(IntMatrix.from_rows([[1, 2]]), IntMatrix.empty())
-
-
 class TestSerialization:
     def test_decimal_round_trip(self):
         rng = random.Random(14)
@@ -451,6 +428,13 @@ class TestIntMatrix:
     def test_matmul_shape_check(self):
         with pytest.raises(DimensionError):
             IntMatrix.identity(2) @ IntMatrix.identity(3)
+
+    def test_sum_and_difference_shape_check(self):
+        a, b = IntMatrix.identity(2), IntMatrix.zero(2, 3)
+        with pytest.raises(DimensionError, match="addition"):
+            a + b
+        with pytest.raises(DimensionError, match="subtraction"):
+            a - b
 
     def test_transpose_involution(self):
         rng = random.Random(15)

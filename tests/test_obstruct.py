@@ -6,14 +6,13 @@ from ribbonmu import (
     FiniteAbelianGroup,
     IntMatrix,
     TwoKnotInvariants,
-    block_diag,
     is_double,
     obstruct_ribbon_equivalent,
     obstruct_ribbon_trivial,
     validate_seifert,
 )
 
-from support import rand_seifert
+from support import block_diag, rand_seifert
 
 TREFOIL = validate_seifert(IntMatrix.from_rows([[1, 1], [0, 1]]))
 FIGURE8 = validate_seifert(IntMatrix.from_rows([[1, 1], [0, -1]]))

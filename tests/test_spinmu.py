@@ -11,7 +11,6 @@ from ribbonmu import (
     Mu,
     SeifertValidationError,
     SpinStructureError,
-    block_diag,
     branched_double_cover_h1,
     determinant,
     intersection_form,
@@ -19,10 +18,11 @@ from ribbonmu import (
     mu_from_even_form,
     mu_two_twist_spin,
     signature,
+    spinmu,
     validate_seifert,
 )
 
-from support import rand_seifert, rand_unimodular, sturm_signature
+from support import block_diag, rand_seifert, rand_unimodular, sturm_signature
 
 TREFOIL = IntMatrix.from_rows([[1, 1], [0, 1]])
 FIGURE8 = IntMatrix.from_rows([[1, 1], [0, -1]])
@@ -133,6 +133,14 @@ class TestMuFromEvenForm:
     def test_odd_diagonal_rejected(self):
         with pytest.raises(FormError, match="even"):
             mu_from_even_form(IntMatrix.from_rows([[1, 0], [0, 2]]))
+
+    def test_odd_form_rejected_before_elimination(self, monkeypatch):
+        def eliminate(form):
+            raise AssertionError("an odd form reached the elimination")
+        monkeypatch.setattr(spinmu, "signature_and_determinant", eliminate)
+        odd = IntMatrix.from_rows([[2, 1, 0], [1, 2, 1], [0, 1, 3]])
+        with pytest.raises(FormError, match="form not even"):
+            mu_from_even_form(odd)
 
     def test_even_determinant_rejected(self):
         with pytest.raises(SpinStructureError, match="spin structure"):
