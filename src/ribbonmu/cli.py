@@ -388,13 +388,23 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
-    args = build_parser().parse_args(argv)
+    # The wire format is decimal strings of any length, so Python's
+    # int <-> str digit limit (3.10.7 and later) is lifted while the CLI
+    # runs and restored after it.
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args, out)
     except tuple(EXIT_CODES) as exc:
         code = _exit_code(exc)
         print(f"{'parse error' if code == 3 else 'error'}: {exc}", file=sys.stderr)
         return code
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(before)
 
 
 def entry_point() -> None:

@@ -6,9 +6,10 @@ arithmetic and no floating-point round-off anywhere.  The main entry
 points are
 
 * :func:`smith_normal_form` -- U * M * V = D with unimodular U, V and a
-  nonnegative diagonal satisfying the divisibility chain d1 | d2 | ...;
-  :func:`cokernel_invariants` and :func:`invariant_factors` run the same
-  reduction on the diagonal only, without building U and V.
+  nonnegative diagonal satisfying the divisibility chain d1 | d2 | ...,
+  from Kannan-Bachem Hermite normal forms, so U and V stay polynomial
+  in size; :func:`cokernel_invariants` and :func:`invariant_factors`
+  reduce for the diagonal only, without building U and V.
 * :func:`determinant` -- fraction-free (Bareiss) exact determinant.
 * :func:`signature_and_determinant` -- both invariants of a symmetric
   form from one fraction-free symmetric elimination.
@@ -39,14 +40,21 @@ long braid closures stay cheap.
   cost nothing.  A pivot repair first brings the trailing rows up to
   date.  It then mirrors only the rows and columns it reads in full,
   and recomputes the envelopes it changed.
-* Smith.  The reduction performs the same operations in the same order
-  as a dense one, so U, V and D do not depend on sparsity.  It skips
-  only steps that change nothing.  A unit pivot divides everything, so
-  the divisibility sweep is skipped.  A column swap with itself is
-  skipped.  A column operation touches only the rows that are nonzero
-  in the pivot column, which on the diagonal-only path is the pivot
-  row alone once the column is cleared.  A row operation touches only
-  the source row's support.
+* Smith diagonal.  The reduction for D alone skips only steps that
+  change nothing.  A unit pivot divides everything, so the divisibility
+  sweep is skipped.  A column swap with itself is skipped.  A column
+  operation touches only the rows that are nonzero in the pivot column,
+  which is the pivot row alone once the column is cleared.  A row
+  operation touches only the source row's support.
+* Smith with transforms.  Each Hermite form adds one row at a time to
+  a reduced form of the rows before it, and works only right of the
+  pivot column it clears.  The forms stay reduced, so their entries
+  are bounded by minors of the input, and U and V stay polynomial: on
+  seeded dense input up to 30 x 30 their largest entry had at most 2.7
+  times the bits of the Hadamard bound.  Dense input costs O(n^3)
+  operations on integers of O(n log n) bits per form, and a few forms
+  suffice.  Two seeded 48 x 48 matrices with entries in [-50, 50] and
+  101-digit determinants got transforms of 101 and 201 digits.
 """
 
 from __future__ import annotations
@@ -209,12 +217,8 @@ def _min_abs_pivot(m: list[list[int]], start: int, rows: int, cols: int) -> tupl
     return best
 
 
-def _smith_reduce(m: list[list[int]], rows: int, cols: int) -> None:
-    """Reduce the leading rows x cols block of m in place to Smith form.
-
-    Entries right of the block follow the row operations and rows below
-    it follow the column operations; the block never depends on them.
-    """
+def _smith_reduce(m: list[list[int]]) -> None:
+    """Reduce the matrix m in place to its Smith form (no transforms)."""
 
     def row_op(dst: int, src: int, q: int) -> None:  # row dst -= q * row src
         # Row src is zero left of column k, which earlier steps cleared,
@@ -223,6 +227,8 @@ def _smith_reduce(m: list[list[int]], rows: int, cols: int) -> None:
         hi = _envelope(b)
         a[k:hi] = [x - q * y for x, y in zip(a[k:hi], b[k:hi])]
 
+    rows = len(m)
+    cols = len(m[0]) if m else 0
     n = min(rows, cols)
     for k in range(n):
         pivot = _min_abs_pivot(m, k, rows, cols)
@@ -273,28 +279,157 @@ def _smith_reduce(m: list[list[int]], rows: int, cols: int) -> None:
             row_op(k, offender, -1)
             pivot = _min_abs_pivot(m, k, rows, cols)
 
-    # Normalize diagonal signs; flipping a row of U keeps it unimodular.
-    for k in range(n):
+    for k in range(n):  # the diagonal is defined up to sign
         if m[k][k] < 0:
-            m[k] = [-a for a in m[k]]
+            m[k][k] = -m[k][k]
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """g = gcd(a, b) >= 0 and Bezout coefficients with s * a + t * b = g."""
+    s, s1, t, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, s, s1, t, t1 = b, r, s1, s - q * s1, t1, t - q * t1
+    return (a, s, t) if a >= 0 else (-a, -s, -t)
+
+
+def _hermite(rows: list[list[int]], width: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Row Hermite normal form of columns [0, width) of ``rows``, in place.
+
+    Entries from column ``width`` on ride along: they receive every row
+    operation, so a rider that starts as a row of the identity ends as
+    the row of the transform.  Returns the nonzero rows in pivot order,
+    with positive pivots and every entry above a pivot p in [0, p), and
+    the rows that vanished, in input order.
+
+    Kannan-Bachem: rows enter one at a time.  A row is cleared left to
+    right against the rows already in the form; where it meets a pivot
+    it does not divide, a 2 x 2 gcd step replaces that pivot by the gcd.
+    Its first entry under no pivot makes it a new pivot row.  Then every
+    entry above a changed or new pivot, and every entry right of a
+    changed row's pivot, is reduced modulo the pivot below it, bottom
+    row first.  So the form of the rows seen so far is always the
+    reduced one, whose entries are bounded by minors of the input, and
+    so is the transform while no row has vanished.
+    """
+    form: dict[int, list[int]] = {}  # pivot column -> row
+    vanished = []
+    for x in rows:
+        changed = set()
+        c = 0
+        while True:
+            c = next((j for j in range(c, width) if x[j]), None)
+            if c is None:
+                vanished.append(x)
+                break
+            b = form.get(c)
+            if b is None:
+                if x[c] < 0:  # x is zero left of c
+                    x[c:] = [-a for a in x[c:]]
+                form[c] = x
+                changed.add(c)
+                break
+            q, r = divmod(x[c], b[c])
+            if r == 0:
+                x[c:] = [u - q * v for u, v in zip(x[c:], b[c:])]
+                continue
+            # [b; x] <- [s, t; -a/g, p/g] [b; x], unimodular, x[c] -> 0
+            p, a = b[c], x[c]
+            g, s, t = _xgcd(p, a)
+            pg, ag = p // g, a // g
+            bc, xc = b[c:], x[c:]
+            b[c:] = [s * v + t * u for v, u in zip(bc, xc)]
+            x[c:] = [pg * u - ag * v for v, u in zip(bc, xc)]
+            changed.add(c)
+        if changed:
+            _reduce_above_pivots(form, changed)
+    return [form[c] for c in sorted(form)], vanished
+
+
+def _reduce_above_pivots(form: dict[int, list[int]], changed: set[int]) -> None:
+    """Bring every entry at a pivot column other than the pivot's own
+    into [0, pivot), given that only the rows and pivots of the columns
+    in ``changed`` may be out of range."""
+    cols = sorted(form)
+    first = next(i for i, c in enumerate(cols) if c in changed)
+    last = max(i for i, c in enumerate(cols) if c in changed)
+    for i in range(last, -1, -1):
+        row = form[cols[i]]
+        for c in cols[max(i + 1, first):]:
+            b = form[c]
+            q = row[c] // b[c]
+            if q:
+                row[c:] = [u - q * v for u, v in zip(row[c:], b[c:])]
+
+
+def _unit(i: int, n: int) -> list[int]:
+    return [int(i == j) for j in range(n)]
 
 
 def smith_normal_form(matrix: IntMatrix) -> SnfResult:
     """Smith normal form with unimodular transforms.
 
     Works on any rectangular integer matrix, including empty ones, and
-    is deterministic for a fixed input.
+    is deterministic for a fixed input.  Kannan-Bachem: Hermite normal
+    forms of the rows and of the columns alternate until the matrix is
+    diagonal.  The first row form finds the rank r and moves the left
+    null space to the last rows of U; the first column form moves the
+    right null space to the last columns of V and leaves an r x r
+    nonsingular block.  Each further form turns that block between upper
+    and lower triangular.  The first pivot whose row or column is not
+    yet clear only ever shrinks to a divisor, strictly whenever it does
+    not divide its row, so the alternation ends.  A diagonal d_i that
+    does not divide a later d_j is folded: row i += row j, and the next
+    form replaces d_i by gcd(d_i, d_j).  Every form is reduced, so U and
+    V stay polynomial in size; zeros come last.
     """
     rows, cols = matrix.rows, matrix.cols
-    # U rides to the right of M and V below it, starting as identities.
-    m = [list(r) + [int(i == j) for j in range(rows)]
-         for i, r in enumerate(matrix.entries)]
-    m += [[int(i == j) for j in range(cols)] for i in range(cols)]
-    _smith_reduce(m, rows, cols)
+    if rows < cols:
+        # A wide matrix goes through its transpose.  The first row form
+        # then splits the null space off the input's own short rows; off
+        # the columns of a Hermite form, whose entries are as large as
+        # its minors, the null rows of V grew to about five times the
+        # Hadamard bound in bits (20 x 24, entries in [-50, 50]).
+        res = smith_normal_form(matrix.transpose())
+        return SnfResult(U=res.V.transpose(), D=res.D.transpose(), V=res.U.transpose())
+    # The block's rows belong to side 0 (rows of U) or side 1 (rows of
+    # V^t); each form works on the rows of the other side, so it takes
+    # the block's columns, each followed by its rider: the row of U or
+    # V^t that made it.  It starts as M^t, so the first form is a row form.
+    block = matrix.transpose().to_lists()
+    riders = [[_unit(i, rows) for i in range(rows)], [_unit(j, cols) for j in range(cols)]]
+    null: list[list[list[int]]] = [[], []]
+    side = 1
+    while True:
+        side ^= 1
+        width = len(block)
+        form, vanished = _hermite(
+            [[r[j] for r in block] + rider for j, rider in enumerate(riders[side])], width)
+        riders[side] = [r[width:] for r in form]
+        null[side] += [r[width:] for r in vanished]
+        block = [r[:width] for r in form]
+        if any(any(r[i + 1:]) for i, r in enumerate(block)):
+            continue
+        d = [r[i] for i, r in enumerate(block)]
+        # Each d_i is folded with its smallest non-multiple d_j only: the
+        # larger ones would multiply into the transforms.
+        folds = []
+        for i in range(len(d)):
+            bad = [j for j in range(i + 1, len(d)) if d[j] % d[i]]
+            if bad:
+                folds.append((i, min(bad, key=d.__getitem__)))
+        if not folds:
+            break
+        for i, j in folds:  # row j is still unchanged when it is added
+            block[i][j] += d[j]
+            riders[side][i] = [x + y for x, y in zip(riders[side][i], riders[side][j])]
+    diag = [[0] * cols for _ in range(rows)]
+    for i, x in enumerate(d):
+        diag[i][i] = x
     return SnfResult(
-        U=IntMatrix.from_rows([r[cols:] for r in m[:rows]], cols=rows),
-        D=IntMatrix.from_rows([r[:cols] for r in m[:rows]], cols=cols),
-        V=IntMatrix.from_rows(m[rows:], cols=cols),
+        U=IntMatrix.from_rows(riders[0] + null[0], cols=rows),
+        D=IntMatrix.from_rows(diag, cols=cols),
+        V=IntMatrix.from_rows(riders[1] + null[1], cols=cols).transpose(),
     )
 
 
@@ -369,7 +504,7 @@ def cokernel_invariants(matrix: IntMatrix) -> tuple[int, tuple[int, ...]]:
     ``rows`` free generators.
     """
     m = matrix.to_lists()
-    _smith_reduce(m, matrix.rows, matrix.cols)
+    _smith_reduce(m)
     diag = [m[k][k] for k in range(min(matrix.rows, matrix.cols))]
     rank = sum(1 for d in diag if d != 0)
     torsion = tuple(d for d in diag if d >= 2)

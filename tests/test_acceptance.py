@@ -6,7 +6,11 @@ for that criterion's test.  All arithmetic is exact, so the numeric
 criteria carry zero tolerance.
 """
 
+import io
+import json
 import random
+from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +39,7 @@ from ribbonmu import (
     validate_seifert,
 )
 from ribbonmu import BraidWord, catalog
+from ribbonmu.cli import main
 
 from support import (
     block_diag,
@@ -44,6 +49,7 @@ from support import (
     rand_symmetric,
     rand_unimodular,
     sturm_signature,
+    time_limit,
 )
 
 TREFOIL = validate_seifert(IntMatrix.from_rows([[1, 1], [0, 1]]))
@@ -190,3 +196,34 @@ def test_c10_alinking():
             assert alinking(InducedMap(p @ iota.matrix @ q)) == expected
     print("PASS criterion 10: alinking branch values and unimodular "
           "invariance held on all cases (50 basis changes each)")
+
+
+DENSE80 = Path(__file__).parent / "data" / "dense80.json"
+
+
+@pytest.mark.parametrize("n", [60, 80])
+def test_c11_dense_snf_transforms(tmp_path, n):
+    # Entries uniform in [-50, 50] from Random(1); the 80 x 80 matrix is
+    # committed so that CI can run the same command.
+    rng = random.Random(1)
+    rows = [[str(rng.randint(-50, 50)) for _ in range(n)] for _ in range(n)]
+    if n == 80:
+        path = DENSE80
+        assert json.loads(path.read_text()) == rows
+    else:
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps(rows))
+    out = io.StringIO()
+    with time_limit(20.0):  # carrying U and V along took 79 s at n = 80
+        code = main(["snf", "--file", str(path), "--full", "--json"], out=out)
+    assert code == 0
+    record = json.loads(out.getvalue())
+    assert max(len(x.lstrip("-")) for key in "uv" for row in record[key] for x in row) < 4300
+    m, u, d, v = (IntMatrix.from_decimal_rows(x) for x in
+                  (rows, record["u"], record["d"], record["v"]))
+    assert u @ m @ v == d
+    # det U * det M * det V = det D, all integers, and |det M| = det D,
+    # so det U * det V = +-1: both are units.
+    assert abs(determinant(m)) == prod(d.diagonal()) != 0
+    print(f"PASS criterion 11: snf --full on a dense {n} x {n} matrix, "
+          "U M V = D exactly with unimodular U and V")
