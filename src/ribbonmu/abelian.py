@@ -19,24 +19,21 @@ divisibility by pairwise (gcd, lcm) replacement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .exactla import IntMatrix, cokernel_invariants
+from .exactla import IntMatrix, _Value, cokernel_invariants
 
 
 class DoublingHypothesisError(ValueError):
     """A doubling hypothesis required by a combination rule fails."""
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(_Value):
     """Canonical invariant-factor presentation of a finite abelian group."""
 
     invariant_factors: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        factors = tuple(int(d) for d in self.invariant_factors)
-        object.__setattr__(self, "invariant_factors", factors)
+    def __init__(self, invariant_factors: tuple[int, ...]) -> None:
+        factors = tuple(int(d) for d in invariant_factors)
         for d in factors:
             if d < 2:
                 raise ValueError(f"invariant factor {d} < 2")
@@ -44,6 +41,7 @@ class FiniteAbelianGroup:
             if b % a != 0:
                 raise ValueError(
                     f"invariant factors must form a divisibility chain, {a} does not divide {b}")
+        self._set(invariant_factors=factors)
 
     @staticmethod
     def trivial() -> FiniteAbelianGroup:

@@ -18,9 +18,7 @@ under a single ribbon-move resolution, in the finite-type sense.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .exactla import IntMatrix, cokernel_invariants
+from .exactla import IntMatrix, _Value, cokernel_invariants
 # Unused here; the benchmark's tracer (perfbench/spans.py) rebinds this name.
 from .exactla import smith_normal_form  # noqa: F401
 
@@ -29,16 +27,16 @@ class ClassificationError(ValueError):
     """Cokernel shape outside the three classified cases."""
 
 
-@dataclass(frozen=True)
-class InducedMap:
+class InducedMap(_Value):
     """Map into H^1 of the torus: a 2 x c integer matrix."""
 
     matrix: IntMatrix
 
-    def __post_init__(self) -> None:
-        if self.matrix.rows != 2:
+    def __init__(self, matrix: IntMatrix) -> None:
+        if matrix.rows != 2:
             raise ValueError(
-                f"induced map must have exactly 2 rows, got {self.matrix.rows}")
+                f"induced map must have exactly 2 rows, got {matrix.rows}")
+        self._set(matrix=matrix)
 
     @staticmethod
     def from_columns(columns: list[list[int]]) -> InducedMap:

@@ -38,9 +38,7 @@ interactions, so it is harmless to the matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .exactla import IntMatrix
+from .exactla import IntMatrix, _Value
 from .spinmu import SeifertMatrix, validate_seifert
 
 
@@ -52,21 +50,21 @@ class CatalogError(LookupError):
     """Unknown catalog entry."""
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(_Value):
     """A word in the braid group on ``strands`` strands."""
 
     strands: int
     letters: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple(int(x) for x in self.letters))
-        if self.strands < 1:
-            raise ValueError(f"strand count must be >= 1, got {self.strands}")
-        for letter in self.letters:
-            if letter == 0 or abs(letter) >= self.strands:
+    def __init__(self, strands: int, letters: tuple[int, ...]) -> None:
+        letters = tuple(int(x) for x in letters)
+        if strands < 1:
+            raise ValueError(f"strand count must be >= 1, got {strands}")
+        for letter in letters:
+            if letter == 0 or abs(letter) >= strands:
                 raise ValueError(
-                    f"letter {letter} out of range for {self.strands} strands")
+                    f"letter {letter} out of range for {strands} strands")
+        self._set(strands=strands, letters=letters)
 
     def closure_components(self) -> int:
         """Cycles of the strand permutation: components of the closure.
@@ -173,14 +171,17 @@ def seifert_matrix_from_braid(braid: BraidWord) -> SeifertMatrix:
     return validate_seifert(IntMatrix(m, m, tuple(map(tuple, v))))
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(_Value):
     """A named knot with its Seifert matrix and/or an even bounding form."""
 
     name: str
     summary: str
-    seifert: SeifertMatrix | None = None
-    even_form: IntMatrix | None = None
+    seifert: SeifertMatrix | None
+    even_form: IntMatrix | None
+
+    def __init__(self, name: str, summary: str, seifert: SeifertMatrix | None = None,
+                 even_form: IntMatrix | None = None) -> None:
+        self._set(name=name, summary=summary, seifert=seifert, even_form=even_form)
 
 
 # Even unimodular rank-8 form bounding the Poincare sphere (punctured,

@@ -14,14 +14,13 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from .abelian import FiniteAbelianGroup, is_double
 from .alink import InducedMap, alinking
 from .braid import BraidWord, CatalogError, catalog, seifert_matrix_from_braid
-from .exactla import IntMatrix, smith_normal_form
+from .exactla import IntMatrix, _Value, smith_normal_form
 from .obstruct import Verdict, obstruct_ribbon_equivalent, obstruct_ribbon_trivial
 from .spinmu import SeifertMatrix, TwoKnotInvariants, validate_seifert
 
@@ -42,8 +41,7 @@ def _exit_code(exc: Exception) -> int:
     return next(EXIT_CODES[t] for t in type(exc).__mro__ if t in EXIT_CODES)
 
 
-@dataclass(frozen=True)
-class KnotRecord:
+class KnotRecord(_Value):
     """A resolved knot input: one source, plus an optional even form.
 
     Every record carries a Seifert matrix or an even form, or both.
@@ -56,8 +54,12 @@ class KnotRecord:
 
     name: str
     source: str  # catalog | braid | seifert-matrix | even-form
-    seifert: SeifertMatrix | None = None
-    even_form: IntMatrix | None = None
+    seifert: SeifertMatrix | None
+    even_form: IntMatrix | None
+
+    def __init__(self, name: str, source: str, seifert: SeifertMatrix | None = None,
+                 even_form: IntMatrix | None = None) -> None:
+        self._set(name=name, source=source, seifert=seifert, even_form=even_form)
 
     def invariants(self) -> TwoKnotInvariants:
         if self.even_form is not None:

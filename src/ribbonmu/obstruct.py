@@ -19,9 +19,9 @@ one rule.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .abelian import FiniteAbelianGroup, direct_sum, is_double
+from .exactla import _Value
 from .spinmu import Mu, SeifertMatrix, TwoKnotInvariants
 
 
@@ -36,22 +36,31 @@ TORSION_RULE = ("combined Seifert-hypersurface torsion of ribbon-move "
                 "equivalent 2-links is a double G + G")
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of an obstruction test, with the witnesses that fired it."""
+class Verdict(_Value):
+    """Outcome of an obstruction test, with the witnesses that fired it.
+
+    An obstructed verdict must carry the witness its rule reads:
+    two different mu values, or combined torsion that is not a double.
+    """
 
     conclusion: Conclusion
     rule: str
-    mu_pair: tuple[Mu, Mu] | None = None
-    torsion_witness: FiniteAbelianGroup | None = None
+    mu_pair: tuple[Mu, Mu] | None
+    torsion_witness: FiniteAbelianGroup | None
 
-    def __post_init__(self) -> None:
-        if self.conclusion is Conclusion.OBSTRUCTED_BY_MU:
-            assert self.mu_pair is not None
-            assert self.mu_pair[0].value != self.mu_pair[1].value
-        if self.conclusion is Conclusion.OBSTRUCTED_BY_TORSION:
-            assert self.torsion_witness is not None
-            assert is_double(self.torsion_witness) is None
+    def __init__(self, conclusion: Conclusion, rule: str,
+                 mu_pair: tuple[Mu, Mu] | None = None,
+                 torsion_witness: FiniteAbelianGroup | None = None) -> None:
+        if conclusion is Conclusion.OBSTRUCTED_BY_MU and (
+                mu_pair is None or mu_pair[0].value == mu_pair[1].value):
+            raise ValueError(f"{conclusion.value} needs two different mu values, "
+                             f"got {mu_pair}")
+        if conclusion is Conclusion.OBSTRUCTED_BY_TORSION and (
+                torsion_witness is None or is_double(torsion_witness) is not None):
+            raise ValueError(f"{conclusion.value} needs torsion that is not a double, "
+                             f"got {torsion_witness}")
+        self._set(conclusion=conclusion, rule=rule, mu_pair=mu_pair,
+                  torsion_witness=torsion_witness)
 
     @property
     def obstructed(self) -> bool:

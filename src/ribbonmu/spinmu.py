@@ -24,11 +24,10 @@ There is no general algorithm for the mu-invariant of an arbitrary
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .abelian import FiniteAbelianGroup, from_presentation
-from .exactla import FormError, IntMatrix, determinant, signature_and_determinant
+from .exactla import FormError, IntMatrix, _Value, determinant, signature_and_determinant
 
 
 class SeifertValidationError(ValueError):
@@ -39,25 +38,26 @@ class SpinStructureError(ValueError):
     """The bounded 3-manifold has more than one spin structure."""
 
 
-@dataclass(frozen=True)
-class SeifertMatrix:
+class SeifertMatrix(_Value):
     """A validated knot Seifert matrix; construct via :func:`validate_seifert`."""
 
     matrix: IntMatrix
+
+    def __init__(self, matrix: IntMatrix) -> None:
+        self._set(matrix=matrix)
 
     @property
     def size(self) -> int:
         return self.matrix.rows
 
 
-@dataclass(frozen=True)
-class Mu:
+class Mu(_Value):
     """A residue class mod 16, stored by its representative in 0..15."""
 
     value: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", int(self.value) % 16)
+    def __init__(self, value: int) -> None:
+        self._set(value=int(value) % 16)
 
     def __add__(self, other: Mu) -> Mu:
         return Mu(self.value + other.value)
@@ -142,8 +142,7 @@ def mu_boundary_link_sum(components: Sequence[SeifertMatrix]) -> Mu:
     return sum((mu_two_twist_spin(s) for s in components), Mu(0))
 
 
-@dataclass(frozen=True)
-class TwoKnotInvariants:
+class TwoKnotInvariants(_Value):
     """The computable invariant record of a 2-knot.
 
     ``form`` is the even bounding form the invariants were read from
@@ -156,6 +155,11 @@ class TwoKnotInvariants:
     cover_torsion: FiniteAbelianGroup
     form_determinant: int
     form: IntMatrix
+
+    def __init__(self, signature: int, cover_torsion: FiniteAbelianGroup,
+                 form_determinant: int, form: IntMatrix) -> None:
+        self._set(signature=signature, cover_torsion=cover_torsion,
+                  form_determinant=form_determinant, form=form)
 
     @property
     def mu(self) -> Mu:

@@ -12,6 +12,7 @@ matrices by testing every pair of loops.
 
 from __future__ import annotations
 
+import os
 import random
 import signal
 from collections import Counter
@@ -19,7 +20,9 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm, prod
+from pathlib import Path
 
+import ribbonmu
 from ribbonmu import BraidWord, IntMatrix, SeifertMatrix, determinant, validate_seifert
 from ribbonmu.braid import _consecutive_pairs, _destabilize
 
@@ -43,6 +46,12 @@ def time_limit(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def package_env() -> dict[str, str]:
+    """Environment for a fresh interpreter that imports this ribbonmu."""
+    src = Path(ribbonmu.__file__).resolve().parent.parent
+    return dict(os.environ, PYTHONPATH=str(src))
 
 
 # -- matrix helpers ---------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ribbonmu import IntMatrix, TwoKnotInvariants, braid, cli, exactla, signature, spinmu
 from ribbonmu.cli import main
 
-from support import sturm_signature, time_limit
+from support import package_env, sturm_signature, time_limit
 
 
 def run_cli(*argv):
@@ -532,3 +532,13 @@ class TestModuleEntryPoint:
             [sys.executable, "-m", "ribbonmu", "snf", "[[oops"],
             capture_output=True, text=True)
         assert proc.returncode == 3
+
+    def test_startup_stays_lean(self):
+        # dataclasses and the inspect module it imports cost a fresh
+        # interpreter about 30 ms, which every CLI op pays
+        script = ("import sys; before = set(sys.modules); import ribbonmu.cli; "
+                  "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=package_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -1,18 +1,24 @@
 import random
+import subprocess
+import sys
+
+import pytest
 
 from ribbonmu import (
     Conclusion,
     E8,
     FiniteAbelianGroup,
     IntMatrix,
+    Mu,
     TwoKnotInvariants,
+    Verdict,
     is_double,
     obstruct_ribbon_equivalent,
     obstruct_ribbon_trivial,
     validate_seifert,
 )
 
-from support import block_diag, rand_seifert
+from support import block_diag, package_env, rand_seifert
 
 TREFOIL = validate_seifert(IntMatrix.from_rows([[1, 1], [0, 1]]))
 FIGURE8 = validate_seifert(IntMatrix.from_rows([[1, 1], [0, -1]]))
@@ -96,3 +102,42 @@ class TestEngineProperties:
                 inv_b = TwoKnotInvariants.from_seifert(b)
                 assert inv_a.mu.value == inv_b.mu.value
         assert seen_torsion > 0
+
+
+class TestVerdictWitnesses:
+    """An obstructed verdict cannot be built without the witness it names."""
+
+    @pytest.mark.parametrize("mu_pair", [None, (Mu(2), Mu(2)), (Mu(2), Mu(18))],
+                             ids=["none", "equal", "equal-mod-16"])
+    def test_mu_verdict_needs_different_mu(self, mu_pair):
+        with pytest.raises(ValueError, match="two different mu values"):
+            Verdict(Conclusion.OBSTRUCTED_BY_MU, "rule", mu_pair=mu_pair)
+
+    @pytest.mark.parametrize("witness", [
+        None, FiniteAbelianGroup(()), FiniteAbelianGroup((3, 3)),
+        FiniteAbelianGroup((2, 2, 4, 4))], ids=["none", "trivial", "Z3+Z3", "Z2+Z2+Z4+Z4"])
+    def test_torsion_verdict_needs_a_non_double(self, witness):
+        with pytest.raises(ValueError, match="not a double"):
+            Verdict(Conclusion.OBSTRUCTED_BY_TORSION, "rule", torsion_witness=witness)
+
+    def test_consistent_verdicts_build(self):
+        assert Verdict(Conclusion.OBSTRUCTED_BY_MU, "r", (Mu(2), Mu(0))).obstructed
+        assert Verdict(Conclusion.OBSTRUCTED_BY_TORSION, "r",
+                       torsion_witness=FiniteAbelianGroup((3, 9))).obstructed
+        assert not Verdict(Conclusion.NO_OBSTRUCTION_FOUND, "r").obstructed
+
+    def test_checks_survive_python_dash_o(self):
+        # -O strips assert statements; the witness checks must still run
+        script = (
+            "from ribbonmu import Conclusion as C, FiniteAbelianGroup, Mu, Verdict\n"
+            "for conclusion, kwargs in (\n"
+            "        (C.OBSTRUCTED_BY_MU, {'mu_pair': (Mu(1), Mu(1))}),\n"
+            "        (C.OBSTRUCTED_BY_TORSION, {'torsion_witness': FiniteAbelianGroup((5, 5))})):\n"
+            "    try:\n"
+            "        Verdict(conclusion, 'rule', **kwargs)\n"
+            "    except ValueError:\n"
+            "        continue\n"
+            "    raise SystemExit(f'{conclusion} built without a valid witness')\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, env=package_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr

@@ -1,0 +1,163 @@
+"""Value semantics of the package's immutable record types.
+
+Each type is built positionally and by keyword, compared, hashed,
+shown, pickled and deep-copied; assigning or deleting a field fails.
+The expected reprs spell out the field order, so these tests pin the
+behaviour of the types whatever machinery implements them.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from ribbonmu import (
+    BraidWord,
+    CatalogEntry,
+    Conclusion,
+    FiniteAbelianGroup,
+    InducedMap,
+    IntMatrix,
+    Mu,
+    SeifertMatrix,
+    SnfResult,
+    TwoKnotInvariants,
+    Verdict,
+)
+from ribbonmu.cli import KnotRecord
+
+S = IntMatrix(2, 2, ((1, 1), (0, 1)))
+S_REPR = "IntMatrix(rows=2, cols=2, entries=((1, 1), (0, 1)))"
+ONE = IntMatrix(1, 1, ((1,),))
+ONE_REPR = "IntMatrix(rows=1, cols=1, entries=((1,),))"
+Z3 = FiniteAbelianGroup((3,))
+
+# (type, fields in declaration order, an unequal value, expected repr)
+CASES = [
+    (IntMatrix, {"rows": 2, "cols": 2, "entries": ((1, 1), (0, 1))},
+     IntMatrix(2, 2, ((1, 1), (0, 2))), S_REPR),
+    (SnfResult, {"U": ONE, "D": IntMatrix(1, 1, ((3,),)), "V": ONE},
+     SnfResult(ONE, ONE, ONE),
+     f"SnfResult(U={ONE_REPR}, D=IntMatrix(rows=1, cols=1, entries=((3,),)), "
+     f"V={ONE_REPR})"),
+    (FiniteAbelianGroup, {"invariant_factors": (2, 4)},
+     FiniteAbelianGroup((2, 8)), "FiniteAbelianGroup(invariant_factors=(2, 4))"),
+    (InducedMap, {"matrix": IntMatrix(2, 1, ((2,), (0,)))},
+     InducedMap(IntMatrix(2, 1, ((3,), (0,)))),
+     "InducedMap(matrix=IntMatrix(rows=2, cols=1, entries=((2,), (0,))))"),
+    (BraidWord, {"strands": 3, "letters": (1, -2, 1)},
+     BraidWord(3, (1, 2, 1)), "BraidWord(strands=3, letters=(1, -2, 1))"),
+    (CatalogEntry, {"name": "k", "summary": "a knot", "seifert": SeifertMatrix(S),
+                    "even_form": None},
+     CatalogEntry("k", "a knot"),
+     f"CatalogEntry(name='k', summary='a knot', seifert=SeifertMatrix(matrix={S_REPR}), "
+     "even_form=None)"),
+    (SeifertMatrix, {"matrix": S}, SeifertMatrix(ONE), f"SeifertMatrix(matrix={S_REPR})"),
+    (Mu, {"value": 2}, Mu(3), "Mu(value=2)"),
+    (TwoKnotInvariants, {"signature": 2, "cover_torsion": Z3, "form_determinant": 3,
+                         "form": IntMatrix(2, 2, ((2, 1), (1, 2)))},
+     TwoKnotInvariants(-2, Z3, 3, IntMatrix(2, 2, ((-2, -1), (-1, -2)))),
+     "TwoKnotInvariants(signature=2, cover_torsion=FiniteAbelianGroup("
+     "invariant_factors=(3,)), form_determinant=3, "
+     "form=IntMatrix(rows=2, cols=2, entries=((2, 1), (1, 2))))"),
+    (Verdict, {"conclusion": Conclusion.OBSTRUCTED_BY_MU, "rule": "r",
+               "mu_pair": (Mu(2), Mu(0)), "torsion_witness": None},
+     Verdict(Conclusion.OBSTRUCTED_BY_MU, "r", (Mu(0), Mu(2))),
+     "Verdict(conclusion=<Conclusion.OBSTRUCTED_BY_MU: 'obstructed-by-mu'>, "
+     "rule='r', mu_pair=(Mu(value=2), Mu(value=0)), torsion_witness=None)"),
+    (KnotRecord, {"name": "k", "source": "braid", "seifert": None,
+                  "even_form": IntMatrix(2, 2, ((2, 1), (1, 2)))},
+     KnotRecord("k", "braid", SeifertMatrix(S)),
+     "KnotRecord(name='k', source='braid', seifert=None, "
+     "even_form=IntMatrix(rows=2, cols=2, entries=((2, 1), (1, 2))))"),
+]
+IDS = [case[0].__name__ for case in CASES]
+
+value_cases = pytest.mark.parametrize("cls, fields, other, text", CASES, ids=IDS)
+
+
+@value_cases
+def test_positional_and_keyword_construction(cls, fields, other, text):
+    by_position = cls(*fields.values())
+    by_keyword = cls(**fields)
+    assert type(by_position) is cls and type(by_keyword) is cls
+    for name, value in fields.items():
+        assert getattr(by_position, name) == value
+        assert getattr(by_keyword, name) == value
+
+
+@value_cases
+def test_equality_and_hash(cls, fields, other, text):
+    a, b = cls(**fields), cls(*fields.values())
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b, other}) == 2
+    assert a != other
+    assert a != tuple(fields.values())
+    assert (a == object()) is False
+
+
+@value_cases
+def test_fields_are_read_only(cls, fields, other, text):
+    value = cls(**fields)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert value == cls(**fields)
+
+
+@value_cases
+def test_repr(cls, fields, other, text):
+    assert repr(cls(**fields)) == text
+
+
+@value_cases
+def test_pickle_and_deepcopy_round_trip(cls, fields, other, text):
+    value = cls(**fields)
+    copies = [pickle.loads(pickle.dumps(value, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies.append(copy.deepcopy(value))
+    copies.append(copy.copy(value))
+    for twin in copies:
+        assert type(twin) is cls
+        assert twin == value and hash(twin) == hash(value)
+        assert repr(twin) == text
+        with pytest.raises(AttributeError):
+            setattr(twin, next(iter(fields)), None)
+
+
+def test_equal_fields_of_another_type_are_unequal():
+    # both types have one field, ``matrix``
+    assert SeifertMatrix(S) != InducedMap(S)
+    assert InducedMap(S) != SeifertMatrix(S)
+
+
+def test_defaults():
+    entry = CatalogEntry("k", "a knot")
+    assert entry.seifert is None and entry.even_form is None
+    verdict = Verdict(Conclusion.NO_OBSTRUCTION_FOUND, "r")
+    assert verdict.mu_pair is None and verdict.torsion_witness is None
+    record = KnotRecord(name="k", source="catalog")
+    assert record.seifert is None and record.even_form is None
+    assert KnotRecord("k", "seifert-matrix", SeifertMatrix(S)) == KnotRecord(
+        "k", "seifert-matrix", seifert=SeifertMatrix(S), even_form=None)
+
+
+def test_constructors_normalize():
+    assert Mu(18) == Mu(2) and Mu(-14).value == 2
+    group = FiniteAbelianGroup([2, 4])
+    assert group.invariant_factors == (2, 4)
+    assert type(group.invariant_factors) is tuple
+    word = BraidWord(3, [1, -2])
+    assert word.letters == (1, -2) and type(word.letters) is tuple
+
+
+def test_derived_attributes_are_not_fields():
+    inv = TwoKnotInvariants(2, Z3, 3, IntMatrix(2, 2, ((2, 1), (1, 2))))
+    assert inv.mu == Mu(2)
+    assert SeifertMatrix(S).size == 2
+    assert "mu=" not in repr(inv) and "size=" not in repr(SeifertMatrix(S))
