@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from .exactla import IntMatrix, _Value, cokernel_invariants
+from .exactla import IntMatrix, _Value, _invariant_chain, cokernel_invariants
 
 
 class DoublingHypothesisError(ValueError):
@@ -67,14 +67,17 @@ class FiniteAbelianGroup(_Value):
         return " ⊕ ".join(f"Z{d}" for d in self.invariant_factors)
 
 
-def from_presentation(matrix: IntMatrix) -> FiniteAbelianGroup:
+def from_presentation(matrix: IntMatrix, det: int | None = None) -> FiniteAbelianGroup:
     """Torsion part of the abelian group presented by the matrix columns.
 
     For a square matrix with nonzero determinant this is the whole
     cokernel.  A presentation with free quotient still yields its
     torsion part here; use :func:`cokernel` when the free rank matters.
+    A caller that already has the nonzero determinant passes it as
+    ``det``, so the reduction can work modulo it (see
+    :func:`~ribbonmu.exactla.cokernel_invariants`).
     """
-    _, torsion = cokernel_invariants(matrix)
+    _, torsion = cokernel_invariants(matrix, det)
     return FiniteAbelianGroup(torsion)
 
 
@@ -85,20 +88,9 @@ def cokernel(matrix: IntMatrix) -> tuple[int, FiniteAbelianGroup]:
 
 
 def direct_sum(g: FiniteAbelianGroup, h: FiniteAbelianGroup) -> FiniteAbelianGroup:
-    """Canonical invariant factors of g + h.
-
-    The joined chain is normalised by replacing (di, dj) with
-    (gcd, lcm) for every pair i < j in turn.  On the exponents of any
-    one prime that is a compare-exchange (min, max), and running it over
-    all pairs in this order is a selection sort, so the result is a
-    divisibility chain; the 1s it leaves at the front are dropped.
-    """
-    d = list(g.invariant_factors + h.invariant_factors)
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            gcd = math.gcd(d[i], d[j])
-            d[i], d[j] = gcd, d[i] // gcd * d[j]
-    return FiniteAbelianGroup(tuple(x for x in d if x > 1))
+    """Canonical invariant factors of g + h: the joined chain, normalised
+    by pairwise (gcd, lcm) replacement."""
+    return FiniteAbelianGroup(_invariant_chain(g.invariant_factors + h.invariant_factors))
 
 
 def is_isomorphic(g: FiniteAbelianGroup, h: FiniteAbelianGroup) -> bool:
@@ -134,6 +126,8 @@ def combine_doubles(a: FiniteAbelianGroup, b: FiniteAbelianGroup,
         raise DoublingHypothesisError(
             f"second hypothesis fails: ({b}) + ({c}) is not of the form Y + Y")
     half = is_double(direct_sum(a, c))
-    assert half is not None, "parity argument guarantees a + c is a double"
+    if half is None:  # unreachable while direct_sum and is_double are right
+        raise RuntimeError(
+            f"parity argument failed: ({a}) + ({c}) is not of the form P + P")
     return half
 

@@ -40,12 +40,20 @@ long braid closures stay cheap.
   cost nothing.  A pivot repair first brings the trailing rows up to
   date.  It then mirrors only the rows and columns it reads in full,
   and recomputes the envelopes it changed.
-* Smith diagonal.  The reduction for D alone skips only steps that
-  change nothing.  A unit pivot divides everything, so the divisibility
-  sweep is skipped.  A column swap with itself is skipped.  A column
-  operation touches only the rows that are nonzero in the pivot column,
-  which is the pivot row alone once the column is cleared.  A row
-  operation touches only the source row's support.
+* Smith diagonal.  The reduction for D alone has two phases.  First
+  it pivots on units, exactly: one row operation per row that is
+  nonzero in the unit's column, over the pivot row's support, and the
+  pivot row retires uncleared, since the column operations that would
+  clear it touch only that row.  No row or column moves.  Then comes
+  the core, the block with no unit left.
+  Given the determinant of a square nonsingular matrix, the core is
+  reduced modulo R = |det|: 2 x 2 xgcd row and column steps gather each
+  pivot, gcd(pivot, R) splits off, and the rest continues modulo the
+  quotient until R = 1.  Only pivot rows are reduced, and a row step
+  adds less than R^2, so entries stay near 2 log2 R bits.  Without a
+  determinant (rectangular, singular or unknown), the core keeps the
+  min-|pivot| rounds with a divisibility sweep.  On the 1196-row form
+  of a 1201-letter braid the unit phase leaves an 11 x 11 core.
 * Smith with transforms.  Each Hermite form adds one row at a time to
   a reduced form of the rows before it, and works only right of the
   pivot column it clears.  The forms stay reduced, so their entries
@@ -59,6 +67,7 @@ long braid closures stay cheap.
 
 from __future__ import annotations
 
+import math
 from itertools import compress
 from operator import add, sub
 from typing import Sequence
@@ -319,6 +328,150 @@ def _smith_reduce(m: list[list[int]]) -> None:
             m[k][k] = -m[k][k]
 
 
+def _smith_diagonal(m: list[list[int]], det: int | None = None) -> list[int]:
+    """Smith diagonal of the matrix m, zeros last; m is overwritten.
+
+    Unit pivots come first (:func:`_unit_pivots`).  The core they leave
+    is reduced modulo |det| when ``det`` is the nonzero determinant of
+    the square matrix m (:func:`_core_mod_det`), else by min-|pivot|
+    rounds (:func:`_smith_reduce`).
+    """
+    units, core = _unit_pivots(m)
+    if det:
+        chain = _core_mod_det(core, abs(det))
+        return [1] * (units + len(core) - len(chain)) + chain
+    _smith_reduce(core)
+    cols = len(core[0]) if core else 0
+    return [1] * units + [core[k][k] for k in range(min(len(core), cols))]
+
+
+def _unit_pivots(m: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """Pivot on units while any is left; the number of them, and the core.
+
+    A unit p at (i, j) clears column j with one row operation per other
+    live row that is nonzero there, inside row i's support.  Row i then
+    retires uncleared: column j is zero in every other live row, so the
+    column operations that would clear row i touch row i alone, and they
+    leave the diagonal entry 1.  The core is the block of the live rows
+    and columns, which holds no unit.  Row operations run over the
+    pivot row's nonzeros, not its envelope: on the 1196-row form of a
+    1201-letter braid, fill-in spread pivot rows of about 15 nonzeros
+    over about 580 columns.
+    """
+    cols = len(m[0]) if m else 0
+    live = m[:]
+    col_live = [True] * cols
+    dirty = {id(r) for r in live}  # rows that may have gained a unit
+    units = 0
+    while dirty:
+        pos = 0
+        while pos < len(live):
+            row = live[pos]
+            if id(row) not in dirty:
+                pos += 1
+                continue
+            dirty.discard(id(row))
+            support = list(compress(range(cols), row))
+            values = [row[c] for c in support]
+            j = next((c for c, x in zip(support, values) if x == 1 or x == -1), None)
+            if j is None:
+                pos += 1
+                continue
+            del live[pos]
+            col_live[j] = False
+            units += 1
+            p = row[j]
+            for r in [r for r in live if r[j]]:
+                q = r[j] * p  # r[j] / p, as p = +-1
+                for c, y in zip(support, values):
+                    r[c] -= q * y
+                dirty.add(id(r))
+    keep = list(compress(range(cols), col_live))
+    return units, [[r[c] for c in keep] for r in live]
+
+
+def _core_mod_det(a: list[list[int]], det: int) -> list[int]:
+    """Invariant factors >= 2 of the square matrix a, given R = |det a| > 0.
+
+    R kills coker(a), so the reduction works modulo R.  Pivot k is
+    gathered by 2 x 2 xgcd steps: row steps clear column k, then column
+    steps meet the entries of row k that the pivot does not divide, and
+    dirty column k again, until neither is left.  The column operations
+    that would clear row k then touch row k alone.  The pivot splits off
+    d = gcd(pivot, R), which leaves a cokernel of order R // d, so the
+    rest continues modulo R // d; R = 1 ends the reduction.  The split
+    factors need not divide each other; pairwise gcd/lcm makes them the
+    chain.  A wrong determinant raises ValueError when their product
+    cannot reach it, as for any multiple of the true one.
+    """
+    R = det
+    n = len(a)
+    found = []
+    for k in range(n):
+        if R == 1:
+            break
+        pk = a[k]
+        pk[k:] = [v % R for v in pk[k:]]
+        while True:
+            p = pk[k]
+            for x in a[k + 1:]:
+                b = x[k] % R
+                if not b:
+                    continue
+                if p and not b % p:
+                    # Left unreduced: each such step adds less than R^2,
+                    # and the row is reduced once, as the pivot row.
+                    q = b // p
+                    x[k:] = [u - q * v for u, v in zip(x[k:], pk[k:])]
+                    continue
+                # [pk; x] <- [s, t; -b/g, p/g] [pk; x], unimodular, x[k] -> 0
+                g, s, t = _xgcd(p, b)
+                pg, bg = p // g, b // g
+                pv, xv = pk[k:], x[k:]
+                pk[k:] = [(s * v + t * u) % R for v, u in zip(pv, xv)]
+                x[k:] = [(pg * u - bg * v) % R for v, u in zip(pv, xv)]
+                p = g
+            gathered = True
+            for j in range(k + 1, n):
+                e = pk[j]
+                if not e or (p and not e % p):
+                    continue
+                # columns k, j <- (s col k + t col j, p/g col j - e/g col k)
+                g, s, t = _xgcd(p, e)
+                pg, eg = p // g, e // g
+                for x in a[k:]:
+                    u, v = x[k], x[j]
+                    x[k], x[j] = (s * u + t * v) % R, (pg * v - eg * u) % R
+                p = g
+                gathered = False
+            if gathered:
+                break
+        d = math.gcd(p, R)
+        if d > 1:
+            found.append(d)
+            R //= d
+    if R != 1:
+        raise ValueError(
+            f"the invariant factors' product is not |det| = {det}: wrong determinant")
+    return list(_invariant_chain(found))
+
+
+def _invariant_chain(factors: Sequence[int]) -> tuple[int, ...]:
+    """The invariant factors >= 2 of the direct sum of Z_d over ``factors``.
+
+    Each pair (di, dj), i < j, becomes (gcd, lcm) in turn.  On the
+    exponents of any one prime that is a compare-exchange (min, max),
+    and running it over all pairs in this order is a selection sort, so
+    the result is a divisibility chain; the 1s it leaves are dropped.
+    """
+    d = list(factors)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = math.gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return tuple(x for x in d if x > 1)
+
+
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """g = gcd(a, b) >= 0 and Bezout coefficients with s * a + t * b = g."""
     s, s1, t, t1 = 1, 0, 0, 1
@@ -532,15 +685,21 @@ def invariant_factors(matrix: IntMatrix) -> tuple[int, ...]:
     return cokernel_invariants(matrix)[1]
 
 
-def cokernel_invariants(matrix: IntMatrix) -> tuple[int, tuple[int, ...]]:
+def cokernel_invariants(matrix: IntMatrix,
+                        det: int | None = None) -> tuple[int, tuple[int, ...]]:
     """Free rank and torsion invariant factors of coker(matrix).
 
     The matrix is read as a presentation: columns are relations among
-    ``rows`` free generators.
+    ``rows`` free generators.  A caller that already knows the nonzero
+    determinant of a square matrix passes it as ``det`` (either sign);
+    the block left after the unit pivots is then reduced modulo |det|.
+    The value is trusted: a wrong one raises ValueError only when the
+    factors cannot multiply to it.
     """
-    m = matrix.to_lists()
-    _smith_reduce(m)
-    diag = [m[k][k] for k in range(min(matrix.rows, matrix.cols))]
+    if det and not matrix.is_square:
+        raise DimensionError(
+            f"a determinant needs a square matrix, got {matrix.rows}x{matrix.cols}")
+    diag = _smith_diagonal(matrix.to_lists(), det)
     rank = sum(1 for d in diag if d != 0)
     torsion = tuple(d for d in diag if d >= 2)
     return matrix.rows - rank, torsion

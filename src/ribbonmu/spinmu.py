@@ -174,7 +174,7 @@ class TwoKnotInvariants(_Value):
         sig, det = _spin_form_invariants(form)  # validates shape, evenness, parity
         return TwoKnotInvariants(
             signature=sig,
-            cover_torsion=from_presentation(form),
+            cover_torsion=from_presentation(form, det),
             form_determinant=det,
             form=form,
         )

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -16,6 +18,7 @@ from ribbonmu import (
     is_double,
     is_isomorphic,
 )
+from ribbonmu import abelian
 
 from support import (
     chain_from_elementary_divisors_oracle,
@@ -23,6 +26,7 @@ from support import (
     elementary_divisors_oracle,
     groups_isomorphic_bruteforce,
     order_multiset,
+    package_env,
     rand_group_factors,
 )
 
@@ -236,6 +240,36 @@ class TestCombineDoubles:
     def test_failing_second_hypothesis_is_named(self):
         with pytest.raises(DoublingHypothesisError, match="second"):
             combine_doubles(Z((3,)), Z((3,)), Z((5,)))
+
+    def test_broken_parity_argument_raises(self, monkeypatch):
+        real = is_double
+        seen = []
+
+        def third_call_fails(g):
+            seen.append(g)
+            return None if len(seen) == 3 else real(g)
+
+        monkeypatch.setattr(abelian, "is_double", third_call_fails)
+        with pytest.raises(RuntimeError, match="parity argument"):
+            combine_doubles(Z((8,)), Z((8,)), Z((8,)))
+
+    def test_parity_check_survives_python_dash_o(self):
+        # -O strips assert statements; the last check must still run
+        script = (
+            "from ribbonmu import abelian, FiniteAbelianGroup as Z\n"
+            "real, seen = abelian.is_double, []\n"
+            "def third_call_fails(g):\n"
+            "    seen.append(g)\n"
+            "    return None if len(seen) == 3 else real(g)\n"
+            "abelian.is_double = third_call_fails\n"
+            "try:\n"
+            "    abelian.combine_doubles(Z((8,)), Z((8,)), Z((8,)))\n"
+            "except RuntimeError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('combine_doubles returned without a double')\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, env=package_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
     def test_output_always_halves_outer_sum(self):
         rng = random.Random(28)

@@ -227,3 +227,28 @@ def test_c11_dense_snf_transforms(tmp_path, n):
     assert abs(determinant(m)) == prod(d.diagonal()) != 0
     print(f"PASS criterion 11: snf --full on a dense {n} x {n} matrix, "
           "U M V = D exactly with unimodular U and V")
+
+
+EVEN80 = Path(__file__).parent / "data" / "even80.json"
+
+
+def test_c12_dense_even_form_torsion_modulo_determinant():
+    # P^t B P of 80 rows: B is three +-E8 blocks, seven hyperbolic pairs
+    # and 21 blocks [[2s, 1], [1, 2bs]] with coker Z_(4b-1), P a product of
+    # 160 random shears; written by even_form(random.Random(80), 80) of
+    # perfbench/corpus.py, the dense-forms recipe.  The signature,
+    # determinant and cover below are read off B.
+    det = -65711250078806504837999432027130558589028671875
+    cover = [5, 15, 15, 15, 2445, 13445055, 118455301128916361986257709822995]
+    out = io.StringIO()
+    with time_limit(10.0):
+        code = main(["invariants", str(EVEN80), "--json"], out=out)
+    assert code == 0
+    record = json.loads(out.getvalue())
+    assert record["signature"] == "-18"
+    assert record["form_determinant"] == str(det)
+    assert record["h1_invariant_factors"] == [str(d) for d in cover]
+    form = IntMatrix.from_decimal_rows(json.loads(EVEN80.read_text())["even_form"])
+    assert determinant(form) == det == -prod(cover)
+    print("PASS criterion 12: the torsion of a dense 80-row even form, reduced "
+          "modulo its determinant, matches its block recipe")

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from ribbonmu import IntMatrix, TwoKnotInvariants, braid, cli, exactla, signature, spinmu
 from ribbonmu.cli import main
 
-from support import package_env, sturm_signature, time_limit
+from support import block_diag, package_env, rand_unimodular, sturm_signature, time_limit
 
 
 def run_cli(*argv):
@@ -499,8 +500,8 @@ class TestEachFactOnce:
             for mod in (exactla, spinmu, braid, cli):
                 if getattr(mod, name, None) is original:
                     monkeypatch.setattr(mod, name, counted(key, original))
-        monkeypatch.setattr(exactla, "_smith_reduce",
-                            counted("smith", exactla._smith_reduce))
+        monkeypatch.setattr(exactla, "_smith_diagonal",
+                            counted("smith", exactla._smith_diagonal))
         return log
 
     def test_braid_knot_record(self, tmp_path, calls):
@@ -513,10 +514,34 @@ class TestEachFactOnce:
         assert form.rows >= 4
         assert json.loads(text)["signature"] == str(sturm_signature(form))
         assert [args[0] for args in calls["pass"]] == [form]
-        [(m,)] = calls["smith"]
+        [(m, det)] = calls["smith"]
         assert len(m) == form.rows and all(len(r) == form.rows for r in m)  # no U or V
+        assert det == int(json.loads(text)["form_determinant"])
         [(skew,)] = calls["det"]  # det(S - S^t) when the braid is validated
         assert skew + skew.transpose() == IntMatrix.zero(form.rows, form.rows)
+
+    def test_dense_even_form_record(self, tmp_path, calls):
+        # P^t B P: even, dense, det -15 * 11 * 3 * 27, cover Z3 + Z3 + Z1485
+        blocks = [IntMatrix.from_rows(rows) for rows in (
+            [[2, 1], [1, 8]], [[-2, 1], [1, -6]], [[0, 1], [1, 0]],
+            [[2, 1], [1, 2]], [[2, 1], [1, 14]])]
+        base = block_diag(braid.E8, *blocks)
+        p = rand_unimodular(random.Random(40), base.rows, steps=6 * base.rows)
+        form = p.transpose() @ base @ p
+        assert sum(1 for row in form.entries for x in row if x) > form.rows ** 2 // 2
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps({"even_form": form.to_decimal_rows()}))
+        code, text = run_cli("invariants", str(path), "--json")
+        assert code == 0
+        record = json.loads(text)
+        assert record["form_determinant"] == str(-15 * 11 * 3 * 27)
+        assert record["h1_invariant_factors"] == ["3", "3", "1485"]
+        [(pass_form,)] = calls["pass"]
+        assert pass_form == form
+        assert calls["det"] == []
+        [(m, det)] = calls["smith"]  # given the symmetric pass's determinant
+        assert len(m) == form.rows and all(len(r) == form.rows for r in m)
+        assert det == -15 * 11 * 3 * 27
 
 
 class TestModuleEntryPoint:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from math import isqrt, prod
 
 import pytest
@@ -10,15 +11,20 @@ from ribbonmu import (
     FormError,
     IntMatrix,
     determinant,
+    intersection_form,
     invariant_factors,
+    seifert_matrix_from_braid,
     signature,
     smith_normal_form,
 )
-from ribbonmu.exactla import cokernel_invariants, signature_and_determinant
+from ribbonmu.exactla import _core_mod_det, cokernel_invariants, signature_and_determinant
 
 from support import (
     block_diag,
+    chain_from_elementary_divisors_oracle,
     det_cofactor,
+    elementary_divisors_oracle,
+    rand_braid_knot,
     rand_matrix,
     rand_symmetric,
     rand_unimodular,
@@ -451,6 +457,178 @@ class TestSparseInput:
         expected = {determinant: det, signature_and_determinant: det,
                     cokernel_invariants: (0, (abs(det),))}[kernel]
         assert (result[1] if kernel is signature_and_determinant else result) == expected
+
+
+def oracle_cokernel(m: IntMatrix) -> tuple[int, tuple[int, ...]]:
+    diag = snf_diagonal_oracle(m)
+    return m.rows - sum(1 for d in diag if d), tuple(d for d in diag if d >= 2)
+
+
+# Symmetric 2 x 2 blocks with a unit entry, keyed by d = det; coker is Z_d.
+CYCLIC_BLOCKS = {d: IntMatrix.from_rows([[2, 1], [1, (d + 1) // 2]]) for d in (3, 5, 9, 13, 25)}
+
+
+def congruent_sum(rng: random.Random, blocks: list[IntMatrix], steps: int) -> IntMatrix:
+    """P^t B P for the block sum B and a random unimodular P."""
+    b = block_diag(*blocks)
+    p = rand_unimodular(rng, b.rows, steps=steps)
+    return p.transpose() @ b @ p
+
+
+def unitless(rng: random.Random, n: int) -> IntMatrix:
+    """Square matrix with no entry +-1, so the unit pivots find nothing."""
+    entries = (0, 2, -2, 3, -3, 4, 6, -9, 10, 15)
+    return IntMatrix.from_rows([[rng.choice(entries) for _ in range(n)] for _ in range(n)],
+                               cols=n)
+
+
+class TestSmithModuloDeterminant:
+    """cokernel_invariants(m, det): unit pivots, then a core reduced
+    modulo |det|, against the oracle and known block sums."""
+
+    @staticmethod
+    def check(m: IntMatrix, det: int | None = None) -> None:
+        det = determinant(m) if det is None else det
+        assert det != 0
+        expected = oracle_cokernel(m)
+        assert cokernel_invariants(m, det) == expected
+        assert cokernel_invariants(m, -det) == expected
+        assert cokernel_invariants(m) == expected
+
+    def test_column_step_reaches_every_row_of_the_pivot_column(self):
+        # After an xgcd column step, column k is nonzero below the pivot,
+        # so a later column operation must touch all those rows; touching
+        # the pivot row alone gave (2, 1168).
+        m = IntMatrix.from_rows([[-2, 1, -5, 3, 6], [0, -1, 3, -3, -2], [-4, -3, -4, -6, 3],
+                                 [4, -2, 1, -5, -5], [4, 6, -4, -4, -6]])
+        assert determinant(m) == -2336
+        assert cokernel_invariants(m, -2336) == (0, (2, 2, 584))
+        self.check(m)
+        # No unit here, and modulo 2 the core is [[0, 1], [0, 1]]: the
+        # xgcd column step that gathers pivot 0 swaps the columns of both
+        # rows.  Swapping them in row 0 alone leaves a product of 1.
+        m = IntMatrix.from_rows([[-4, 7], [-2, 3]])
+        assert cokernel_invariants(m, 2) == (0, (2,))
+        self.check(m)
+
+    @pytest.mark.parametrize("orders,chain", [
+        ((3, 3, 9), (3, 3, 9)), ((5, 25), (5, 25)), ((9, 3, 25, 5), (15, 225)),
+        ((3, 9, 13, 13, 9), (3, 117, 117))])
+    def test_repeated_and_non_coprime_factors(self, orders, chain):
+        rng = random.Random(sum(orders))
+        e8 = IntMatrix.from_rows(E8_ROWS)
+        for _ in range(5):
+            m = congruent_sum(rng, [CYCLIC_BLOCKS[d] for d in orders] + [e8], steps=60)
+            assert cokernel_invariants(m, determinant(m)) == (0, chain)
+            self.check(m)
+
+    def test_seeded_block_sums_against_elementary_divisors(self):
+        rng = random.Random(41)
+        for _ in range(30):
+            orders = [rng.choice(list(CYCLIC_BLOCKS)) for _ in range(rng.randint(1, 8))]
+            blocks = [CYCLIC_BLOCKS[d] for d in orders]
+            blocks += [IntMatrix.from_rows([[0, 1], [1, 0]])] * rng.randint(0, 2)
+            m = congruent_sum(rng, blocks, steps=4 * 2 * len(blocks))
+            expected = chain_from_elementary_divisors_oracle(
+                sum((elementary_divisors_oracle((d,)) for d in orders), Counter()))
+            assert cokernel_invariants(m, determinant(m)) == (0, expected)
+
+    def test_no_unit_from_the_start(self):
+        rng = random.Random(42)
+        checked = 0
+        for _ in range(150):
+            m = unitless(rng, rng.randint(1, 7))
+            if determinant(m):
+                self.check(m)
+                checked += 1
+        assert checked > 100
+
+    def test_scaled_forms_have_no_unit(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            q = rand_symmetric(rng, max_dim=6, lo=-9, hi=9)
+            m = IntMatrix.from_rows([[6 * x for x in row] for row in q.entries], cols=q.cols)
+            if determinant(m):
+                self.check(m)
+
+    def test_negative_determinants(self):
+        rng = random.Random(44)
+        signs = set()
+        for _ in range(80):
+            m = rand_matrix(rng, rows=(n := rng.randint(1, 6)), cols=n, lo=-12, hi=12)
+            det = determinant(m)
+            if det:
+                signs.add(det > 0)
+                self.check(m, det)
+        assert signs == {True, False}
+
+    def test_unimodular_forms_stop_at_once(self):
+        e8 = IntMatrix.from_rows(E8_ROWS)
+        assert cokernel_invariants(e8, 1) == (0, ())
+        p = rand_unimodular(random.Random(45), 8, steps=40)
+        assert cokernel_invariants(p.transpose() @ e8 @ p, 1) == (0, ())
+        assert cokernel_invariants(IntMatrix.from_rows([[0, 1], [1, 0]]), -1) == (0, ())
+        # R = 1 before the first pivot: a unit-free core is left untouched
+        core = [[2, 3], [3, 5]]
+        assert _core_mod_det(core, 1) == []
+        assert core == [[2, 3], [3, 5]]
+
+    def test_braid_forms(self):
+        rng = random.Random(46)
+        checked = 0
+        for _ in range(40):
+            form = intersection_form(seifert_matrix_from_braid(rand_braid_knot(rng, max_len=16)))
+            _, det = signature_and_determinant(form)
+            if form.rows:
+                self.check(form, det)
+                checked += 1
+        assert checked > 30
+
+    @seed(20261018)
+    @settings(max_examples=150, deadline=None)
+    @given(q=band_matrices(max_n=12, symmetric=True))
+    def test_banded_forms_against_oracle(self, q):
+        det = determinant(q)
+        if det:
+            self.check(q, det)
+
+    @seed(20261018)
+    @settings(max_examples=60, deadline=None)
+    @given(orders=st.lists(st.sampled_from(sorted(CYCLIC_BLOCKS)), min_size=1, max_size=5),
+           p_seed=st.integers(0, 2 ** 32))
+    def test_congruent_block_sums_against_oracle(self, orders, p_seed):
+        m = congruent_sum(random.Random(p_seed), [CYCLIC_BLOCKS[d] for d in orders],
+                          steps=3 * len(orders))
+        self.check(m)
+
+    def test_hard_orders_are_not_factored(self):
+        # 4b - 1 = p q with two 21-digit primes; pairs of them give Z_N + Z_N
+        b = 7500000000000000013150000000000000004483
+        n = 4 * b - 1
+        hard = IntMatrix.from_rows([[2, 1], [1, 2 * b]])
+        rng = random.Random(47)
+        with time_limit(2.0):
+            assert cokernel_invariants(hard, n) == (0, (n,))
+            pair = congruent_sum(rng, [hard, hard], steps=12)
+            assert cokernel_invariants(pair, determinant(pair)) == (0, (n, n))
+            mixed = congruent_sum(rng, [hard, CYCLIC_BLOCKS[9], hard], steps=20)
+            assert cokernel_invariants(mixed, determinant(mixed)) == (0, (n, 9 * n))
+
+    def test_wrong_determinant_raises(self):
+        m = CYCLIC_BLOCKS[25]
+        for wrong in (50, 75, 7, 2):
+            with pytest.raises(ValueError, match="wrong determinant"):
+                cokernel_invariants(m, wrong)
+        rng = random.Random(48)
+        m = congruent_sum(rng, [CYCLIC_BLOCKS[9], CYCLIC_BLOCKS[3]], steps=10)
+        with pytest.raises(ValueError, match="wrong determinant"):
+            cokernel_invariants(m, 2 * determinant(m))
+        with pytest.raises(DimensionError):
+            cokernel_invariants(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]]), 1)
+
+    def test_zero_determinant_takes_the_exact_path(self):
+        m = IntMatrix.from_rows([[2, 4], [1, 2]])
+        assert cokernel_invariants(m, 0) == oracle_cokernel(m) == (1, ())
 
 
 class TestSerialization:
