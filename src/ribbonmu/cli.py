@@ -3,15 +3,18 @@
 Subcommands: invariants, obstruct, snf, alink, braid.  Knots are given
 as catalog names, inline Seifert matrices, or JSON knot files; matrices
 travel as arrays of arrays of decimal strings so arbitrary-precision
-values survive machine-readable output.  Exit status is a stable
-scripting contract: 0 on success (whatever the verdict), 2 on validation
-errors, 3 on parse errors.
+values survive machine-readable output; ``--json`` writes each record
+as exactly ``json.dumps(record)`` and a newline, matrices streamed row
+by row.  Exit status is a stable scripting contract: 0 on success
+(whatever the verdict), 2 on validation errors, 3 on parse errors, and
+141 when standard output is closed early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -194,10 +197,10 @@ def _invariant_record(knot: KnotRecord) -> dict[str, Any]:
         "h1_is_double": half is not None,
         "h1_double_half": None if half is None else
             [str(d) for d in half.invariant_factors],
-        "form": inv.form.to_decimal_rows(),
+        "form": inv.form,
     }
     if knot.seifert is not None:
-        record["seifert_matrix"] = knot.seifert.matrix.to_decimal_rows()
+        record["seifert_matrix"] = knot.seifert.matrix
     return record
 
 
@@ -240,10 +243,32 @@ def _print_alink_text(record: dict[str, Any], out) -> None:
     print(f"alinking mod 2 = {record['mod2']}", file=out)
 
 
+def _write_json(record: dict[str, Any], out) -> None:
+    """Write ``json.dumps(record)`` and a newline, piece by piece.
+
+    An :class:`IntMatrix` value is written as its decimal-string rows,
+    one row at a time (:meth:`IntMatrix.json_rows`), so neither a list of
+    its entries' strings nor the whole record's text is ever built.
+    """
+    out.write("{")
+    sep = ""
+    for key, value in record.items():
+        prefix, sep = f"{sep}{json.dumps(key)}: ", ", "
+        if isinstance(value, IntMatrix):
+            rows = value.json_rows()
+            out.write(f"{prefix}[{next(rows, '')}")
+            for row in rows:
+                out.write(", " + row)
+            out.write("]")
+        else:
+            out.write(prefix + json.dumps(value))
+    out.write("}\n")
+
+
 def _emit(record: dict[str, Any], as_json: bool, printer, out) -> None:
-    """Print a record as one JSON line, or through its text printer."""
+    """Write a record as one JSON line, or through its text printer."""
     if as_json:
-        print(json.dumps(record), file=out)
+        _write_json(record, out)
     else:
         printer(record, out)
 
@@ -293,16 +318,15 @@ def _cmd_obstruct(args, out) -> int:
 
 def _cmd_snf(args, out) -> int:
     result = smith_normal_form(_matrix_arg(args))
-    shown = {"d": result.D}
+    record = {"d": result.D}
     if args.full:
-        shown.update(u=result.U, v=result.V)
+        record.update(u=result.U, v=result.V)
 
     def print_text(record, out):
-        for key, matrix in shown.items():
+        for key, shown in record.items():
             print(f"{key.upper()} =", file=out)
-            print(matrix, file=out)
+            print(shown, file=out)
 
-    record = {key: matrix.to_decimal_rows() for key, matrix in shown.items()}
     _emit(record, args.json, print_text, out)
     return 0
 
@@ -410,4 +434,13 @@ def main(argv: list[str] | None = None, out=None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # so a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        # The reader went away.  Python flushes stdout again at exit, so
+        # point it at the null device first; 141 = 128 + SIGPIPE is the
+        # status a shell reports for a writer killed by that signal.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)

@@ -70,7 +70,7 @@ from __future__ import annotations
 import math
 from itertools import compress
 from operator import add, sub
-from typing import Sequence
+from typing import Iterator, Sequence
 
 
 class DimensionError(ValueError):
@@ -208,8 +208,10 @@ class IntMatrix(_Value):
     # Wire format: arrays of arrays of decimal strings, never native
     # numbers, so arbitrary-precision entries survive JSON bit-exactly.
 
-    def to_decimal_rows(self) -> list[list[str]]:
-        return [list(map(str, row)) for row in self.entries]
+    def json_rows(self) -> Iterator[str]:
+        """Each row as JSON text, exactly ``json.dumps`` of its decimal strings."""
+        for row in self.entries:
+            yield '["' + '", "'.join(map(str, row)) + '"]' if row else "[]"
 
     @staticmethod
     def from_decimal_rows(rows: Sequence[Sequence[str]], cols: int | None = None) -> IntMatrix:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 import random
 import signal
+import sys
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
@@ -26,7 +27,7 @@ import ribbonmu
 from ribbonmu import BraidWord, IntMatrix, SeifertMatrix, determinant, validate_seifert
 from ribbonmu.braid import _consecutive_pairs, _destabilize
 
-# -- time limit -------------------------------------------------------
+# -- limits -----------------------------------------------------------
 
 
 @contextmanager
@@ -46,6 +47,20 @@ def time_limit(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@contextmanager
+def digit_limit_lifted():
+    """Python's int <-> str digit limit (3.10.7 and later) off, then restored."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def package_env() -> dict[str, str]:
@@ -68,6 +83,14 @@ def block_diag(*blocks: IntMatrix) -> IntMatrix:
             out[at + i][at:at + b.rows] = row
         at += b.rows
     return IntMatrix.from_rows(out, cols=n)
+
+
+def to_decimal_rows(matrix: IntMatrix) -> list[list[str]]:
+    """The wire format as nested lists: every entry as its decimal string.
+
+    ``json.dumps`` of this is what ``IntMatrix.json_rows`` must stream.
+    """
+    return [[str(x) for x in row] for row in matrix.entries]
 
 
 def alexander_at(seifert: SeifertMatrix, t: int) -> int:

@@ -9,6 +9,8 @@ criteria carry zero tolerance.
 import io
 import json
 import random
+import subprocess
+import sys
 from math import prod
 from pathlib import Path
 
@@ -43,6 +45,7 @@ from ribbonmu.cli import main
 
 from support import (
     block_diag,
+    package_env,
     rand_group_factors,
     rand_matrix,
     rand_seifert,
@@ -252,3 +255,35 @@ def test_c12_dense_even_form_torsion_modulo_determinant():
     assert determinant(form) == det == -prod(cover)
     print("PASS criterion 12: the torsion of a dense 80-row even form, reduced "
           "modulo its determinant, matches its block recipe")
+
+
+LONG_BRAID = Path(__file__).parent / "data" / "braid6_1201.json"
+ADDRESS_SPACE_KB = 150_000  # the CI step's ulimit -v
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="needs RLIMIT_AS as Linux enforces it")
+def test_c13_long_braid_record_in_bounded_memory():
+    # The 1201-letter word's record is 14 MB of JSON for a 1196-row form
+    # with about 5k nonzeros.  Built as n^2 decimal strings and one
+    # json.dumps string, it peaked at 263 MB and died with MemoryError
+    # under this limit; streamed row by row it peaks near 60 MB.
+    import resource
+
+    def cap_address_space():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        soft = ADDRESS_SPACE_KB * 1024
+        if hard != resource.RLIM_INFINITY:
+            soft = min(soft, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "ribbonmu", "invariants", str(LONG_BRAID), "--json"],
+        capture_output=True, env=package_env(), preexec_fn=cap_address_space,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+    assert proc.stderr == b""
+    record = json.loads(proc.stdout)
+    assert len(record["form"]) == len(record["seifert_matrix"]) == 1196
+    print(f"PASS criterion 13: the 1201-letter braid's record is written "
+          f"within {ADDRESS_SPACE_KB} kB of address space")

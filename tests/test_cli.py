@@ -3,15 +3,21 @@ import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from ribbonmu import IntMatrix, TwoKnotInvariants, braid, cli, exactla, signature, spinmu
+from ribbonmu import (BraidWord, IntMatrix, TwoKnotInvariants, braid, cli, exactla,
+                      seifert_matrix_from_braid, signature, spinmu)
 from ribbonmu.cli import main
 
-from support import block_diag, package_env, rand_unimodular, sturm_signature, time_limit
+from support import (block_diag, digit_limit_lifted, package_env, rand_unimodular,
+                     sturm_signature, time_limit, to_decimal_rows)
+
+
+LONG_BRAID = Path(__file__).parent / "data" / "braid6_1201.json"
 
 
 def run_cli(*argv):
@@ -530,7 +536,7 @@ class TestEachFactOnce:
         form = p.transpose() @ base @ p
         assert sum(1 for row in form.entries for x in row if x) > form.rows ** 2 // 2
         path = tmp_path / "form.json"
-        path.write_text(json.dumps({"even_form": form.to_decimal_rows()}))
+        path.write_text(json.dumps({"even_form": to_decimal_rows(form)}))
         code, text = run_cli("invariants", str(path), "--json")
         assert code == 0
         record = json.loads(text)
@@ -542,6 +548,88 @@ class TestEachFactOnce:
         [(m, det)] = calls["smith"]  # given the symmetric pass's determinant
         assert len(m) == form.rows and all(len(r) == form.rows for r in m)
         assert det == -15 * 11 * 3 * 27
+
+
+class TestJsonWire:
+    """``--json`` writes exactly ``json.dumps(record)`` and a newline,
+    with every matrix streamed row by row."""
+
+    @pytest.mark.parametrize("matrix", [
+        IntMatrix.empty(), IntMatrix(0, 3, ()), IntMatrix(2, 0, ((), ())),
+        IntMatrix.zero(3, 5), IntMatrix.from_rows([[0, 1, 0, 0, 0, 0, 0, -1]]),
+        IntMatrix.from_rows([[10 ** 4400 + 1, 0], [0, -2]]),
+    ], ids=["0x0", "0x3", "2x0", "zero", "sparse", "beyond-digit-limit"])
+    def test_record_matches_json_dumps(self, matrix):
+        record = {"name": "\u00e9\"", "m": matrix, "list": ["1"], "none": None,
+                  "flag": True}
+        out = io.StringIO()
+        with digit_limit_lifted():
+            cli._write_json(record, out)
+            plain = dict(record, m=to_decimal_rows(matrix))
+            assert out.getvalue() == json.dumps(plain) + "\n"
+
+    def test_empty_record(self):
+        out = io.StringIO()
+        cli._write_json({}, out)
+        assert out.getvalue() == "{}\n"
+
+    def test_every_subcommand(self, tmp_path):
+        (tmp_path / "braid.json").write_text(json.dumps(
+            {"braid": {"strands": 3, "letters": [1, -2, 1, -2]}}))
+        (tmp_path / "form.json").write_text(json.dumps(
+            {"even_form": [["2", "1"], ["1", "2"]]}))
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        (batch / "a.json").write_text(json.dumps({"catalog": "trefoil"}))
+        (batch / "b.json").write_text('{"braid": ')
+        runs = [
+            ("invariants", "poincare", "--json"),
+            ("invariants", str(tmp_path / "braid.json"), "--json"),
+            ("invariants", "[[1,1],[0,-1]]", "--json"),
+            ("invariants", str(tmp_path / "form.json"), "--json"),
+            ("obstruct", "figure8", "--json"),
+            ("snf", "[[2,4],[6,8]]", "--json"),
+            ("snf", "[[1,2,3],[4,5,6]]", "--json"),
+            ("snf", "[[2,4],[6,8]]", "--full", "--json"),
+            ("snf", "[]", "--full", "--json"),
+            ("alink", "(2,4)", "--json"),
+            ("braid", "--strands", "2", "1", "1", "1", "--json"),
+            ("invariants", "--batch", str(batch)),
+        ]
+        for argv in runs:
+            code, text = run_cli(*argv)
+            assert code in (0, 3) and text.endswith("\n"), argv
+            for line in text.splitlines():
+                assert json.dumps(json.loads(line)) == line, argv
+        assert len(text.splitlines()) == 2  # the batch: one good, one failing file
+
+    def test_long_braid_record_is_written_row_by_row(self, tmp_path):
+        rng = random.Random(296)
+        while True:  # a 301-letter, 6-strand knot word: a 296-row form
+            word = BraidWord(6, tuple(rng.choice((1, -1)) * rng.randint(1, 5)
+                                      for _ in range(301)))
+            if word.is_knot_closure:
+                break
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"braid": {"strands": 6, "letters": list(word.letters)}}))
+
+        class Spy:
+            def __init__(self):
+                self.pieces = []
+
+            def write(self, text):
+                self.pieces.append(text)
+
+        spy = Spy()
+        assert main(["invariants", str(path), "--json"], out=spy) == 0
+        text = "".join(spy.pieces)
+        record = json.loads(text)
+        assert json.dumps(record) + "\n" == text
+        s = seifert_matrix_from_braid(word).matrix
+        assert len(record["form"]) == s.rows == 296
+        longest_row = max(len(json.dumps(r)) for m in (s + s.transpose(), s)
+                          for r in to_decimal_rows(m))
+        assert max(map(len, spy.pieces)) <= len(', "seifert_matrix": [') + longest_row
 
 
 class TestModuleEntryPoint:
@@ -557,6 +645,23 @@ class TestModuleEntryPoint:
             [sys.executable, "-m", "ribbonmu", "snf", "[[oops"],
             capture_output=True, text=True)
         assert proc.returncode == 3
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="POSIX pipe semantics")
+    def test_closed_stdout_exits_141(self):
+        # The reader keeps 20 bytes of a 14 MB record and closes the pipe.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ribbonmu", "invariants", str(LONG_BRAID), "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env())
+        try:
+            head = proc.stdout.read(20)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert head == b'{"name": "braid6_120'
+        assert (code, err) == (141, b"")
 
     def test_startup_stays_lean(self):
         # dataclasses and the inspect module it imports cost a fresh

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from math import isqrt, prod
@@ -23,6 +24,7 @@ from support import (
     block_diag,
     chain_from_elementary_divisors_oracle,
     det_cofactor,
+    digit_limit_lifted,
     elementary_divisors_oracle,
     rand_braid_knot,
     rand_matrix,
@@ -31,6 +33,7 @@ from support import (
     snf_diagonal_oracle,
     sturm_signature,
     time_limit,
+    to_decimal_rows,
 )
 
 E8_ROWS = [
@@ -631,18 +634,43 @@ class TestSmithModuloDeterminant:
         assert cokernel_invariants(m, 0) == oracle_cokernel(m) == (1, ())
 
 
+NONZERO = st.one_of(st.sampled_from([1, -1]),
+                    st.integers(-10 ** 30, 10 ** 30).filter(bool),
+                    # past the 4300-digit limit
+                    st.sampled_from([10 ** 4400 + 1, -7 * 10 ** 4400 - 3]))
+
+
+@st.composite
+def wire_matrices(draw):
+    """Shapes 0 x 0, 0 x c and r x 0 included; rows all zero, all nonzero
+    or mixed."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 24))
+    body = []
+    for _ in range(rows):
+        entry = draw(st.sampled_from([st.just(0), NONZERO, st.one_of(st.just(0), NONZERO)]))
+        body.append(draw(st.lists(entry, min_size=cols, max_size=cols)))
+    return IntMatrix.from_rows(body, cols=cols)
+
+
 class TestSerialization:
     def test_decimal_round_trip(self):
         rng = random.Random(14)
         m = rand_matrix(rng, max_dim=5)
-        assert IntMatrix.from_decimal_rows(m.to_decimal_rows(), cols=m.cols) == m
+        text = "[" + ", ".join(m.json_rows()) + "]"
+        assert IntMatrix.from_decimal_rows(json.loads(text), cols=m.cols) == m
 
     def test_preserves_huge_entries(self):
         huge = 10 ** 40 + 7
         m = IntMatrix.from_rows([[huge, -huge]])
-        rows = m.to_decimal_rows()
-        assert rows == [[str(huge), str(-huge)]]
-        assert IntMatrix.from_decimal_rows(rows) == m
+        assert list(m.json_rows()) == [f'["{huge}", "{-huge}"]']
+        assert IntMatrix.from_decimal_rows(to_decimal_rows(m)) == m
+
+    @seed(20261018)
+    @settings(max_examples=150, deadline=None)
+    @given(m=wire_matrices())
+    def test_json_rows_match_json_dumps(self, m):
+        with digit_limit_lifted():
+            assert list(m.json_rows()) == [json.dumps(r) for r in to_decimal_rows(m)]
 
 
 class TestIntMatrix:
