@@ -18,8 +18,10 @@ under a single ribbon-move resolution, in the finite-type sense.
 
 from __future__ import annotations
 
-from .exactla import IntMatrix, _Value, cokernel_invariants
-# Unused here; the benchmark's tracer (perfbench/spans.py) rebinds this name.
+from .exactla import DimensionError, IntMatrix, _Value, cokernel_invariants
+# Unused here, but the benchmark's tracer (perfbench/spans.py) rebinds
+# this name and fails without it.  It goes once the package traces
+# itself (ROADMAP: "--trace from inside the package").
 from .exactla import smith_normal_form  # noqa: F401
 
 
@@ -34,7 +36,7 @@ class InducedMap(_Value):
 
     def __init__(self, matrix: IntMatrix) -> None:
         if matrix.rows != 2:
-            raise ValueError(
+            raise DimensionError(
                 f"induced map must have exactly 2 rows, got {matrix.rows}")
         self._set(matrix=matrix)
 

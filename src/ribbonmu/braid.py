@@ -38,7 +38,7 @@ interactions, so it is harmless to the matrix.
 
 from __future__ import annotations
 
-from .exactla import IntMatrix, _Value
+from .exactla import DimensionError, IntMatrix, _Value
 from .spinmu import SeifertMatrix, validate_seifert
 
 
@@ -59,10 +59,10 @@ class BraidWord(_Value):
     def __init__(self, strands: int, letters: tuple[int, ...]) -> None:
         letters = tuple(int(x) for x in letters)
         if strands < 1:
-            raise ValueError(f"strand count must be >= 1, got {strands}")
+            raise DimensionError(f"strand count must be >= 1, got {strands}")
         for letter in letters:
             if letter == 0 or abs(letter) >= strands:
-                raise ValueError(
+                raise DimensionError(
                     f"letter {letter} out of range for {strands} strands")
         self._set(strands=strands, letters=letters)
 

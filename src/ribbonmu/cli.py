@@ -21,22 +21,25 @@ from pathlib import Path
 from typing import Any
 
 from .abelian import FiniteAbelianGroup, is_double
-from .alink import InducedMap, alinking
-from .braid import BraidWord, CatalogError, catalog, seifert_matrix_from_braid
-from .exactla import IntMatrix, _Value, smith_normal_form
+from .alink import ClassificationError, InducedMap, alinking
+from .braid import BraidWord, CatalogError, NotAKnotError, catalog, seifert_matrix_from_braid
+from .exactla import (DimensionError, FormError, IntMatrix, _diagonal_matrix, _Value,
+                      cokernel_invariants, smith_normal_form)
 from .obstruct import Verdict, obstruct_ribbon_equivalent, obstruct_ribbon_trivial
-from .spinmu import SeifertMatrix, TwoKnotInvariants, validate_seifert
+from .spinmu import (SeifertMatrix, SeifertValidationError, SpinStructureError,
+                     TwoKnotInvariants, validate_seifert)
 
 
 class CliParseError(Exception):
     """Malformed command-line or file input."""
 
 
-# The exit contract, one status per error family.  Every validation
-# error of the package is a ValueError; CatalogError is a LookupError.
-# Any other exception is a bug and keeps its traceback.
+# The exit contract, one status per error class the commands can reach.
+# Any other exception, a bare ValueError included, is a bug and keeps
+# its traceback.
 EXIT_CODES: dict[type[Exception], int] = {
-    CliParseError: 3, ValueError: 2, CatalogError: 2}
+    CliParseError: 3, CatalogError: 2, ClassificationError: 2, DimensionError: 2,
+    FormError: 2, NotAKnotError: 2, SeifertValidationError: 2, SpinStructureError: 2}
 
 
 def _exit_code(exc: Exception) -> int:
@@ -317,10 +320,14 @@ def _cmd_obstruct(args, out) -> int:
 
 
 def _cmd_snf(args, out) -> int:
-    result = smith_normal_form(_matrix_arg(args))
-    record = {"d": result.D}
+    matrix = _matrix_arg(args)
     if args.full:
-        record.update(u=result.U, v=result.V)
+        result = smith_normal_form(matrix)
+        record = {"d": result.D, "u": result.U, "v": result.V}
+    else:  # D alone: the Smith diagonal, without building U and V
+        free, torsion = cokernel_invariants(matrix)
+        ones = matrix.rows - free - len(torsion)
+        record = {"d": _diagonal_matrix([1] * ones + list(torsion), matrix.rows, matrix.cols)}
 
     def print_text(record, out):
         for key, shown in record.items():

@@ -45,15 +45,16 @@ long braid closures stay cheap.
   nonzero in the unit's column, over the pivot row's support, and the
   pivot row retires uncleared, since the column operations that would
   clear it touch only that row.  No row or column moves.  Then comes
-  the core, the block with no unit left.
-  Given the determinant of a square nonsingular matrix, the core is
-  reduced modulo R = |det|: 2 x 2 xgcd row and column steps gather each
-  pivot, gcd(pivot, R) splits off, and the rest continues modulo the
-  quotient until R = 1.  Only pivot rows are reduced, and a row step
-  adds less than R^2, so entries stay near 2 log2 R bits.  Without a
-  determinant (rectangular, singular or unknown), the core keeps the
-  min-|pivot| rounds with a divisibility sweep.  On the 1196-row form
-  of a 1201-letter braid the unit phase leaves an 11 x 11 core.
+  the core, the block with no unit left.  The core is reduced modulo
+  R = |det|: 2 x 2 xgcd row and column steps gather each pivot,
+  gcd(pivot, R) splits off, and the rest continues modulo the quotient
+  until R = 1.  Only pivot rows are reduced, and a row step adds less
+  than R^2, so entries stay near 2 log2 R bits.  Without the
+  determinant of a square nonsingular matrix (rectangular, singular or
+  unknown), two Hermite forms (see below) first turn the core into a
+  triangular r x r block, r its rank, whose determinant is the product
+  of its diagonal.  On the 1196-row form of a 1201-letter braid the unit
+  phase leaves an 11 x 11 core.
 * Smith with transforms.  Each Hermite form adds one row at a time to
   a reduced form of the rows before it, and works only right of the
   pivot column it clears.  The forms stay reduced, so their entries
@@ -243,108 +244,26 @@ class SnfResult(_Value):
         return self.D.diagonal()
 
 
-def _min_abs_pivot(m: list[list[int]], start: int, rows: int, cols: int) -> tuple[int, int] | None:
-    """Nonzero entry of minimal |value| in the trailing submatrix.
-
-    Choosing the smallest pivot keeps coefficient growth in check; naive
-    corner pivoting blows entries up exponentially on modest inputs.
-    Ties break lexicographically so the decomposition is deterministic.
-    """
-    best: tuple[int, int] | None = None
-    best_abs = 0
-    for i in range(start, rows):
-        for j in range(start, cols):
-            a = m[i][j]
-            if a != 0 and (best is None or abs(a) < best_abs):
-                best = (i, j)
-                best_abs = abs(a)
-                if best_abs == 1:
-                    return best
-    return best
-
-
-def _smith_reduce(m: list[list[int]]) -> None:
-    """Reduce the matrix m in place to its Smith form (no transforms)."""
-
-    def row_op(dst: int, src: int, q: int) -> None:  # row dst -= q * row src
-        # Row src is zero left of column k, which earlier steps cleared,
-        # and right of its envelope, so only that span changes.
-        a, b = m[dst], m[src]
-        hi = _envelope(b)
-        a[k:hi] = [x - q * y for x, y in zip(a[k:hi], b[k:hi])]
-
-    rows = len(m)
-    cols = len(m[0]) if m else 0
-    n = min(rows, cols)
-    for k in range(n):
-        pivot = _min_abs_pivot(m, k, rows, cols)
-        if pivot is None:
-            break
-        while True:
-            pi, pj = pivot
-            m[pi], m[k] = m[k], m[pi]
-            if pj != k:  # rows above k are zero in both columns
-                for r in m[k:]:
-                    r[pj], r[k] = r[k], r[pj]
-            p = m[k][k]
-            # Clear column k, then row k, by exact floor division; any
-            # nonzero remainder becomes the next, strictly smaller pivot.
-            dirty = False
-            for i in range(rows):
-                if i != k and m[i][k] != 0:
-                    row_op(i, k, m[i][k] // p)
-                    if m[i][k] != 0:
-                        dirty = True
-            # Column k does not change while row k is cleared, and a
-            # column operation leaves rows with a zero there untouched.
-            carriers = [r for r in m if r[k]]
-            for j in range(cols):
-                if j != k and m[k][j] != 0:
-                    q = m[k][j] // p
-                    for r in carriers:  # col j -= q * col k
-                        r[j] -= q * r[k]
-                    if m[k][j] != 0:
-                        dirty = True
-            if dirty:
-                pivot = _min_abs_pivot(m, k, rows, cols)
-                continue
-            if p in (1, -1):  # a unit divides the whole trailing block
-                break
-            # Pivot must divide the whole trailing block; if not, fold
-            # the offending row in and keep reducing.
-            offender = None
-            for i in range(k + 1, rows):
-                for j in range(k + 1, cols):
-                    if m[i][j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_op(k, offender, -1)
-            pivot = _min_abs_pivot(m, k, rows, cols)
-
-    for k in range(n):  # the diagonal is defined up to sign
-        if m[k][k] < 0:
-            m[k][k] = -m[k][k]
-
-
 def _smith_diagonal(m: list[list[int]], det: int | None = None) -> list[int]:
-    """Smith diagonal of the matrix m, zeros last; m is overwritten.
+    """The nonzero entries of the Smith diagonal of the matrix m, which
+    is overwritten.
 
-    Unit pivots come first (:func:`_unit_pivots`).  The core they leave
-    is reduced modulo |det| when ``det`` is the nonzero determinant of
-    the square matrix m (:func:`_core_mod_det`), else by min-|pivot|
-    rounds (:func:`_smith_reduce`).
+    Unit pivots come first (:func:`_unit_pivots`), then the core they
+    leave is reduced modulo |det| (:func:`_core_mod_det`).  Unless
+    ``det`` is the nonzero determinant of the square matrix m, the core
+    first becomes an r x r triangular block, r its rank, with the same
+    nonzero invariant factors: the row Hermite form of the core, then
+    that of the form's transpose.  Its |det| is the product of its
+    diagonal.  Working modulo the determinant follows Domich, Kannan and
+    Trotter (1987), Math. Oper. Res. 12.
     """
     units, core = _unit_pivots(m)
-    if det:
-        chain = _core_mod_det(core, abs(det))
-        return [1] * (units + len(core) - len(chain)) + chain
-    _smith_reduce(core)
-    cols = len(core[0]) if core else 0
-    return [1] * units + [core[k][k] for k in range(min(len(core), cols))]
+    if not det:
+        form, _ = _hermite(core, len(core[0]) if core else 0)
+        core, _ = _hermite([list(c) for c in zip(*form)], len(form))
+        det = math.prod(r[i] for i, r in enumerate(core))
+    chain = _core_mod_det(core, abs(det))
+    return [1] * (units + len(core) - len(chain)) + chain
 
 
 def _unit_pivots(m: list[list[int]]) -> tuple[int, list[list[int]]]:
@@ -613,14 +532,19 @@ def smith_normal_form(matrix: IntMatrix) -> SnfResult:
         for i, j in folds:  # row j is still unchanged when it is added
             block[i][j] += d[j]
             riders[side][i] = [x + y for x, y in zip(riders[side][i], riders[side][j])]
-    diag = [[0] * cols for _ in range(rows)]
-    for i, x in enumerate(d):
-        diag[i][i] = x
     return SnfResult(
         U=IntMatrix.from_rows(riders[0] + null[0], cols=rows),
-        D=IntMatrix.from_rows(diag, cols=cols),
+        D=_diagonal_matrix(d, rows, cols),
         V=IntMatrix.from_rows(riders[1] + null[1], cols=cols).transpose(),
     )
+
+
+def _diagonal_matrix(d: Sequence[int], rows: int, cols: int) -> IntMatrix:
+    """The rows x cols matrix with d on its diagonal, zeros after it."""
+    m = [[0] * cols for _ in range(rows)]
+    for i, x in enumerate(d):
+        m[i][i] = x
+    return IntMatrix.from_rows(m, cols=cols)
 
 
 def _envelope(row: list[int]) -> int:
@@ -692,19 +616,18 @@ def cokernel_invariants(matrix: IntMatrix,
     """Free rank and torsion invariant factors of coker(matrix).
 
     The matrix is read as a presentation: columns are relations among
-    ``rows`` free generators.  A caller that already knows the nonzero
-    determinant of a square matrix passes it as ``det`` (either sign);
-    the block left after the unit pivots is then reduced modulo |det|.
-    The value is trusted: a wrong one raises ValueError only when the
-    factors cannot multiply to it.
+    ``rows`` free generators.  The block left after the unit pivots is
+    reduced modulo a determinant (see :func:`_smith_diagonal`).  A caller
+    that already knows the nonzero determinant of a square matrix passes
+    it as ``det`` (either sign), which saves the two Hermite forms that
+    would find it.  The value is trusted: a wrong one raises ValueError
+    only when the factors cannot multiply to it.
     """
     if det and not matrix.is_square:
         raise DimensionError(
             f"a determinant needs a square matrix, got {matrix.rows}x{matrix.cols}")
     diag = _smith_diagonal(matrix.to_lists(), det)
-    rank = sum(1 for d in diag if d != 0)
-    torsion = tuple(d for d in diag if d >= 2)
-    return matrix.rows - rank, torsion
+    return matrix.rows - len(diag), tuple(d for d in diag if d >= 2)
 
 
 def _repair_pivot(m: list[list[int]], k: int, end: list[int],

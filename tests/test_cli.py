@@ -17,7 +17,8 @@ from support import (block_diag, digit_limit_lifted, package_env, rand_unimodula
                      sturm_signature, time_limit, to_decimal_rows)
 
 
-LONG_BRAID = Path(__file__).parent / "data" / "braid6_1201.json"
+DATA = Path(__file__).parent / "data"
+LONG_BRAID = DATA / "braid6_1201.json"
 
 
 def run_cli(*argv):
@@ -137,6 +138,28 @@ class TestSnfCommand:
         d = IntMatrix.from_decimal_rows(record["d"])
         m = IntMatrix.from_rows([[2, 4], [6, 8]])
         assert u @ m @ v == d
+
+    @pytest.mark.parametrize("data", [
+        "dense80", "even80", [[2, 4, 6], [4, 8, 12]], [[0, 0], [6, 12], [4, 0], [0, 0]],
+        [[0, 0, 0]], [[3], [0]], []])
+    def test_diagonal_alone_builds_no_transforms(self, tmp_path, monkeypatch, data):
+        if isinstance(data, str):
+            data = json.loads((DATA / f"{data}.json").read_text())
+        if isinstance(data, dict):  # a knot file: take its even form
+            data = data["even_form"]
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(data))
+        code, full = run_cli("snf", "--file", str(path), "--full", "--json")
+        assert code == 0
+
+        def refuse(matrix):
+            raise AssertionError("snf without --full built U and V")
+
+        monkeypatch.setattr(cli, "smith_normal_form", refuse)
+        code, alone = run_cli("snf", "--file", str(path), "--json")
+        assert code == 0
+        # byte-identical: the record without --full is the d field alone
+        assert alone == full[:full.index(', "u": ')] + "}\n"
 
     def test_parse_error_exit_status(self, capsys):
         code, _ = run_cli("snf", "[[2,4")
@@ -424,6 +447,21 @@ class TestExitContract:
         with time_limit(1.0):
             code, _ = run_cli("invariants", str(path), "--json")
         assert code in (0, 2, 3)
+
+    def test_bare_value_error_is_a_bug_not_bad_input(self, monkeypatch):
+        # e.g. _core_mod_det's "wrong determinant": the kernel is at fault
+        def broken(matrix, det=None):
+            raise ValueError("wrong determinant")
+
+        monkeypatch.setattr(cli, "cokernel_invariants", broken)
+        with pytest.raises(ValueError, match="wrong determinant"):
+            run_cli("snf", "[[2,4],[6,8]]")
+
+    @pytest.mark.parametrize("argv", [["--strands", "0", "1"], ["--strands", "-3", "1"],
+                                      ["--strands", "2", "5"], ["--strands", "3", "0"]])
+    def test_bad_braid_word_is_validation_error(self, capsys, argv):
+        assert run_cli("braid", *argv) == (2, "")
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestHardToFactorOrders:

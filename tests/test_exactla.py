@@ -129,6 +129,13 @@ class TestDiagonalOnlySmith:
             a = rand_matrix(rng, rows=rng.randint(1, 6), cols=inner, lo=-6, hi=6)
             b = rand_matrix(rng, rows=inner, cols=rng.randint(1, 6), lo=-6, hi=6)
             self.check(a @ b)
+        # wide, tall and square products whose rank is below both sides
+        for rows, cols in [(4, 14), (14, 4), (12, 12)]:
+            for _ in range(20):
+                inner = rng.randint(0, min(rows, cols) - 1)
+                a = rand_matrix(rng, rows=rows, cols=inner, lo=-6, hi=6)
+                b = rand_matrix(rng, rows=inner, cols=cols, lo=-6, hi=6)
+                self.check(a @ b)
 
 
 def hadamard_bits(m: IntMatrix) -> int:
@@ -497,6 +504,7 @@ class TestSmithModuloDeterminant:
         assert cokernel_invariants(m, det) == expected
         assert cokernel_invariants(m, -det) == expected
         assert cokernel_invariants(m) == expected
+        assert invariant_factors(m) == expected[1]
 
     def test_column_step_reaches_every_row_of_the_pivot_column(self):
         # After an xgcd column step, column k is nonzero below the pivot,
@@ -616,6 +624,11 @@ class TestSmithModuloDeterminant:
             assert cokernel_invariants(pair, determinant(pair)) == (0, (n, n))
             mixed = congruent_sum(rng, [hard, CYCLIC_BLOCKS[9], hard], steps=20)
             assert cokernel_invariants(mixed, determinant(mixed)) == (0, (n, 9 * n))
+            # without the determinant it is read off the Hermite block
+            assert cokernel_invariants(mixed) == (0, (n, 9 * n))
+            assert cokernel_invariants(block_diag(pair, IntMatrix.zero(1, 1))) == (1, (n, n))
+            wide = IntMatrix.from_rows([row + row[:1] for row in pair.entries])
+            assert cokernel_invariants(wide) == (0, (n, n))
 
     def test_wrong_determinant_raises(self):
         m = CYCLIC_BLOCKS[25]
