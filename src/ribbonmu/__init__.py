@@ -26,7 +26,6 @@ from .alink import ClassificationError, InducedMap, alinking, mod2_alinking
 from .braid import (
     E8,
     BraidWord,
-    CatalogEntry,
     CatalogError,
     NotAKnotError,
     catalog,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BraidWord",
-    "CatalogEntry",
     "CatalogError",
     "ClassificationError",
     "Conclusion",

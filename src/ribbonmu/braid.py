@@ -30,16 +30,16 @@ spin); feeding the mirror word negates every signature.  Any such global
 choice is legitimate -- mirror images swap under it -- and this one keeps
 the braid and catalog routes consistent with each other.
 
-Isolated occurrences of the outermost generators are Markov
-destabilizations and are removed before the surface is read off; an
-isolated interior generator contributes no homology generator and no
-interactions, so it is harmless to the matrix.
+A generator that occurs once closes no loop and starts none, so it adds
+no row and no entry to S.  Markov destabilization removes exactly such a
+generator (the outermost one, relabelling the others when it is sigma_1),
+so the word is read as given: a stabilized word has the same matrix.
 """
 
 from __future__ import annotations
 
 from .exactla import DimensionError, IntMatrix, _Value
-from .spinmu import SeifertMatrix, validate_seifert
+from .spinmu import SeifertMatrix, TwoKnotInvariants, validate_seifert
 
 
 class NotAKnotError(ValueError):
@@ -93,30 +93,7 @@ class BraidWord(_Value):
         return self.closure_components() == 1
 
 
-def _destabilize(word: list[int], strands: int) -> tuple[list[int], int]:
-    """Strip isolated occurrences of the outermost generators.
-
-    A single use of generator strands-1 (or, after flipping the braid,
-    of generator 1) is a Markov stabilization; removing it and the spare
-    strand leaves the closure unchanged.
-    """
-    while strands > 1:
-        counts = [0] * strands
-        for letter in word:
-            counts[abs(letter)] += 1
-        top = strands - 1
-        if counts[top] == 1:
-            word = [x for x in word if abs(x) != top]
-            strands -= 1
-        elif counts[1] == 1:
-            word = [x - (1 if x > 0 else -1) for x in word if abs(x) != 1]
-            strands -= 1
-        else:
-            break
-    return word, strands
-
-
-def _consecutive_pairs(word: list[int]) -> list[tuple[int, int]]:
+def _consecutive_pairs(word: tuple[int, ...]) -> list[tuple[int, int]]:
     """(position, next position of the same generator) for each loop."""
     nxt: list[int | None] = [None] * len(word)
     last: dict[int, int] = {}
@@ -140,7 +117,7 @@ def seifert_matrix_from_braid(braid: BraidWord) -> SeifertMatrix:
     if not braid.is_knot_closure:
         raise NotAKnotError(
             f"closure has {braid.closure_components()} components, not a knot")
-    word, _ = _destabilize(list(braid.letters), braid.strands)
+    word = braid.letters
     loops = _consecutive_pairs(word)
     m = len(loops)
     starting_at = {i: a for a, (i, _) in enumerate(loops)}
@@ -171,17 +148,29 @@ def seifert_matrix_from_braid(braid: BraidWord) -> SeifertMatrix:
     return validate_seifert(IntMatrix(m, m, tuple(map(tuple, v))))
 
 
-class CatalogEntry(_Value):
-    """A named knot with its Seifert matrix and/or an even bounding form."""
+class KnotRecord(_Value):
+    """A resolved knot input: one source, plus an optional even form.
+
+    Every record carries a Seifert matrix or an even form, or both.
+    When an even bounding form is present it is the route to mu and
+    cover homology (it is the hypersurface data for the 2-knot itself,
+    e.g. for twist spins other than the 2-twist spin); a Seifert matrix
+    alone means the 2-twist-spin route.
+    """
 
     name: str
-    summary: str
+    source: str  # catalog | braid | seifert-matrix | even-form
     seifert: SeifertMatrix | None
     even_form: IntMatrix | None
 
-    def __init__(self, name: str, summary: str, seifert: SeifertMatrix | None = None,
+    def __init__(self, name: str, source: str, seifert: SeifertMatrix | None = None,
                  even_form: IntMatrix | None = None) -> None:
-        self._set(name=name, summary=summary, seifert=seifert, even_form=even_form)
+        self._set(name=name, source=source, seifert=seifert, even_form=even_form)
+
+    def invariants(self) -> TwoKnotInvariants:
+        if self.even_form is not None:
+            return TwoKnotInvariants.from_even_form(self.even_form)
+        return TwoKnotInvariants.from_seifert(self.seifert)
 
 
 # Even unimodular rank-8 form bounding the Poincare sphere (punctured,
@@ -199,31 +188,16 @@ E8 = IntMatrix.from_rows([
 ])
 
 _CATALOG = {
-    "trefoil": CatalogEntry(
-        name="trefoil",
-        summary="trefoil knot; 2-twist spin has mu = 2 and cover homology Z3",
-        seifert=validate_seifert(IntMatrix.from_rows([[1, 1], [0, 1]])),
-    ),
-    "figure8": CatalogEntry(
-        name="figure8",
-        summary="figure-eight knot; 2-twist spin has mu = 0 and cover homology Z5",
-        seifert=validate_seifert(IntMatrix.from_rows([[1, 1], [0, -1]])),
-    ),
-    "unknot": CatalogEntry(
-        name="unknot",
-        summary="trivial knot; empty Seifert matrix, trivial 2-twist spin",
-        seifert=validate_seifert(IntMatrix.empty()),
-    ),
-    "poincare": CatalogEntry(
-        name="poincare",
-        summary=("5-twist-spun trefoil via the punctured Poincare sphere, "
-                 "bounded by the E8 form; mu = 8"),
-        even_form=E8,
-    ),
+    "trefoil": KnotRecord(
+        "trefoil", "catalog", validate_seifert(IntMatrix.from_rows([[1, 1], [0, 1]]))),
+    "figure8": KnotRecord(
+        "figure8", "catalog", validate_seifert(IntMatrix.from_rows([[1, 1], [0, -1]]))),
+    "unknot": KnotRecord("unknot", "catalog", validate_seifert(IntMatrix.empty())),
+    "poincare": KnotRecord("poincare", "catalog", even_form=E8),
 }
 
 
-def catalog(name: str) -> CatalogEntry:
+def catalog(name: str) -> KnotRecord:
     """Look up a named knot; unknown names list what is available."""
     try:
         return _CATALOG[name]

@@ -22,12 +22,12 @@ from typing import Any
 
 from .abelian import FiniteAbelianGroup, is_double
 from .alink import ClassificationError, InducedMap, alinking
-from .braid import BraidWord, CatalogError, NotAKnotError, catalog, seifert_matrix_from_braid
-from .exactla import (DimensionError, FormError, IntMatrix, _diagonal_matrix, _Value,
+from .braid import (BraidWord, CatalogError, KnotRecord, NotAKnotError, catalog,
+                    seifert_matrix_from_braid)
+from .exactla import (DimensionError, FormError, IntMatrix, _diagonal_matrix,
                       cokernel_invariants, smith_normal_form)
 from .obstruct import Verdict, obstruct_ribbon_equivalent, obstruct_ribbon_trivial
-from .spinmu import (SeifertMatrix, SeifertValidationError, SpinStructureError,
-                     TwoKnotInvariants, validate_seifert)
+from .spinmu import SeifertValidationError, SpinStructureError, validate_seifert
 
 
 class CliParseError(Exception):
@@ -45,32 +45,6 @@ EXIT_CODES: dict[type[Exception], int] = {
 def _exit_code(exc: Exception) -> int:
     """Exit status of an instance of an :data:`EXIT_CODES` family."""
     return next(EXIT_CODES[t] for t in type(exc).__mro__ if t in EXIT_CODES)
-
-
-class KnotRecord(_Value):
-    """A resolved knot input: one source, plus an optional even form.
-
-    Every record carries a Seifert matrix or an even form, or both.
-
-    When an even bounding form is present it is the route to mu and
-    cover homology (it is the hypersurface data for the 2-knot itself,
-    e.g. for twist spins other than the 2-twist spin); a Seifert matrix
-    alone means the 2-twist-spin route.
-    """
-
-    name: str
-    source: str  # catalog | braid | seifert-matrix | even-form
-    seifert: SeifertMatrix | None
-    even_form: IntMatrix | None
-
-    def __init__(self, name: str, source: str, seifert: SeifertMatrix | None = None,
-                 even_form: IntMatrix | None = None) -> None:
-        self._set(name=name, source=source, seifert=seifert, even_form=even_form)
-
-    def invariants(self) -> TwoKnotInvariants:
-        if self.even_form is not None:
-            return TwoKnotInvariants.from_even_form(self.even_form)
-        return TwoKnotInvariants.from_seifert(self.seifert)
 
 
 def _read_json(source: str | Path) -> Any:
@@ -141,19 +115,20 @@ def _knot_from_file(path: Path) -> KnotRecord:
 
 
 def resolve_knot(spec: str) -> KnotRecord:
-    """Catalog name, path to a JSON knot file, or inline Seifert matrix."""
-    if spec.startswith("@"):
-        return _knot_from_file(Path(spec[1:]))
+    """Inline Seifert matrix, path to a JSON knot file, or catalog name.
+
+    An argument that cannot be a file name (one too long for the file
+    system, say) is looked up in the catalog.
+    """
     if spec.lstrip().startswith("["):
         matrix = _matrix_from_json(_read_json(spec))
         return KnotRecord(name="<inline>", source="seifert-matrix",
                           seifert=validate_seifert(matrix))
-    path = Path(spec)
-    if spec.endswith(".json") or path.is_file():
-        return _knot_from_file(path)
-    entry = catalog(spec)
-    return KnotRecord(name=entry.name, source="catalog",
-                      seifert=entry.seifert, even_form=entry.even_form)
+    try:
+        is_file = spec.endswith(".json") or Path(spec).is_file()
+    except OSError:
+        is_file = False
+    return _knot_from_file(Path(spec)) if is_file else catalog(spec)
 
 
 def _matrix_arg(args) -> IntMatrix:

@@ -25,7 +25,6 @@ from pathlib import Path
 
 import ribbonmu
 from ribbonmu import BraidWord, IntMatrix, SeifertMatrix, determinant, validate_seifert
-from ribbonmu.braid import _consecutive_pairs, _destabilize
 
 # -- limits -----------------------------------------------------------
 
@@ -268,9 +267,17 @@ def snf_diagonal_oracle(matrix: IntMatrix) -> list[int]:
 
 def seifert_matrix_pairwise(braid: BraidWord) -> IntMatrix:
     """Seifert matrix of a braid closure by testing every pair of loops
-    for the three interaction shapes (quadratic in the loop count)."""
-    word, _ = _destabilize(list(braid.letters), braid.strands)
-    loops = _consecutive_pairs(word)
+    for the three interaction shapes (quadratic in the loop count).
+
+    Loops are found by scanning ahead from each position for the next
+    letter of the same generator; the word is read as given."""
+    word = braid.letters
+    loops = []
+    for i, letter in enumerate(word):
+        e = next((k for k in range(i + 1, len(word))
+                  if abs(word[k]) == abs(letter)), None)
+        if e is not None:
+            loops.append((i, e))
     m = len(loops)
     sign = lambda x: 1 if x > 0 else -1
     v = [[0] * m for _ in range(m)]

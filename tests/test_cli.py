@@ -333,8 +333,22 @@ class TestKnotFiles:
         assert code == 2
         assert "components" in capsys.readouterr().err
 
+    def test_one_record_per_route(self, tmp_path):
+        # the trefoil by catalog name, by two kinds of knot file and inline
+        for stem, data in (("by-name", {"catalog": "trefoil"}),
+                           ("by-matrix", {"seifert_matrix": [[1, 1], [0, 1]]})):
+            (tmp_path / f"{stem}.json").write_text(json.dumps(data))
+        specs = ["trefoil", str(tmp_path / "by-name.json"),
+                 str(tmp_path / "by-matrix.json"), "[[1,1],[0,1]]"]
+        records = [json.loads(run_cli("invariants", spec, "--json")[1]) for spec in specs]
+        assert [(r.pop("name"), r.pop("source")) for r in records] == [
+            ("trefoil", "catalog"), ("by-name", "catalog"),
+            ("by-matrix", "seifert-matrix"), ("<inline>", "seifert-matrix")]
+        assert all(r == records[0] for r in records)
+        assert cli.resolve_knot("trefoil") is braid.catalog("trefoil")
+
     def test_missing_file(self, tmp_path):
-        code, _ = run_cli("invariants", f"@{tmp_path}/absent.json")
+        code, _ = run_cli("invariants", f"{tmp_path}/absent.json")
         assert code == 3
 
     def test_undecodable_file(self, tmp_path):
@@ -447,6 +461,13 @@ class TestExitContract:
         with time_limit(1.0):
             code, _ = run_cli("invariants", str(path), "--json")
         assert code in (0, 2, 3)
+
+    @pytest.mark.parametrize("command", ["invariants", "obstruct"])
+    def test_argument_too_long_for_a_file_name(self, capsys, command):
+        # Path.is_file raises OSError (errno 36, name too long) here; such
+        # an argument cannot name a file, so it is looked up in the catalog
+        assert run_cli(command, "x" * 300) == (2, "")
+        assert "unknown catalog entry" in capsys.readouterr().err
 
     def test_bare_value_error_is_a_bug_not_bad_input(self, monkeypatch):
         # e.g. _core_mod_det's "wrong determinant": the kernel is at fault

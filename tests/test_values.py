@@ -13,7 +13,6 @@ import pytest
 
 from ribbonmu import (
     BraidWord,
-    CatalogEntry,
     Conclusion,
     FiniteAbelianGroup,
     InducedMap,
@@ -24,7 +23,7 @@ from ribbonmu import (
     TwoKnotInvariants,
     Verdict,
 )
-from ribbonmu.cli import KnotRecord
+from ribbonmu.braid import KnotRecord
 
 S = IntMatrix(2, 2, ((1, 1), (0, 1)))
 S_REPR = "IntMatrix(rows=2, cols=2, entries=((1, 1), (0, 1)))"
@@ -47,11 +46,6 @@ CASES = [
      "InducedMap(matrix=IntMatrix(rows=2, cols=1, entries=((2,), (0,))))"),
     (BraidWord, {"strands": 3, "letters": (1, -2, 1)},
      BraidWord(3, (1, 2, 1)), "BraidWord(strands=3, letters=(1, -2, 1))"),
-    (CatalogEntry, {"name": "k", "summary": "a knot", "seifert": SeifertMatrix(S),
-                    "even_form": None},
-     CatalogEntry("k", "a knot"),
-     f"CatalogEntry(name='k', summary='a knot', seifert=SeifertMatrix(matrix={S_REPR}), "
-     "even_form=None)"),
     (SeifertMatrix, {"matrix": S}, SeifertMatrix(ONE), f"SeifertMatrix(matrix={S_REPR})"),
     (Mu, {"value": 2}, Mu(3), "Mu(value=2)"),
     (TwoKnotInvariants, {"signature": 2, "cover_torsion": Z3, "form_determinant": 3,
@@ -137,8 +131,6 @@ def test_equal_fields_of_another_type_are_unequal():
 
 
 def test_defaults():
-    entry = CatalogEntry("k", "a knot")
-    assert entry.seifert is None and entry.even_form is None
     verdict = Verdict(Conclusion.NO_OBSTRUCTION_FOUND, "r")
     assert verdict.mu_pair is None and verdict.torsion_witness is None
     record = KnotRecord(name="k", source="catalog")
