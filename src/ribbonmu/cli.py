@@ -265,7 +265,11 @@ def _cmd_invariants(args, out) -> int:
 
 def _batch(directory: Path, out) -> int:
     """One JSON line per *.json file, failures included; the worst status."""
-    if not directory.is_dir():
+    try:
+        is_dir = directory.is_dir()
+    except OSError:  # e.g. a name too long for the file system
+        is_dir = False
+    if not is_dir:
         raise CliParseError(f"batch path {directory} is not a directory")
     codes = []
     for path in sorted(directory.glob("*.json")):
@@ -342,8 +346,15 @@ def _cmd_braid(args, out) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is malformed command-line input: exit 3, not 2."""
+
+    def error(self, message: str):
+        raise CliParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ribbonmu",
         description=("Ribbon-move obstructions of 2-knots: mu-invariants, "
                      "branched-cover homology, torsion doubling tests, "

@@ -37,9 +37,8 @@ long braid closures stay cheap.
   which the row was last exact and D_now the current one.  The
   quotient is the Bareiss intermediate the eager chain would hold, so
   one floor division on the row's next use is exact.  Untouched rows
-  cost nothing.  A pivot repair first brings the trailing rows up to
-  date.  It then mirrors only the rows and columns it reads in full,
-  and recomputes the envelopes it changed.
+  cost nothing.  A pivot repair brings only the rows it reads up to
+  date, and changes only the pivot row and its envelope.
 * Smith diagonal.  The reduction for D alone has two phases.  First
   it pivots on units, exactly: one row operation per row that is
   nonzero in the unit's column, over the pivot row's support, and the
@@ -70,7 +69,7 @@ from __future__ import annotations
 
 import math
 from itertools import compress
-from operator import add, sub
+from operator import add, eq, sub
 from typing import Iterator, Sequence
 
 
@@ -171,7 +170,7 @@ class IntMatrix(_Value):
 
     @property
     def is_symmetric(self) -> bool:
-        return self.is_square and self.entries == tuple(zip(*self.entries))
+        return self.is_square and all(map(eq, self.entries, zip(*self.entries)))
 
     def transpose(self) -> IntMatrix:
         # zip(*()) is empty, so a 0 x c matrix needs its c empty rows spelled out
@@ -630,46 +629,31 @@ def cokernel_invariants(matrix: IntMatrix,
     return matrix.rows - len(diag), tuple(d for d in diag if d >= 2)
 
 
-def _repair_pivot(m: list[list[int]], k: int, end: list[int],
-                  exact: list[int], prev: int) -> bool:
-    """Make the zero pivot m[k][k] nonzero by a congruence of the
-    trailing variables k, k+1, ...; False when the trailing block is zero.
+def _shear_pivot(m: list[list[int]], k: int, end: list[int],
+                 exact: list[int], prev: int) -> bool:
+    """Make the zero pivot m[k][k] nonzero by a shear of variable k;
+    False when variable k is null in the trailing block.
 
-    A later nonzero diagonal entry d is swapped into place.  When the
-    whole trailing diagonal vanishes, the shear x_d -> x_d + x_j on a
-    coupled pair (d, j) first makes m[d][d] = 2 * m[d][j] nonzero.
-    The trailing rows are brought up to date first and their envelopes
-    recomputed last.  Only the rows and columns of the variables k, d
-    and j are read in full, so only they are mirrored from the upper
-    triangle; the rest of the lower triangle stays stale and unread.
+    For the first j > k with m[k][j] != 0, the congruence
+    x_k -> x_k + c * x_j changes row k alone: its upper part gains c
+    times column j, read from the upper triangle of rows k+1 .. j, and
+    its pivot becomes c * (2 * m[k][j] + c * m[j][j]), nonzero for
+    c = -1 if m[j][j] = -2 * m[k][j], else c = 1.  Only rows k .. j are
+    brought up to date first.
     """
-    n = len(m)
-    for i in range(k, n):
+    row = m[k]
+    j = next(compress(range(k + 1, end[k]), row[k + 1:end[k]]), None)
+    if j is None:
+        return False
+    for i in range(k, j + 1):
         _catch_up(m[i], i, end[i], exact[i], prev)
         exact[i] = prev
-    d = next((d for d in range(k + 1, n) if m[d][d] != 0), None)
-    j = None
-    if d is None:
-        d, j = next(((i, j) for i in range(k, n)
-                     for j in compress(range(i + 1, end[i]), m[i][i + 1:end[i]])),
-                    (None, None))
-        if d is None:
-            return False
-    for c in (k, d) if j is None else (k, d, j):
-        row = m[c]
-        for r in range(k, c):
-            row[r] = m[r][c]
-        for r in range(c + 1, n):
-            m[r][c] = row[r]
-    if j is not None:
-        for r in range(k, n):  # column d += column j, then row d += row j
-            m[r][d] += m[r][j]
-        m[d][k:] = [a + b for a, b in zip(m[d][k:], m[j][k:])]
-    m[k], m[d] = m[d], m[k]  # exchange variables d and k
-    for r in range(k, n):
-        m[r][k], m[r][d] = m[r][d], m[r][k]
-    for i in range(k, d + 1):  # only these rows changed above the diagonal
-        end[i] = _envelope(m[i])
+    a, d, hi = row[j], m[j][j], max(end[k], end[j])
+    c = -1 if d == -2 * a else 1
+    column = [m[r][j] for r in range(k + 1, j)] + m[j][j:hi]
+    row[k + 1:hi] = [x + c * y for x, y in zip(row[k + 1:hi], column)]
+    row[k] = c * (2 * a + c * d)
+    end[k] = hi
     return True
 
 
@@ -678,14 +662,17 @@ def signature_and_determinant(form: IntMatrix) -> tuple[int, int]:
 
     Symmetric Bareiss elimination on the upper triangle: pivot k is the
     leading minor D_k, so sign(D_k * D_{k-1}) is the sign of the k-th
-    diagonal entry of a congruence diagonalization.  Zero pivots are
-    repaired by unimodular congruences of the trailing variables only
-    (:func:`_repair_pivot`), so Sylvester's identity still makes every
-    division exact and the determinant does not change.  A zero
-    trailing block ends the pass: the rank is k and the determinant 0.
-    Rows are updated as in :func:`determinant`, within their envelopes
-    and with deferred rescales; by symmetry only rows i < end[k] can
-    have m[k][i] != 0.
+    diagonal entry of a congruence diagonalization.  A zero pivot is
+    repaired by a unimodular shear of variable k with a later one
+    (:func:`_shear_pivot`), so Sylvester's identity still makes every
+    division exact and the determinant does not change.  A variable
+    that is null in the trailing block adds 0 to the signature and
+    makes the determinant 0; it is skipped with D_k kept, and by
+    Sylvester's identity the later steps are the pass on the form
+    without it.  Rows are updated as in :func:`determinant`, within
+    their envelopes and with deferred rescales; by symmetry only rows
+    i < end[k] can have m[k][i] != 0.  The lower triangle of the
+    working copy is never read.
     """
     if not form.is_square:
         raise DimensionError(
@@ -696,10 +683,11 @@ def signature_and_determinant(form: IntMatrix) -> tuple[int, int]:
     m = form.to_lists()
     end = [_envelope(row) for row in m]
     exact = [1] * n
-    sig, prev = 0, 1
+    sig, prev, singular = 0, 1, False
     for k in range(n):
-        if m[k][k] == 0 and not _repair_pivot(m, k, end, exact, prev):
-            return sig, 0
+        if m[k][k] == 0 and not _shear_pivot(m, k, end, exact, prev):
+            singular = True
+            continue
         pivot_row, e = m[k], end[k]
         _catch_up(pivot_row, k, e, exact[k], prev)
         p = pivot_row[k]
@@ -713,7 +701,7 @@ def signature_and_determinant(form: IntMatrix) -> tuple[int, int]:
                              for x, y in zip(row[i:hi], pivot_row[i:hi])]
                 end[i], exact[i] = hi, p
         prev = p
-    return sig, prev
+    return sig, 0 if singular else prev
 
 
 def signature(form: IntMatrix) -> int:

@@ -3,7 +3,9 @@
 The oracles here deliberately take different algorithmic routes from the
 package under test: the Smith-form oracle diagonalizes with first-found
 pivots and fixes divisibility afterwards by gcd/lcm sweeps, the
-determinant oracle is cofactor expansion, the signature oracle counts
+determinant oracles are cofactor expansion and Gaussian elimination
+over ``Fraction`` (which also serves the characteristic polynomial and
+the Alexander values), the signature oracle counts
 characteristic-polynomial root signs with Sturm sequences, group
 isomorphism is checked by brute-force element-order counting, group
 arithmetic by trial-division elementary divisors, and braid Seifert
@@ -24,7 +26,7 @@ from math import gcd, isqrt, lcm, prod
 from pathlib import Path
 
 import ribbonmu
-from ribbonmu import BraidWord, IntMatrix, SeifertMatrix, determinant, validate_seifert
+from ribbonmu import BraidWord, IntMatrix, SeifertMatrix, validate_seifert
 
 # -- limits -----------------------------------------------------------
 
@@ -100,7 +102,7 @@ def alexander_at(seifert: SeifertMatrix, t: int) -> int:
     sign.
     """
     s, n = seifert.matrix.entries, seifert.size
-    return determinant(IntMatrix.from_rows(
+    return det_fraction(IntMatrix.from_rows(
         [[s[i][j] - t * s[j][i] for j in range(n)] for i in range(n)], cols=n))
 
 
@@ -300,7 +302,7 @@ def seifert_matrix_pairwise(braid: BraidWord) -> IntMatrix:
     return IntMatrix.from_rows(v, cols=m)
 
 
-# -- determinant oracle ----------------------------------------------
+# -- determinant oracles ---------------------------------------------
 
 
 def det_cofactor(matrix: IntMatrix) -> int:
@@ -323,6 +325,29 @@ def det_cofactor(matrix: IntMatrix) -> int:
         return total
 
     return rec(matrix.to_lists())
+
+
+def det_fraction(matrix: IntMatrix) -> int:
+    """Gaussian elimination over ``Fraction`` with the first nonzero
+    pivot in each column; exact, and polynomial in the size."""
+    n = matrix.rows
+    assert n == matrix.cols
+    m = [[Fraction(x) for x in row] for row in matrix.entries]
+    det = Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            det = -det
+        det *= m[k][k]
+        for row in m[k + 1:]:
+            f = row[k] / m[k][k]
+            if f:
+                row[k:] = [a - f * b for a, b in zip(row[k:], m[k][k:])]
+    assert det.denominator == 1
+    return int(det)
 
 
 # -- Sturm-sequence signature oracle ---------------------------------
@@ -427,15 +452,13 @@ def _sturm_pos_neg(p: list[Fraction]) -> tuple[int, int]:
 
 def charpoly(matrix: IntMatrix) -> list[int]:
     """Coefficients of det(x I - M), lowest degree first, exactly."""
-    from ribbonmu import determinant
-
     n = matrix.rows
     points = []
     for x in range(n + 1):
         shifted = IntMatrix.from_rows(
             [[(x if i == j else 0) - matrix.entries[i][j] for j in range(n)]
              for i in range(n)], cols=n)
-        points.append((x, determinant(shifted)))
+        points.append((x, det_fraction(shifted)))
     # Lagrange interpolation at 0..n
     coeffs = [Fraction(0)] * (n + 1)
     for xi, yi in points:

@@ -469,6 +469,30 @@ class TestExitContract:
         assert run_cli(command, "x" * 300) == (2, "")
         assert "unknown catalog entry" in capsys.readouterr().err
 
+    def test_batch_path_too_long_for_a_file_name(self, capsys):
+        # Path.is_dir raises OSError here too: not a directory, a parse error
+        assert run_cli("invariants", "--batch", "x" * 300) == (3, "")
+        assert "is not a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["braid", "--strands", "x", "1"],  # not an integer
+        ["invariants", "--nope"],  # unknown option
+        ["nosuch"],  # unknown subcommand
+        [],  # no subcommand
+        ["braid", "1"],  # missing --strands
+        ["obstruct"],  # missing knot
+    ])
+    def test_usage_error_is_parse_error(self, capsys, argv):
+        assert run_cli(*argv) == (3, "")
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ribbonmu") and "Traceback" not in err
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("braid", "--help")
+        assert exc.value.code == 0
+        assert "--strands" in capsys.readouterr().out
+
     def test_bare_value_error_is_a_bug_not_bad_input(self, monkeypatch):
         # e.g. _core_mod_det's "wrong determinant": the kernel is at fault
         def broken(matrix, det=None):

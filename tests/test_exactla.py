@@ -24,6 +24,7 @@ from support import (
     block_diag,
     chain_from_elementary_divisors_oracle,
     det_cofactor,
+    det_fraction,
     digit_limit_lifted,
     elementary_divisors_oracle,
     rand_braid_knot,
@@ -208,6 +209,16 @@ class TestDeterminant:
             m = rand_matrix(rng, rows=n, cols=n, lo=-9, hi=9)
             assert determinant(m) == det_cofactor(m)
 
+    def test_fraction_oracle_against_cofactor(self):
+        # det_fraction feeds the Sturm signature oracle and alexander_at,
+        # so it is checked against cofactor expansion, not against Bareiss
+        rng = random.Random(9)
+        for _ in range(120):
+            n = rng.randint(0, 6)
+            lo = rng.choice((-1, -3, -50))
+            m = rand_matrix(rng, rows=n, cols=n, lo=lo, hi=-lo)
+            assert det_fraction(m) == det_cofactor(m)
+
     def test_unimodular_products(self):
         rng = random.Random(8)
         for _ in range(40):
@@ -265,6 +276,11 @@ class TestSignature:
     def test_non_symmetric_rejected(self):
         with pytest.raises(FormError):
             signature(IntMatrix.from_rows([[1, 2], [3, 4]]))
+        almost = tridiagonal([2] * 6).to_lists()
+        almost[5][4] = 0  # asymmetric in its last row only
+        assert not IntMatrix.from_rows(almost).is_symmetric
+        with pytest.raises(FormError):
+            signature(IntMatrix.from_rows(almost))
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
@@ -402,7 +418,14 @@ SPARSE_FORMS = (
     + [block_diag(*[HYPERBOLIC] * 3), block_diag(tridiagonal([0, 2, 0]), HYPERBOLIC),
        block_diag(tridiagonal([2, 0, 2, 0, 2]), IntMatrix.zero(2, 2)),  # singular tail
        block_diag(HYPERBOLIC, IntMatrix.zero(3, 3)),
-       block_diag(arrow(5), tridiagonal([0, 0]))]
+       block_diag(arrow(5), tridiagonal([0, 0])),
+       # the shear needs c = -1; with c = 1 the 2 x 2 form still comes out
+       # right by chance (no row is left to divide by its zero pivot), the
+       # 3 x 3 does not
+       IntMatrix.from_rows([[0, 1], [1, -2]]),
+       IntMatrix.from_rows([[0, 1, 0], [1, -2, 1], [0, 1, 2]]),
+       # a null variable before a nonsingular tail
+       IntMatrix.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 2]])]
 )
 
 # Mostly zeros, so rows often miss the pivot column for several steps.
