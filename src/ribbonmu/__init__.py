@@ -35,6 +35,7 @@ from .braid import (
 from .exactla import (
     DimensionError,
     FormError,
+    InputError,
     IntMatrix,
     SnfResult,
     determinant,
@@ -75,6 +76,7 @@ __all__ = [
     "FiniteAbelianGroup",
     "FormError",
     "InducedMap",
+    "InputError",
     "IntMatrix",
     "Mu",
     "NotAKnotError",

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import math
 
-from .exactla import IntMatrix, _Value, _invariant_chain, cokernel_invariants
+from .exactla import InputError, IntMatrix, _Value, _invariant_chain, cokernel_invariants
 
 
-class DoublingHypothesisError(ValueError):
+class DoublingHypothesisError(InputError):
     """A doubling hypothesis required by a combination rule fails."""
 
 

@@ -18,14 +18,14 @@ under a single ribbon-move resolution, in the finite-type sense.
 
 from __future__ import annotations
 
-from .exactla import DimensionError, IntMatrix, _Value, cokernel_invariants
+from .exactla import DimensionError, InputError, IntMatrix, _Value, cokernel_invariants
 # Unused here, but the benchmark's tracer (perfbench/spans.py) rebinds
 # this name and fails without it.  It goes once the package traces
 # itself (ROADMAP: "--trace from inside the package").
 from .exactla import smith_normal_form  # noqa: F401
 
 
-class ClassificationError(ValueError):
+class ClassificationError(InputError):
     """Cokernel shape outside the three classified cases."""
 
 

@@ -38,15 +38,15 @@ so the word is read as given: a stabilized word has the same matrix.
 
 from __future__ import annotations
 
-from .exactla import DimensionError, IntMatrix, _Value
+from .exactla import DimensionError, InputError, IntMatrix, _Value
 from .spinmu import SeifertMatrix, TwoKnotInvariants, validate_seifert
 
 
-class NotAKnotError(ValueError):
+class NotAKnotError(InputError):
     """The braid closure has more than one component."""
 
 
-class CatalogError(LookupError):
+class CatalogError(InputError, LookupError):
     """Unknown catalog entry."""
 
 

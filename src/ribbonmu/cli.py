@@ -18,36 +18,21 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import Any
 
 from .abelian import FiniteAbelianGroup, is_double
-from .alink import ClassificationError, InducedMap, alinking
-from .braid import (BraidWord, CatalogError, KnotRecord, NotAKnotError, catalog,
-                    seifert_matrix_from_braid)
-from .exactla import (DimensionError, FormError, IntMatrix, _diagonal_matrix,
-                      cokernel_invariants, smith_normal_form)
+from .alink import InducedMap, alinking
+from .braid import BraidWord, KnotRecord, catalog, seifert_matrix_from_braid
+from .exactla import (InputError, IntMatrix, _diagonal_matrix, cokernel_invariants,
+                      smith_normal_form)
 from .obstruct import Verdict, obstruct_ribbon_equivalent, obstruct_ribbon_trivial
-from .spinmu import SeifertValidationError, SpinStructureError, validate_seifert
+from .spinmu import validate_seifert
 
 
-class CliParseError(Exception):
-    """Malformed command-line or file input."""
+class CliParseError(InputError):
+    """Malformed command-line or file input: exit status 3, not 2."""
 
 
-# The exit contract, one status per error class the commands can reach.
-# Any other exception, a bare ValueError included, is a bug and keeps
-# its traceback.
-EXIT_CODES: dict[type[Exception], int] = {
-    CliParseError: 3, CatalogError: 2, ClassificationError: 2, DimensionError: 2,
-    FormError: 2, NotAKnotError: 2, SeifertValidationError: 2, SpinStructureError: 2}
-
-
-def _exit_code(exc: Exception) -> int:
-    """Exit status of an instance of an :data:`EXIT_CODES` family."""
-    return next(EXIT_CODES[t] for t in type(exc).__mro__ if t in EXIT_CODES)
-
-
-def _read_json(source: str | Path) -> Any:
+def _read_json(source: str | Path) -> object:
     """Decode inline JSON text (a matrix), or the JSON file at a path."""
     if isinstance(source, Path):
         where = f"{source}:"
@@ -67,7 +52,7 @@ def _read_json(source: str | Path) -> Any:
         raise CliParseError(f"{where} parse error: nested too deeply") from None
 
 
-def _matrix_from_json(data: Any) -> IntMatrix:
+def _matrix_from_json(data: object) -> IntMatrix:
     if not isinstance(data, list) or any(not isinstance(r, list) for r in data):
         raise CliParseError("matrix must be an array of arrays")
     try:
@@ -161,10 +146,10 @@ def _induced_map(args) -> InducedMap:
 
 # -- reports ---------------------------------------------------------
 
-def _invariant_record(knot: KnotRecord) -> dict[str, Any]:
+def _invariant_record(knot: KnotRecord) -> dict[str, object]:
     inv = knot.invariants()
     half = is_double(inv.cover_torsion)
-    record: dict[str, Any] = {
+    record: dict[str, object] = {
         "name": knot.name,
         "source": knot.source,
         "mu": str(inv.mu.value),
@@ -182,7 +167,7 @@ def _invariant_record(knot: KnotRecord) -> dict[str, Any]:
     return record
 
 
-def _print_invariant_text(record: dict[str, Any], out) -> None:
+def _print_invariant_text(record: dict[str, object], out) -> None:
     print(f"name: {record['name']}  (source: {record['source']})", file=out)
     print(f"mu = {record['mu']} (mod 16)", file=out)
     print(f"signature = {record['signature']}", file=out)
@@ -196,7 +181,7 @@ def _print_invariant_text(record: dict[str, Any], out) -> None:
         print("doubling test: fails (not of the form G + G)", file=out)
 
 
-def _verdict_record(verdict: Verdict, names: tuple[str, str]) -> dict[str, Any]:
+def _verdict_record(verdict: Verdict, names: tuple[str, str]) -> dict[str, object]:
     return {
         "first": names[0],
         "second": names[1],
@@ -210,18 +195,18 @@ def _verdict_record(verdict: Verdict, names: tuple[str, str]) -> dict[str, Any]:
     }
 
 
-def _print_verdict_text(record: dict[str, Any], out) -> None:
+def _print_verdict_text(record: dict[str, object], out) -> None:
     print(f"{record['first']} vs {record['second']}:", file=out)
     print(f"conclusion: {record['conclusion']}", file=out)
     print(record["explanation"], file=out)
 
 
-def _print_alink_text(record: dict[str, Any], out) -> None:
+def _print_alink_text(record: dict[str, object], out) -> None:
     print(f"alinking = {record['alinking']}", file=out)
     print(f"alinking mod 2 = {record['mod2']}", file=out)
 
 
-def _write_json(record: dict[str, Any], out) -> None:
+def _write_json(record: dict[str, object], out) -> None:
     """Write ``json.dumps(record)`` and a newline, piece by piece.
 
     An :class:`IntMatrix` value is written as its decimal-string rows,
@@ -243,7 +228,7 @@ def _write_json(record: dict[str, Any], out) -> None:
     out.write("}\n")
 
 
-def _emit(record: dict[str, Any], as_json: bool, printer, out) -> None:
+def _emit(record: dict[str, object], as_json: bool, printer, out) -> None:
     """Write a record as one JSON line, or through its text printer."""
     if as_json:
         _write_json(record, out)
@@ -276,8 +261,8 @@ def _batch(directory: Path, out) -> int:
         try:
             record = _invariant_record(_knot_from_file(path))
             codes.append(0)
-        except tuple(EXIT_CODES) as exc:
-            codes.append(_exit_code(exc))
+        except InputError as exc:
+            codes.append(3 if isinstance(exc, CliParseError) else 2)
             record = {"name": path.name, "error": str(exc), "exit": codes[-1]}
         _emit(record, True, None, out)
     print(f"{len(codes)} files, {sum(map(bool, codes))} failed", file=sys.stderr)
@@ -417,8 +402,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args, out)
-    except tuple(EXIT_CODES) as exc:
-        code = _exit_code(exc)
+    except InputError as exc:  # anything else is a bug: it keeps its traceback
+        code = 3 if isinstance(exc, CliParseError) else 2
         print(f"{'parse error' if code == 3 else 'error'}: {exc}", file=sys.stderr)
         return code
     finally:

@@ -68,16 +68,20 @@ long braid closures stay cheap.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from itertools import compress
 from operator import add, eq, sub
-from typing import Iterator, Sequence
 
 
-class DimensionError(ValueError):
+class InputError(ValueError):
+    """Input the package rejects; the base of every error class it defines."""
+
+
+class DimensionError(InputError):
     """Operands have incompatible or illegal dimensions."""
 
 
-class FormError(ValueError):
+class FormError(InputError):
     """A matrix fails the structural requirements of a bilinear form."""
 
 

@@ -24,17 +24,18 @@ There is no general algorithm for the mu-invariant of an arbitrary
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .abelian import FiniteAbelianGroup, from_presentation
-from .exactla import FormError, IntMatrix, _Value, determinant, signature_and_determinant
+from .exactla import (FormError, InputError, IntMatrix, _Value, determinant,
+                      signature_and_determinant)
 
 
-class SeifertValidationError(ValueError):
+class SeifertValidationError(InputError):
     """The matrix is not the Seifert matrix of a knot."""
 
 
-class SpinStructureError(ValueError):
+class SpinStructureError(InputError):
     """The bounded 3-manifold has more than one spin structure."""
 
 

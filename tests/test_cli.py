@@ -1,5 +1,7 @@
+import importlib
 import io
 import json
+import pkgutil
 import random
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import ribbonmu
 from ribbonmu import (BraidWord, IntMatrix, TwoKnotInvariants, braid, cli, exactla,
                       seifert_matrix_from_braid, signature, spinmu)
 from ribbonmu.cli import main
@@ -451,6 +454,19 @@ def knot_file_texts(draw):
     return text
 
 
+def package_error_classes() -> list[type]:
+    """Every exception class defined in a ribbonmu module.
+
+    ``__main__`` is left out: importing it runs the CLI.
+    """
+    modules = [ribbonmu] + [importlib.import_module(f"ribbonmu.{m.name}")
+                            for m in pkgutil.iter_modules(ribbonmu.__path__)
+                            if m.name != "__main__"]
+    return sorted((value for module in modules for value in vars(module).values()
+                   if isinstance(value, type) and issubclass(value, BaseException)
+                   and value.__module__ == module.__name__), key=lambda c: c.__name__)
+
+
 class TestExitContract:
     @seed(20261018)
     @settings(max_examples=300, deadline=None)
@@ -501,6 +517,25 @@ class TestExitContract:
         monkeypatch.setattr(cli, "cokernel_invariants", broken)
         with pytest.raises(ValueError, match="wrong determinant"):
             run_cli("snf", "[[2,4],[6,8]]")
+
+    def test_walk_finds_the_package_errors(self):
+        names = {c.__name__ for c in package_error_classes()}
+        assert names >= {"CatalogError", "ClassificationError", "CliParseError",
+                         "DimensionError", "DoublingHypothesisError", "FormError",
+                         "NotAKnotError", "SeifertValidationError", "SpinStructureError"}
+
+    @pytest.mark.parametrize("error", package_error_classes(), ids=lambda c: c.__name__)
+    def test_every_package_error_keeps_the_contract(self, capsys, monkeypatch, error):
+        # a new error class keeps exit 2 (3 for a parse error) with no
+        # table to add it to, because it derives from InputError
+        def broken(matrix, det=None):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "cokernel_invariants", broken)
+        parse = issubclass(error, cli.CliParseError)
+        assert issubclass(error, exactla.InputError)
+        assert run_cli("snf", "[[2,4],[6,8]]") == (3 if parse else 2, "")
+        assert capsys.readouterr().err == f"{'parse error' if parse else 'error'}: boom\n"
 
     @pytest.mark.parametrize("argv", [["--strands", "0", "1"], ["--strands", "-3", "1"],
                                       ["--strands", "2", "5"], ["--strands", "3", "0"]])
@@ -748,10 +783,12 @@ class TestModuleEntryPoint:
 
     def test_startup_stays_lean(self):
         # dataclasses and the inspect module it imports cost a fresh
-        # interpreter about 30 ms, which every CLI op pays
+        # interpreter about 30 ms, which every CLI op pays, and typing a
+        # few ms more.  -S: no site hook may have loaded one of them already
         script = ("import sys; before = set(sys.modules); import ribbonmu.cli; "
-                  "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=package_env(), timeout=60)
+                  "print(sorted({'dataclasses', 'inspect', 'typing'}"
+                  " & (set(sys.modules) - before)))")
+        proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                              text=True, env=package_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
