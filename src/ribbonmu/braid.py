@@ -39,7 +39,7 @@ so the word is read as given: a stabilized word has the same matrix.
 from __future__ import annotations
 
 from .exactla import DimensionError, InputError, IntMatrix, _Value
-from .spinmu import SeifertMatrix, TwoKnotInvariants, validate_seifert
+from .spinmu import SeifertMatrix, TwoKnotInvariants
 
 
 class NotAKnotError(InputError):
@@ -113,6 +113,10 @@ def seifert_matrix_from_braid(braid: BraidWord) -> SeifertMatrix:
     each adjacent column h only the loop starting at the last occurrence
     of h before p can interleave with a (it starts inside (i, p) and
     ends after p).  So the build takes time linear in the word length.
+
+    S is not re-validated: S - S^t is the intersection form of a connected
+    surface with one boundary circle, so det(S - S^t) = +-1 by construction
+    (Lickorish, An Introduction to Knot Theory, 1997, ch. 6).
     """
     if not braid.is_knot_closure:
         raise NotAKnotError(
@@ -145,7 +149,7 @@ def seifert_matrix_from_braid(braid: BraidWord) -> SeifertMatrix:
                     else:
                         v[a][b] = 1
         last[g] = p
-    return validate_seifert(IntMatrix(m, m, tuple(map(tuple, v))))
+    return SeifertMatrix(IntMatrix(m, m, tuple(map(tuple, v))))
 
 
 class KnotRecord(_Value):
@@ -189,10 +193,10 @@ E8 = IntMatrix.from_rows([
 
 _CATALOG = {
     "trefoil": KnotRecord(
-        "trefoil", "catalog", validate_seifert(IntMatrix.from_rows([[1, 1], [0, 1]]))),
+        "trefoil", "catalog", SeifertMatrix(IntMatrix.from_rows([[1, 1], [0, 1]]))),
     "figure8": KnotRecord(
-        "figure8", "catalog", validate_seifert(IntMatrix.from_rows([[1, 1], [0, -1]]))),
-    "unknot": KnotRecord("unknot", "catalog", validate_seifert(IntMatrix.empty())),
+        "figure8", "catalog", SeifertMatrix(IntMatrix.from_rows([[1, 1], [0, -1]]))),
+    "unknot": KnotRecord("unknot", "catalog", SeifertMatrix(IntMatrix.empty())),
     "poincare": KnotRecord("poincare", "catalog", even_form=E8),
 }
 

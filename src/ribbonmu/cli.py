@@ -118,9 +118,7 @@ def resolve_knot(spec: str) -> KnotRecord:
 
 def _matrix_arg(args) -> IntMatrix:
     """The matrix of ``snf`` and ``alink``: ``--file``, else inline JSON."""
-    if not args.file and args.matrix is None:
-        raise CliParseError(f"{args.command} needs a matrix argument or --file")
-    return _matrix_from_json(_read_json(Path(args.file) if args.file else args.matrix))
+    return _matrix_from_json(_read_json(args.matrix if args.file is None else Path(args.file)))
 
 
 _COLUMN_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
@@ -129,7 +127,7 @@ _COLUMN_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
 def _induced_map(args) -> InducedMap:
     """Columns "(a,b) (c,d) ..." or a 2-row matrix, inline or from --file."""
     text = args.matrix
-    if args.file or text is None or text.lstrip().startswith("["):
+    if args.file is not None or text.lstrip().startswith("["):
         matrix = _matrix_arg(args)
         if matrix.rows != 2:
             raise CliParseError(
@@ -148,7 +146,8 @@ def _induced_map(args) -> InducedMap:
 
 def _invariant_record(knot: KnotRecord) -> dict[str, object]:
     inv = knot.invariants()
-    half = is_double(inv.cover_torsion)
+    torsion = inv.cover_torsion
+    half = is_double(torsion)
     record: dict[str, object] = {
         "name": knot.name,
         "source": knot.source,
@@ -156,7 +155,7 @@ def _invariant_record(knot: KnotRecord) -> dict[str, object]:
         "modulus": "16",
         "signature": str(inv.signature),
         "form_determinant": str(inv.form_determinant),
-        "h1_invariant_factors": [str(d) for d in inv.cover_torsion.invariant_factors],
+        "h1_invariant_factors": [str(d) for d in torsion.invariant_factors],
         "h1_is_double": half is not None,
         "h1_double_half": None if half is None else
             [str(d) for d in half.invariant_factors],
@@ -239,23 +238,22 @@ def _emit(record: dict[str, object], as_json: bool, printer, out) -> None:
 # -- subcommands -----------------------------------------------------
 
 def _cmd_invariants(args, out) -> int:
-    if args.batch:
-        return _batch(Path(args.batch), out)
-    if args.knot is None:
-        raise CliParseError("invariants needs a knot argument or --batch DIR")
+    if args.batch is not None:
+        return _batch(args.batch, out)
     record = _invariant_record(resolve_knot(args.knot))
     _emit(record, args.json, _print_invariant_text, out)
     return 0
 
 
-def _batch(directory: Path, out) -> int:
+def _batch(name: str, out) -> int:
     """One JSON line per *.json file, failures included; the worst status."""
-    try:
-        is_dir = directory.is_dir()
+    directory = Path(name)
+    try:  # Path("") is the current directory, but "" names no directory
+        is_dir = name != "" and directory.is_dir()
     except OSError:  # e.g. a name too long for the file system
         is_dir = False
     if not is_dir:
-        raise CliParseError(f"batch path {directory} is not a directory")
+        raise CliParseError(f"batch path {name!r} is not a directory")
     codes = []
     for path in sorted(directory.glob("*.json")):
         try:
@@ -349,10 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="mu, signature, determinant, and "
                        "cover homology of a 2-knot")
-    p.add_argument("knot", nargs="?", help="catalog name, knot file, or "
-                   "inline Seifert matrix")
-    p.add_argument("--batch", metavar="DIR", help="process every *.json knot "
-                   "file in DIR, one JSON record per line")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("knot", nargs="?", help="catalog name, knot file, or "
+                       "inline Seifert matrix")
+    given.add_argument("--batch", metavar="DIR", help="process every *.json "
+                       "knot file in DIR, one JSON record per line")
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("obstruct", help="test ribbon-move equivalence "
@@ -362,15 +361,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("snf", help="Smith normal form of an integer matrix")
-    p.add_argument("matrix", nargs="?", help="inline JSON matrix")
-    p.add_argument("--file", help="read the matrix from a JSON file")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("matrix", nargs="?", help="inline JSON matrix")
+    given.add_argument("--file", help="read the matrix from a JSON file")
     p.add_argument("--full", action="store_true", help="also print U and V")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("alink", help="alinking number of a (sphere, torus)-link")
-    p.add_argument("matrix", nargs="?", help="columns \"(a,b) (c,d)\" or JSON "
-                   "2-row matrix")
-    p.add_argument("--file", help="read the 2-row matrix from a JSON file")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("matrix", nargs="?", help="columns \"(a,b) (c,d)\" or "
+                       "JSON 2-row matrix")
+    given.add_argument("--file", help="read the 2-row matrix from a JSON file")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("braid", help="Seifert matrix of a braid closure")

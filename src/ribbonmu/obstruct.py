@@ -13,7 +13,8 @@ implemented as a verdict engine:
 Verdicts are one-sided: the engine reports an obstruction or reports
 that it found none; it never claims two 2-knots ARE ribbon-move
 equivalent.  The mu test fires first, so every verdict names exactly
-one rule.
+one rule, and the cover groups (a Smith reduction each) are built only
+when the two mus agree.
 """
 
 from __future__ import annotations

@@ -40,7 +40,8 @@ class SpinStructureError(InputError):
 
 
 class SeifertMatrix(_Value):
-    """A validated knot Seifert matrix; construct via :func:`validate_seifert`."""
+    """A knot Seifert matrix, det(S - S^t) = +-1: built directly by braid
+    closures and the catalog, through :func:`validate_seifert` from user input."""
 
     matrix: IntMatrix
 
@@ -98,12 +99,12 @@ def branched_double_cover_h1(seifert: SeifertMatrix) -> FiniteAbelianGroup:
 
     Always finite: the validation determinant forces det(S + S^t) odd.
     """
-    return from_presentation(intersection_form(seifert))
+    return TwoKnotInvariants.from_seifert(seifert).cover_torsion
 
 
 def mu_two_twist_spin(seifert: SeifertMatrix) -> Mu:
     """Mu-invariant of the 2-twist-spun 2-knot of the knot with matrix S."""
-    return mu_from_even_form(intersection_form(seifert))
+    return TwoKnotInvariants.from_seifert(seifert).mu
 
 
 def mu_from_even_form(form: IntMatrix) -> Mu:
@@ -113,23 +114,7 @@ def mu_from_even_form(form: IntMatrix) -> Mu:
     makes the spin structure on its boundary unique, so the residue is
     well defined.
     """
-    return Mu(_spin_form_invariants(form)[0])
-
-
-def _spin_form_invariants(form: IntMatrix) -> tuple[int, int]:
-    """Signature and determinant of a valid bounding form, in one pass.
-
-    The O(n) evenness check runs before the O(n^3) elimination, so an
-    odd form is rejected without eliminating it.
-    """
-    for i, d in enumerate(form.diagonal()):
-        if d % 2 != 0:
-            raise FormError(f"form not even: diagonal entry {d} at index {i}")
-    sig, det = signature_and_determinant(form)  # checks square and symmetric
-    if det % 2 == 0:
-        raise SpinStructureError(
-            "spin structure not unique: even form determinant; recipe inapplicable")
-    return sig, det
+    return TwoKnotInvariants.from_even_form(form).mu
 
 
 def mu_boundary_link_sum(components: Sequence[SeifertMatrix]) -> Mu:
@@ -147,24 +132,27 @@ class TwoKnotInvariants(_Value):
     """The computable invariant record of a 2-knot.
 
     ``form`` is the even bounding form the invariants were read from
-    (S + S^t for a 2-twist spin), with signature ``signature``;
-    ``cover_torsion`` is the torsion of the first homology of the chosen
-    Seifert hypersurface.
+    (S + S^t for a 2-twist spin), with signature ``signature`` and
+    determinant ``form_determinant``, both from one symmetric pass.
+    ``cover_torsion``, the torsion of the first homology of the chosen
+    Seifert hypersurface, is derived from them each time it is read, so
+    a caller that needs only mu never runs the Smith reduction.
     """
 
     signature: int
-    cover_torsion: FiniteAbelianGroup
     form_determinant: int
     form: IntMatrix
 
-    def __init__(self, signature: int, cover_torsion: FiniteAbelianGroup,
-                 form_determinant: int, form: IntMatrix) -> None:
-        self._set(signature=signature, cover_torsion=cover_torsion,
-                  form_determinant=form_determinant, form=form)
+    def __init__(self, signature: int, form_determinant: int, form: IntMatrix) -> None:
+        self._set(signature=signature, form_determinant=form_determinant, form=form)
 
     @property
     def mu(self) -> Mu:
         return Mu(self.signature)
+
+    @property
+    def cover_torsion(self) -> FiniteAbelianGroup:
+        return from_presentation(self.form, self.form_determinant)
 
     @staticmethod
     def from_seifert(seifert: SeifertMatrix) -> TwoKnotInvariants:
@@ -172,13 +160,16 @@ class TwoKnotInvariants(_Value):
 
     @staticmethod
     def from_even_form(form: IntMatrix) -> TwoKnotInvariants:
-        sig, det = _spin_form_invariants(form)  # validates shape, evenness, parity
-        return TwoKnotInvariants(
-            signature=sig,
-            cover_torsion=from_presentation(form, det),
-            form_determinant=det,
-            form=form,
-        )
+        """Check and read a bounding form in one pass; the O(n) evenness
+        check runs first, so an odd form is never eliminated."""
+        for i, d in enumerate(form.diagonal()):
+            if d % 2 != 0:
+                raise FormError(f"form not even: diagonal entry {d} at index {i}")
+        sig, det = signature_and_determinant(form)  # checks square and symmetric
+        if det % 2 == 0:
+            raise SpinStructureError(
+                "spin structure not unique: even form determinant; recipe inapplicable")
+        return TwoKnotInvariants(sig, det, form)
 
     @staticmethod
     def unknot() -> TwoKnotInvariants:

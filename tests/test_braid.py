@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,10 +20,12 @@ from ribbonmu import (
     validate_seifert,
 )
 
-from support import alexander_at, rand_braid_knot, seifert_matrix_pairwise, time_limit
+from support import (alexander_at, det_fraction, rand_braid_knot, seifert_matrix_pairwise,
+                     time_limit)
 
 TREFOIL_BRAID = BraidWord(2, (1, 1, 1))
 FIGURE8_BRAID = BraidWord(3, (1, -2, 1, -2))
+LONG_BRAID = Path(__file__).parent / "data" / "braid6_1201.json"
 
 
 def congruence_invariants(seifert):
@@ -119,12 +123,24 @@ class TestSeifertMatrixFromBraid:
         assert abs(signature(q)) == 4
 
     def test_every_braid_matrix_is_valid(self):
+        # The build does not check det(S - S^t) = +-1 (it holds by
+        # construction), so this test does, with the Fraction oracle.
         rng = random.Random(51)
         for _ in range(120):
-            word = rand_braid_knot(rng)
-            s = seifert_matrix_from_braid(word)
-            validate_seifert(s.matrix)  # det(S - S^t) = +-1
+            s = seifert_matrix_from_braid(rand_braid_knot(rng))
+            assert abs(det_fraction(s.matrix - s.matrix.transpose())) == 1
             assert alexander_at(s, 1) in (1, -1)
+
+    @pytest.mark.parametrize("length", [151, 301, 1201])
+    def test_long_braid_matrix_is_valid(self, length):
+        if length == 1201:
+            spec = json.loads(LONG_BRAID.read_text())["braid"]
+            word = BraidWord(spec["strands"], tuple(spec["letters"]))
+        else:
+            word = six_strand_knot_word(random.Random(length), length)
+        s = seifert_matrix_from_braid(word).matrix
+        assert s.rows == length - 5
+        assert determinant(s - s.transpose()) in (1, -1)
 
     def test_genus_bound_on_reduced_words(self):
         # A knot word uses each of its strands - 1 generators, and every
@@ -267,6 +283,14 @@ class TestCatalog:
 
     def test_unknot_is_empty(self):
         assert catalog("unknot").seifert.matrix == IntMatrix.empty()
+
+    def test_every_seifert_matrix_is_valid(self):
+        # the catalog builds its matrices without validate_seifert
+        entries = [catalog(name) for name in catalog_names()]
+        matrices = [e.seifert for e in entries if e.seifert is not None]
+        assert len(matrices) == 3
+        for seifert in matrices:
+            assert validate_seifert(seifert.matrix) == seifert
 
     def test_poincare_carries_even_form(self):
         entry = catalog("poincare")

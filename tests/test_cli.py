@@ -503,6 +503,23 @@ class TestExitContract:
         err = capsys.readouterr().err
         assert err.startswith("parse error: ribbonmu") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["invariants", "trefoil", "--batch", "{dir}"],
+        ["snf", "[[2]]", "--file", "{file}"],
+        ["alink", "(2,4)", "--file", "{file}"],
+        ["invariants"], ["snf"], ["alink"],  # neither input
+        ["invariants", "--batch", ""],  # "" names no directory, not "."
+        ["snf", "--file", ""], ["alink", "--file", ""],  # nor a file
+    ])
+    def test_one_input_exactly(self, tmp_path, capsys, argv):
+        (tmp_path / "m.json").write_text("[[2, 0], [0, 3]]")
+        (tmp_path / "knots").mkdir()
+        (tmp_path / "knots" / "k.json").write_text('{"catalog": "figure8"}')
+        argv = [a.format(dir=tmp_path / "knots", file=tmp_path / "m.json") for a in argv]
+        assert run_cli(*argv) == (3, "")
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and "Traceback" not in err
+
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("braid", "--help")
@@ -641,8 +658,31 @@ class TestEachFactOnce:
         [(m, det)] = calls["smith"]
         assert len(m) == form.rows and all(len(r) == form.rows for r in m)  # no U or V
         assert det == int(json.loads(text)["form_determinant"])
-        [(skew,)] = calls["det"]  # det(S - S^t) when the braid is validated
-        assert skew + skew.transpose() == IntMatrix.zero(form.rows, form.rows)
+        assert calls["det"] == []  # a braid's S is not re-validated
+
+    def test_inline_seifert_matrix_is_validated_once(self, calls):
+        code, _ = run_cli("invariants", "[[1, 1], [0, 1]]", "--json")
+        assert code == 0
+        [(skew,)] = calls["det"]  # det(S - S^t) of the user's matrix
+        assert skew == IntMatrix.from_rows([[0, 1], [-1, 0]])
+        assert len(calls["pass"]) == len(calls["smith"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        [str(LONG_BRAID)], ["trefoil", "figure8"], ["poincare", "unknot"]])
+    def test_verdict_by_mu_runs_no_smith(self, calls, argv):
+        code, text = run_cli("obstruct", *argv, "--json")
+        assert code == 0
+        assert json.loads(text)["conclusion"] == "obstructed-by-mu"
+        assert len(calls["pass"]) == 2
+        assert calls["smith"] == []
+
+    @pytest.mark.parametrize("argv", [
+        ["figure8"], ["trefoil", "trefoil"], ["[[1, 1], [0, 1]]", "trefoil"]])
+    def test_verdict_past_mu_runs_smith_once_per_knot(self, calls, argv):
+        code, text = run_cli("obstruct", *argv, "--json")
+        assert code == 0
+        assert json.loads(text)["conclusion"] != "obstructed-by-mu"
+        assert len(calls["pass"]) == len(calls["smith"]) == 2
 
     def test_dense_even_form_record(self, tmp_path, calls):
         # P^t B P: even, dense, det -15 * 11 * 3 * 27, cover Z3 + Z3 + Z1485

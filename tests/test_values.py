@@ -8,6 +8,7 @@ behaviour of the types whatever machinery implements them.
 
 import copy
 import pickle
+import random
 
 import pytest
 
@@ -22,8 +23,12 @@ from ribbonmu import (
     SnfResult,
     TwoKnotInvariants,
     Verdict,
+    intersection_form,
+    spinmu,
 )
-from ribbonmu.braid import KnotRecord
+from ribbonmu.braid import E8, KnotRecord
+
+from support import block_diag, rand_seifert, snf_diagonal_oracle
 
 S = IntMatrix(2, 2, ((1, 1), (0, 1)))
 S_REPR = "IntMatrix(rows=2, cols=2, entries=((1, 1), (0, 1)))"
@@ -48,11 +53,10 @@ CASES = [
      BraidWord(3, (1, 2, 1)), "BraidWord(strands=3, letters=(1, -2, 1))"),
     (SeifertMatrix, {"matrix": S}, SeifertMatrix(ONE), f"SeifertMatrix(matrix={S_REPR})"),
     (Mu, {"value": 2}, Mu(3), "Mu(value=2)"),
-    (TwoKnotInvariants, {"signature": 2, "cover_torsion": Z3, "form_determinant": 3,
+    (TwoKnotInvariants, {"signature": 2, "form_determinant": 3,
                          "form": IntMatrix(2, 2, ((2, 1), (1, 2)))},
-     TwoKnotInvariants(-2, Z3, 3, IntMatrix(2, 2, ((-2, -1), (-1, -2)))),
-     "TwoKnotInvariants(signature=2, cover_torsion=FiniteAbelianGroup("
-     "invariant_factors=(3,)), form_determinant=3, "
+     TwoKnotInvariants(-2, 3, IntMatrix(2, 2, ((-2, -1), (-1, -2)))),
+     "TwoKnotInvariants(signature=2, form_determinant=3, "
      "form=IntMatrix(rows=2, cols=2, entries=((2, 1), (1, 2))))"),
     (Verdict, {"conclusion": Conclusion.OBSTRUCTED_BY_MU, "rule": "r",
                "mu_pair": (Mu(2), Mu(0)), "torsion_witness": None},
@@ -149,7 +153,31 @@ def test_constructors_normalize():
 
 
 def test_derived_attributes_are_not_fields():
-    inv = TwoKnotInvariants(2, Z3, 3, IntMatrix(2, 2, ((2, 1), (1, 2))))
+    inv = TwoKnotInvariants(2, 3, IntMatrix(2, 2, ((2, 1), (1, 2))))
     assert inv.mu == Mu(2)
     assert SeifertMatrix(S).size == 2
     assert "mu=" not in repr(inv) and "size=" not in repr(SeifertMatrix(S))
+
+
+def test_cover_torsion_is_derived_not_stored(monkeypatch):
+    forms = [block_diag(E8, IntMatrix.from_rows([[2, 1], [1, 2]]),
+                        IntMatrix.from_rows([[2, 1], [1, -2]]))]  # cover Z15
+    rng = random.Random(71)
+    forms += [intersection_form(rand_seifert(rng)) for _ in range(20)]
+    for form in forms:
+        inv = TwoKnotInvariants.from_even_form(form)
+        assert inv.cover_torsion == FiniteAbelianGroup(
+            [d for d in snf_diagonal_oracle(form) if d >= 2])
+    assert TwoKnotInvariants.from_even_form(forms[0]).cover_torsion == \
+        FiniteAbelianGroup((15,))
+
+    def unread(*args):
+        raise AssertionError("cover torsion was computed")
+
+    monkeypatch.setattr(spinmu, "from_presentation", unread)
+    inv = TwoKnotInvariants.from_even_form(forms[0])
+    twin = TwoKnotInvariants(inv.signature, inv.form_determinant, inv.form)
+    assert inv == twin and hash(inv) == hash(twin)
+    assert "cover_torsion" not in repr(inv) and "cover_torsion" not in vars(inv)
+    with pytest.raises(AttributeError):
+        inv.cover_torsion = Z3
