@@ -9,18 +9,17 @@ The package computes, over arbitrary-precision integers:
 * alinking numbers of (sphere, torus)-links,
 
 together with the supporting exact kernel: Smith normal forms,
-determinants, cokernels, and signatures of symmetric forms.
+determinants, cokernels (``cokernel_invariants``: free rank and torsion)
+and signatures of symmetric forms.  The JSON wire format is the CLI's.
 """
 
 from .abelian import (
     DoublingHypothesisError,
     FiniteAbelianGroup,
-    cokernel,
     combine_doubles,
     direct_sum,
     from_presentation,
     is_double,
-    is_isomorphic,
 )
 from .alink import ClassificationError, InducedMap, alinking, mod2_alinking
 from .braid import (
@@ -29,7 +28,6 @@ from .braid import (
     CatalogError,
     NotAKnotError,
     catalog,
-    catalog_names,
     seifert_matrix_from_braid,
 )
 from .exactla import (
@@ -38,6 +36,7 @@ from .exactla import (
     InputError,
     IntMatrix,
     SnfResult,
+    cokernel_invariants,
     determinant,
     invariant_factors,
     signature,
@@ -89,8 +88,7 @@ __all__ = [
     "alinking",
     "branched_double_cover_h1",
     "catalog",
-    "catalog_names",
-    "cokernel",
+    "cokernel_invariants",
     "combine_doubles",
     "determinant",
     "direct_sum",
@@ -98,7 +96,6 @@ __all__ = [
     "intersection_form",
     "invariant_factors",
     "is_double",
-    "is_isomorphic",
     "mod2_alinking",
     "mu_boundary_link_sum",
     "mu_from_even_form",

@@ -5,7 +5,7 @@ d1 | d2 | ... | dk with every di >= 2; the empty chain is the trivial
 group.  Smith normal form hands us this chain directly, and every
 operation here works on it with gcd, lcm and equality alone: no integer
 is ever factored, so no cover order, however hard to factor, can stall
-a verdict.
+a verdict.  The chain is canonical: isomorphism is ``==``.
 
 The doubling test -- is G isomorphic to H + H for some H? -- holds iff
 the chain pairs up, d1 = d2, d3 = d4, ... (equivalently, every
@@ -72,7 +72,7 @@ def from_presentation(matrix: IntMatrix, det: int | None = None) -> FiniteAbelia
 
     For a square matrix with nonzero determinant this is the whole
     cokernel.  A presentation with free quotient still yields its
-    torsion part here; use :func:`cokernel` when the free rank matters.
+    torsion part; ``exactla.cokernel_invariants`` also gives the free rank.
     A caller that already has the nonzero determinant passes it as
     ``det``, so the reduction can work modulo it (see
     :func:`~ribbonmu.exactla.cokernel_invariants`).
@@ -81,21 +81,10 @@ def from_presentation(matrix: IntMatrix, det: int | None = None) -> FiniteAbelia
     return FiniteAbelianGroup(torsion)
 
 
-def cokernel(matrix: IntMatrix) -> tuple[int, FiniteAbelianGroup]:
-    """Free rank and torsion group of coker(matrix)."""
-    rank, torsion = cokernel_invariants(matrix)
-    return rank, FiniteAbelianGroup(torsion)
-
-
 def direct_sum(g: FiniteAbelianGroup, h: FiniteAbelianGroup) -> FiniteAbelianGroup:
     """Canonical invariant factors of g + h: the joined chain, normalised
     by pairwise (gcd, lcm) replacement."""
     return FiniteAbelianGroup(_invariant_chain(g.invariant_factors + h.invariant_factors))
-
-
-def is_isomorphic(g: FiniteAbelianGroup, h: FiniteAbelianGroup) -> bool:
-    """Canonical forms make isomorphism plain list equality."""
-    return g.invariant_factors == h.invariant_factors
 
 
 def is_double(g: FiniteAbelianGroup) -> FiniteAbelianGroup | None:

@@ -209,7 +209,3 @@ def catalog(name: str) -> KnotRecord:
         raise CatalogError(
             f"unknown catalog entry {name!r}; available: "
             + ", ".join(sorted(_CATALOG))) from None
-
-
-def catalog_names() -> tuple[str, ...]:
-    return tuple(sorted(_CATALOG))

@@ -1,13 +1,14 @@
 """Command-line interface.
 
 Subcommands: invariants, obstruct, snf, alink, braid.  Knots are given
-as catalog names, inline Seifert matrices, or JSON knot files; matrices
-travel as arrays of arrays of decimal strings so arbitrary-precision
-values survive machine-readable output; ``--json`` writes each record
-as exactly ``json.dumps(record)`` and a newline, matrices streamed row
-by row.  Exit status is a stable scripting contract: 0 on success
-(whatever the verdict), 2 on validation errors, 3 on parse errors, and
-141 when standard output is closed early.
+as catalog names, inline Seifert matrices, or JSON knot files.  The JSON
+wire format is this module's: a matrix is an array of rows, its entries
+read as JSON integers or decimal strings ``-?[0-9]+`` and written as
+decimal strings, so arbitrary-precision values survive; ``--json``
+writes each record as exactly ``json.dumps(record)`` and a newline,
+matrices streamed row by row.  Exit status is a stable scripting
+contract: 0 on success (whatever the verdict), 2 on validation errors,
+3 on parse errors, and 141 when standard output is closed early.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from .exactla import (InputError, IntMatrix, _diagonal_matrix, cokernel_invarian
                       smith_normal_form)
 from .obstruct import Verdict, obstruct_ribbon_equivalent, obstruct_ribbon_trivial
 from .spinmu import validate_seifert
+
+_DECIMAL = re.compile(r"-?[0-9]+")  # a matrix entry given as a string
+_COLUMN_RE = re.compile(r"\(\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*\)")  # "(a,b)"
 
 
 class CliParseError(InputError):
@@ -55,8 +59,16 @@ def _read_json(source: str | Path) -> object:
 def _matrix_from_json(data: object) -> IntMatrix:
     if not isinstance(data, list) or any(not isinstance(r, list) for r in data):
         raise CliParseError("matrix must be an array of arrays")
+    for i, row in enumerate(data):
+        for j, x in enumerate(row):
+            # type(...) is int: JSON true/false arrive as bool, a subclass of int
+            if type(x) is not int and (type(x) is not str or _DECIMAL.fullmatch(x) is None):
+                got = type(x).__name__ if isinstance(x, (list, dict)) else json.dumps(x)
+                got = got if len(got) <= 40 else got[:36] + " ..."
+                raise CliParseError(f"bad matrix entry [{i}][{j}]: {got}, not an "
+                                    "integer or a decimal string")
     try:
-        return IntMatrix.from_decimal_rows(data)
+        return IntMatrix.from_rows(data)
     except ValueError as exc:
         raise CliParseError(f"bad matrix: {exc}") from None
 
@@ -118,10 +130,9 @@ def resolve_knot(spec: str) -> KnotRecord:
 
 def _matrix_arg(args) -> IntMatrix:
     """The matrix of ``snf`` and ``alink``: ``--file``, else inline JSON."""
+    if args.file == "":  # Path("") is ".", a directory the user never named
+        raise CliParseError("cannot read '': no file name given")
     return _matrix_from_json(_read_json(args.matrix if args.file is None else Path(args.file)))
-
-
-_COLUMN_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
 
 
 def _induced_map(args) -> InducedMap:
@@ -209,15 +220,16 @@ def _write_json(record: dict[str, object], out) -> None:
     """Write ``json.dumps(record)`` and a newline, piece by piece.
 
     An :class:`IntMatrix` value is written as its decimal-string rows,
-    one row at a time (:meth:`IntMatrix.json_rows`), so neither a list of
-    its entries' strings nor the whole record's text is ever built.
+    one row at a time, so neither a list of its entries' strings nor the
+    whole record's text is ever built.
     """
     out.write("{")
     sep = ""
     for key, value in record.items():
         prefix, sep = f"{sep}{json.dumps(key)}: ", ", "
         if isinstance(value, IntMatrix):
-            rows = value.json_rows()
+            rows = ('["' + '", "'.join(map(str, row)) + '"]' if row else "[]"
+                    for row in value.entries)
             out.write(f"{prefix}[{next(rows, '')}")
             for row in rows:
                 out.write(", " + row)

@@ -68,7 +68,7 @@ long braid closures stay cheap.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from itertools import compress
 from operator import add, eq, sub
 
@@ -150,15 +150,6 @@ class IntMatrix(_Value):
         return IntMatrix(r, c, tuple(tuple(int(x) for x in row) for row in rows))
 
     @staticmethod
-    def zero(rows: int, cols: int) -> IntMatrix:
-        return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
-
-    @staticmethod
-    def identity(n: int) -> IntMatrix:
-        return IntMatrix(n, n, tuple(
-            tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @staticmethod
     def empty() -> IntMatrix:
         return IntMatrix(0, 0, ())
 
@@ -193,34 +184,11 @@ class IntMatrix(_Value):
         return IntMatrix(self.rows, self.cols, tuple(
             tuple(map(sub, ra, rb)) for ra, rb in zip(self.entries, other.entries)))
 
-    def __matmul__(self, other: IntMatrix) -> IntMatrix:
-        if self.cols != other.rows:
-            raise DimensionError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        ot = other.transpose().entries
-        return IntMatrix(self.rows, other.cols, tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-            for row in self.entries))
-
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
-
-    # -- serialization -----------------------------------------------
-    # Wire format: arrays of arrays of decimal strings, never native
-    # numbers, so arbitrary-precision entries survive JSON bit-exactly.
-
-    def json_rows(self) -> Iterator[str]:
-        """Each row as JSON text, exactly ``json.dumps`` of its decimal strings."""
-        for row in self.entries:
-            yield '["' + '", "'.join(map(str, row)) + '"]' if row else "[]"
-
-    @staticmethod
-    def from_decimal_rows(rows: Sequence[Sequence[str]], cols: int | None = None) -> IntMatrix:
-        return IntMatrix.from_rows(
-            [[int(str(x), 10) for x in row] for row in rows], cols=cols)
 
     def __str__(self) -> str:
         if self.rows == 0 or self.cols == 0:

@@ -1,7 +1,8 @@
 """Executable obstructions against ribbon-move equivalence of 2-knots.
 
 Two necessary conditions for 2-links to be ribbon-move equivalent are
-implemented as a verdict engine:
+implemented as a verdict engine on invariant records
+(:class:`~ribbonmu.spinmu.TwoKnotInvariants`):
 
 * mu test: ribbon-move equivalent 2-links have equal mu-invariants.
 * torsion test: for ANY Seifert hypersurfaces of the two links, the
@@ -23,7 +24,7 @@ import enum
 
 from .abelian import FiniteAbelianGroup, direct_sum, is_double
 from .exactla import _Value
-from .spinmu import Mu, SeifertMatrix, TwoKnotInvariants
+from .spinmu import Mu, TwoKnotInvariants
 
 
 class Conclusion(enum.Enum):
@@ -78,19 +79,8 @@ class Verdict(_Value):
                 "torsion is a double (this is NOT a proof of equivalence)")
 
 
-Knot = SeifertMatrix | TwoKnotInvariants
-
-
-def _invariants(knot: Knot) -> TwoKnotInvariants:
-    if isinstance(knot, TwoKnotInvariants):
-        return knot
-    return TwoKnotInvariants.from_seifert(knot)
-
-
-def obstruct_ribbon_equivalent(first: Knot, second: Knot) -> Verdict:
+def obstruct_ribbon_equivalent(a: TwoKnotInvariants, b: TwoKnotInvariants) -> Verdict:
     """Test whether two 2-knots can be ribbon-move equivalent."""
-    a = _invariants(first)
-    b = _invariants(second)
     if a.mu.value != b.mu.value:
         return Verdict(Conclusion.OBSTRUCTED_BY_MU, MU_RULE,
                        mu_pair=(a.mu, b.mu))
@@ -102,6 +92,6 @@ def obstruct_ribbon_equivalent(first: Knot, second: Knot) -> Verdict:
                    "necessary conditions all hold")
 
 
-def obstruct_ribbon_trivial(knot: Knot) -> Verdict:
+def obstruct_ribbon_trivial(knot: TwoKnotInvariants) -> Verdict:
     """Test whether a 2-knot can be ribbon-move equivalent to the trivial one."""
     return obstruct_ribbon_equivalent(knot, TwoKnotInvariants.unknot())

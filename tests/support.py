@@ -23,6 +23,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm, prod
+from operator import mul
 from pathlib import Path
 
 import ribbonmu
@@ -73,6 +74,27 @@ def package_env() -> dict[str, str]:
 # -- matrix helpers ---------------------------------------------------
 
 
+def zeros(rows: int, cols: int) -> IntMatrix:
+    return IntMatrix.from_rows([[0] * cols for _ in range(rows)], cols=cols)
+
+
+def identity(n: int) -> IntMatrix:
+    return IntMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+
+
+def matmul(*factors: IntMatrix) -> IntMatrix:
+    """The product of the factors, left to right: schoolbook row-by-column
+    sums, so it checks a production U * M * V = D independently."""
+    product = factors[0]
+    for f in factors[1:]:
+        assert product.cols == f.rows, "matmul needs matching inner dimensions"
+        columns = list(zip(*f.entries)) if f.rows else [()] * f.cols
+        product = IntMatrix.from_rows(
+            [[sum(map(mul, row, col)) for col in columns] for row in product.entries],
+            cols=f.cols)
+    return product
+
+
 def block_diag(*blocks: IntMatrix) -> IntMatrix:
     """Block-diagonal sum of square matrices; no blocks give the 0x0 matrix."""
     n = sum(b.rows for b in blocks)
@@ -89,7 +111,7 @@ def block_diag(*blocks: IntMatrix) -> IntMatrix:
 def to_decimal_rows(matrix: IntMatrix) -> list[list[str]]:
     """The wire format as nested lists: every entry as its decimal string.
 
-    ``json.dumps`` of this is what ``IntMatrix.json_rows`` must stream.
+    ``json.dumps`` of this is what ``cli._write_json`` must stream.
     """
     return [[str(x) for x in row] for row in matrix.entries]
 
@@ -144,7 +166,7 @@ def rand_symmetric(rng: random.Random, max_dim: int = 6, lo: int = -50,
 
 def rand_unimodular(rng: random.Random, n: int, steps: int | None = None) -> IntMatrix:
     """Product of elementary matrices: shears, swaps, and sign flips."""
-    m = IntMatrix.identity(n).to_lists()
+    m = identity(n).to_lists()
     for _ in range(n + 3 if steps is None else steps):
         kind = rng.random()
         if n < 2 or kind < 0.2:
@@ -180,7 +202,7 @@ def rand_seifert(rng: random.Random, max_ops: int = 4) -> SeifertMatrix:
         kind = rng.random()
         if kind < 0.4:
             p = rand_unimodular(rng, s.rows)
-            s = p.transpose() @ s @ p
+            s = matmul(p.transpose(), s, p)
         elif kind < 0.75:
             s = block_diag(s, rng.choice(_STABILIZERS))
         else:

@@ -11,7 +11,7 @@ from ribbonmu import (
     mod2_alinking,
 )
 
-from support import rand_unimodular, snf_diagonal_oracle
+from support import identity, matmul, rand_unimodular, snf_diagonal_oracle, zeros
 
 
 def column(a: int, b: int) -> InducedMap:
@@ -23,7 +23,7 @@ class TestAlinking:
         assert alinking(InducedMap.from_columns([])) == 0
 
     def test_zero_matrix(self):
-        assert alinking(InducedMap(IntMatrix.zero(2, 3))) == 0
+        assert alinking(InducedMap(zeros(2, 3))) == 0
 
     def test_primitive_column(self):
         assert alinking(column(1, 0)) == 1
@@ -45,7 +45,7 @@ class TestAlinking:
 
     def test_surjective_map_outside_classification(self):
         with pytest.raises(ClassificationError, match="free rank 0"):
-            alinking(InducedMap(IntMatrix.identity(2)))
+            alinking(InducedMap(identity(2)))
 
     def test_finite_torsion_cokernel_outside_classification(self):
         with pytest.raises(ClassificationError):
@@ -69,7 +69,7 @@ class TestAlinking:
 
     def test_requires_two_rows(self):
         with pytest.raises(ValueError, match="2 rows"):
-            InducedMap(IntMatrix.identity(3))
+            InducedMap(identity(3))
 
 
 class TestInvariance:
@@ -88,7 +88,7 @@ class TestInvariance:
             for _ in range(50):
                 p = rand_unimodular(rng, 2)
                 q = rand_unimodular(rng, iota.matrix.cols)
-                transformed = InducedMap(p @ iota.matrix @ q)
+                transformed = InducedMap(matmul(p, iota.matrix, q))
                 assert alinking(transformed) == v
 
     def test_mod2_is_reduction(self):

@@ -16,8 +16,8 @@ from ribbonmu import (BraidWord, IntMatrix, TwoKnotInvariants, braid, cli, exact
                       seifert_matrix_from_braid, signature, spinmu)
 from ribbonmu.cli import main
 
-from support import (block_diag, digit_limit_lifted, package_env, rand_unimodular,
-                     sturm_signature, time_limit, to_decimal_rows)
+from support import (block_diag, digit_limit_lifted, matmul, package_env, rand_matrix,
+                     rand_unimodular, sturm_signature, time_limit, to_decimal_rows, zeros)
 
 
 DATA = Path(__file__).parent / "data"
@@ -76,7 +76,7 @@ class TestInvariantsCommand:
     def test_round_trip_recompute(self):
         _, text = run_cli("invariants", "figure8", "--json")
         record = json.loads(text)
-        form = IntMatrix.from_decimal_rows(record["form"])
+        form = IntMatrix.from_rows(record["form"])
         recomputed = TwoKnotInvariants.from_even_form(form)
         assert str(recomputed.mu.value) == record["mu"]
         assert str(recomputed.form_determinant) == record["form_determinant"]
@@ -136,11 +136,9 @@ class TestSnfCommand:
     def test_full_transforms_reconstruct(self):
         code, text = run_cli("snf", "[[2,4],[6,8]]", "--full", "--json")
         record = json.loads(text)
-        u = IntMatrix.from_decimal_rows(record["u"])
-        v = IntMatrix.from_decimal_rows(record["v"])
-        d = IntMatrix.from_decimal_rows(record["d"])
+        u, v, d = (IntMatrix.from_rows(record[key]) for key in "uvd")
         m = IntMatrix.from_rows([[2, 4], [6, 8]])
-        assert u @ m @ v == d
+        assert matmul(u, m, v) == d
 
     @pytest.mark.parametrize("data", [
         "dense80", "even80", [[2, 4, 6], [4, 8, 12]], [[0, 0], [6, 12], [4, 0], [0, 0]],
@@ -170,10 +168,16 @@ class TestSnfCommand:
         err = capsys.readouterr().err
         assert "parse error" in err and "line" in err and "column" in err
 
-    def test_deep_nesting_is_parse_error(self, capsys):
-        code, _ = run_cli("snf", "[" * 5000 + "]" * 5000)
+    @pytest.mark.parametrize("depth", [5000, 100_000])
+    def test_deep_nesting_is_parse_error(self, capsys, depth):
+        # Python 3.13's decoder takes 5000 levels (then it is a bad entry);
+        # no version takes 100 000
+        code, _ = run_cli("snf", "[" * depth + "]" * depth)
         assert code == 3
-        assert "nested too deeply" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and len(err) < 200
+        if depth == 100_000:
+            assert "nested too deeply" in err
 
 
 class TestAlinkCommand:
@@ -198,6 +202,11 @@ class TestAlinkCommand:
     def test_garbage_is_parse_error(self, capsys):
         code, _ = run_cli("alink", "twist")
         assert code == 3
+
+    def test_non_ascii_digit_is_parse_error(self, capsys):
+        # int() reads the Arabic-Indic digit one as 1; the column syntax does not
+        assert run_cli("alink", "(\u0661,2)") == (3, "")
+        assert "cannot parse induced map" in capsys.readouterr().err
 
     def test_three_rows_is_parse_error(self, tmp_path, capsys):
         matrix = "[[1], [2], [3]]"
@@ -400,7 +409,7 @@ class TestKnotFiles:
         (tmp_path / "k.json").write_text(json.dumps({"catalog": "poincare"}))
         code, text = run_cli("invariants", "--batch", str(tmp_path))
         record = json.loads(text.strip())
-        form = IntMatrix.from_decimal_rows(record["form"])
+        form = IntMatrix.from_rows(record["form"])
         assert str(TwoKnotInvariants.from_even_form(form).mu.value) == record["mu"]
 
 
@@ -519,6 +528,8 @@ class TestExitContract:
         assert run_cli(*argv) == (3, "")
         err = capsys.readouterr().err
         assert err.startswith("parse error: ") and "Traceback" not in err
+        if "" in argv:  # the name as given, not the "." that Path("") means
+            assert "''" in err and "'.'" not in err and "Errno" not in err
 
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -651,7 +662,7 @@ class TestEachFactOnce:
         path.write_text(json.dumps({"braid": {"strands": 4, "letters": letters}}))
         code, text = run_cli("invariants", str(path), "--json")
         assert code == 0
-        form = IntMatrix.from_decimal_rows(json.loads(text)["form"])
+        form = IntMatrix.from_rows(json.loads(text)["form"])
         assert form.rows >= 4
         assert json.loads(text)["signature"] == str(sturm_signature(form))
         assert [args[0] for args in calls["pass"]] == [form]
@@ -691,7 +702,7 @@ class TestEachFactOnce:
             [[2, 1], [1, 2]], [[2, 1], [1, 14]])]
         base = block_diag(braid.E8, *blocks)
         p = rand_unimodular(random.Random(40), base.rows, steps=6 * base.rows)
-        form = p.transpose() @ base @ p
+        form = matmul(p.transpose(), base, p)
         assert sum(1 for row in form.entries for x in row if x) > form.rows ** 2 // 2
         path = tmp_path / "form.json"
         path.write_text(json.dumps({"even_form": to_decimal_rows(form)}))
@@ -708,13 +719,66 @@ class TestEachFactOnce:
         assert det == -15 * 11 * 3 * 27
 
 
+NONZERO = st.one_of(st.sampled_from([1, -1]),
+                    st.integers(-10 ** 30, 10 ** 30).filter(bool),
+                    # 4401 digits: past the 4300-digit limit
+                    st.sampled_from([10 ** 4400 + 1, -7 * 10 ** 4400 - 3]))
+
+
+@st.composite
+def wire_matrices(draw):
+    """Shapes 0 x 0, 0 x c and r x 0 included; rows all zero, all nonzero
+    or mixed."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 24))
+    body = []
+    for _ in range(rows):
+        entry = draw(st.sampled_from([st.just(0), NONZERO, st.one_of(st.just(0), NONZERO)]))
+        body.append(draw(st.lists(entry, min_size=cols, max_size=cols)))
+    return IntMatrix.from_rows(body, cols=cols)
+
+
+def write_matrix(m: IntMatrix) -> str:
+    out = io.StringIO()
+    cli._write_json({"m": m}, out)
+    return out.getvalue()
+
+
+class TestSerialization:
+    """The wire format: ``cli._write_json`` writes a matrix as rows of
+    decimal strings, and ``cli._matrix_from_json`` reads them back."""
+
+    def test_decimal_round_trip(self):
+        rng = random.Random(14)
+        for _ in range(20):
+            m = rand_matrix(rng, max_dim=5)
+            back = cli._matrix_from_json(json.loads(write_matrix(m))["m"])
+            # no rows carry no column count: a 0 x c matrix reads back as 0 x 0
+            assert back == (m if m.rows else IntMatrix.empty())
+
+    def test_preserves_huge_entries(self):
+        huge = 10 ** 40 + 7
+        m = IntMatrix.from_rows([[huge, -huge]])
+        assert write_matrix(m) == f'{{"m": [["{huge}", "{-huge}"]]}}\n'
+        assert cli._matrix_from_json(to_decimal_rows(m)) == m
+
+    @seed(20261018)
+    @settings(max_examples=150, deadline=None)
+    @given(m=wire_matrices())
+    def test_written_rows_match_json_dumps(self, m):
+        with digit_limit_lifted():
+            text = write_matrix(m)
+            assert text == json.dumps({"m": to_decimal_rows(m)}) + "\n"
+            back = cli._matrix_from_json(json.loads(text)["m"])
+        assert back == (m if m.rows else IntMatrix.empty())
+
+
 class TestJsonWire:
     """``--json`` writes exactly ``json.dumps(record)`` and a newline,
     with every matrix streamed row by row."""
 
     @pytest.mark.parametrize("matrix", [
         IntMatrix.empty(), IntMatrix(0, 3, ()), IntMatrix(2, 0, ((), ())),
-        IntMatrix.zero(3, 5), IntMatrix.from_rows([[0, 1, 0, 0, 0, 0, 0, -1]]),
+        zeros(3, 5), IntMatrix.from_rows([[0, 1, 0, 0, 0, 0, 0, -1]]),
         IntMatrix.from_rows([[10 ** 4400 + 1, 0], [0, -2]]),
     ], ids=["0x0", "0x3", "2x0", "zero", "sparse", "beyond-digit-limit"])
     def test_record_matches_json_dumps(self, matrix):
@@ -832,3 +896,67 @@ class TestModuleEntryPoint:
                               text=True, env=package_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+def matrix_argv(route: str, matrix: list, tmp_path: Path) -> list[str]:
+    """The command line that reads ``matrix`` through the given route."""
+    if route in ("snf", "inline-knot"):
+        return ["snf" if route == "snf" else "invariants", json.dumps(matrix)]
+    path = tmp_path / "knot.json"
+    path.write_text(json.dumps({route: matrix}))
+    return ["invariants", str(path)]
+
+
+class TestDecimalEntries:
+    """A matrix entry is a JSON integer (not true/false) or an ASCII
+    decimal string -?[0-9]+, on every route that reads one."""
+
+    ROUTES = ["snf", "inline-knot", "seifert_matrix", "even_form"]
+
+    @staticmethod
+    def matrix(route: str, entry) -> list:
+        # with any integer entry: a valid Seifert matrix (S - S^t is
+        # fixed); with an even one, an even form of odd determinant
+        if route in ("inline-knot", "seifert_matrix"):
+            return [[1, 1], [0, entry]]
+        return [[2, "1"], ["1", entry]]
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("entry", [
+        "1_0", " 2", "2 ", "+2", "\u0662", "2\n", "", "-", "--2", "0x2", "2.0",
+        True, False, 2.0, None, [2], {"2": 2}, "9" * 100 + "x"], ids=lambda e: repr(e)[:16])
+    def test_anything_else_is_a_parse_error(self, tmp_path, capsys, route, entry):
+        argv = matrix_argv(route, self.matrix(route, entry), tmp_path)
+        assert run_cli(*argv) == (3, "")
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and "bad matrix entry [1][1]" in err
+        assert len(err) < 200
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("entry", [2, "2", "002", "-0", "-006"], ids=repr)
+    def test_integers_and_decimal_strings_are_read(self, tmp_path, route, entry):
+        argv = matrix_argv(route, self.matrix(route, entry), tmp_path)
+        assert run_cli(*argv, "--json")[0] == 0
+
+
+# The package's public names: paper content (mu, cover torsion, doubling,
+# the combiner, alinking, the verdicts) and the exact kernel.
+PUBLIC_NAMES = [
+    "BraidWord", "CatalogError", "ClassificationError", "Conclusion", "DimensionError",
+    "DoublingHypothesisError", "E8", "FiniteAbelianGroup", "FormError", "InducedMap",
+    "InputError", "IntMatrix", "Mu", "NotAKnotError", "SeifertMatrix",
+    "SeifertValidationError", "SnfResult", "SpinStructureError", "TwoKnotInvariants",
+    "Verdict", "alinking", "branched_double_cover_h1", "catalog", "cokernel_invariants",
+    "combine_doubles", "determinant", "direct_sum", "from_presentation",
+    "intersection_form", "invariant_factors", "is_double", "mod2_alinking",
+    "mu_boundary_link_sum", "mu_from_even_form", "mu_two_twist_spin",
+    "obstruct_ribbon_equivalent", "obstruct_ribbon_trivial", "seifert_matrix_from_braid",
+    "signature", "smith_normal_form", "validate_seifert",
+]
+
+
+def test_public_names_are_the_documented_ones():
+    assert sorted(ribbonmu.__all__) == sorted(PUBLIC_NAMES)
+    assert len(set(ribbonmu.__all__)) == len(ribbonmu.__all__)
+    for name in ribbonmu.__all__:
+        assert getattr(ribbonmu, name) is not None, name

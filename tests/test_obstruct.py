@@ -20,9 +20,12 @@ from ribbonmu import (
 
 from support import block_diag, package_env, rand_seifert
 
-TREFOIL = validate_seifert(IntMatrix.from_rows([[1, 1], [0, 1]]))
-FIGURE8 = validate_seifert(IntMatrix.from_rows([[1, 1], [0, -1]]))
-UNKNOT = validate_seifert(IntMatrix.empty())
+# The verdicts take invariant records; these wrap validated Seifert matrices.
+knot = TwoKnotInvariants.from_seifert
+FIGURE8_MATRIX = IntMatrix.from_rows([[1, 1], [0, -1]])
+TREFOIL = knot(validate_seifert(IntMatrix.from_rows([[1, 1], [0, 1]])))
+FIGURE8 = knot(validate_seifert(FIGURE8_MATRIX))
+UNKNOT = knot(validate_seifert(IntMatrix.empty()))
 
 
 class TestAgainstTrivial:
@@ -69,8 +72,8 @@ class TestPairwise:
         assert is_double(combined) is None
 
     def test_connected_sum_of_figure8_with_itself_unobstructed(self):
-        doubled = validate_seifert(block_diag(FIGURE8.matrix, FIGURE8.matrix))
-        verdict = obstruct_ribbon_trivial(doubled)
+        doubled = validate_seifert(block_diag(FIGURE8_MATRIX, FIGURE8_MATRIX))
+        verdict = obstruct_ribbon_trivial(knot(doubled))
         assert verdict.conclusion is Conclusion.NO_OBSTRUCTION_FOUND
 
 
@@ -78,14 +81,14 @@ class TestEngineProperties:
     def test_symmetry_of_conclusions(self):
         rng = random.Random(41)
         for _ in range(60):
-            a, b = rand_seifert(rng), rand_seifert(rng)
+            a, b = knot(rand_seifert(rng)), knot(rand_seifert(rng))
             assert obstruct_ribbon_equivalent(a, b).conclusion is \
                 obstruct_ribbon_equivalent(b, a).conclusion
 
     def test_trivial_comparison_matches_empty_matrix_comparison(self):
         rng = random.Random(42)
         for _ in range(60):
-            s = rand_seifert(rng)
+            s = knot(rand_seifert(rng))
             assert obstruct_ribbon_trivial(s).conclusion is \
                 obstruct_ribbon_equivalent(s, UNKNOT).conclusion
 
@@ -93,14 +96,12 @@ class TestEngineProperties:
         rng = random.Random(43)
         seen_torsion = 0
         for _ in range(120):
-            a, b = rand_seifert(rng), rand_seifert(rng)
+            a, b = knot(rand_seifert(rng)), knot(rand_seifert(rng))
             verdict = obstruct_ribbon_equivalent(a, b)
             if verdict.conclusion is Conclusion.OBSTRUCTED_BY_TORSION:
                 seen_torsion += 1
                 assert verdict.mu_pair is None
-                inv_a = TwoKnotInvariants.from_seifert(a)
-                inv_b = TwoKnotInvariants.from_seifert(b)
-                assert inv_a.mu.value == inv_b.mu.value
+                assert a.mu.value == b.mu.value
         assert seen_torsion > 0
 
 

@@ -22,7 +22,8 @@ from ribbonmu import (
     validate_seifert,
 )
 
-from support import block_diag, rand_seifert, rand_unimodular, sturm_signature
+from support import (block_diag, identity, matmul, rand_seifert, rand_unimodular,
+                     sturm_signature)
 
 TREFOIL = IntMatrix.from_rows([[1, 1], [0, 1]])
 FIGURE8 = IntMatrix.from_rows([[1, 1], [0, -1]])
@@ -50,7 +51,7 @@ class TestValidateSeifert:
 
     def test_symmetric_matrix_rejected(self):
         with pytest.raises(SeifertValidationError, match="det"):
-            validate_seifert(IntMatrix.identity(2))
+            validate_seifert(identity(2))
 
     def test_non_square_rejected(self):
         with pytest.raises(SeifertValidationError):
@@ -112,8 +113,7 @@ class TestMuTwoTwistSpin:
         for _ in range(60):
             s = rand_seifert(rng)
             p = rand_unimodular(rng, s.size)
-            transformed = validate_seifert(
-                p.transpose() @ s.matrix @ p)
+            transformed = validate_seifert(matmul(p.transpose(), s.matrix, p))
             assert mu_two_twist_spin(transformed).value == \
                 mu_two_twist_spin(s).value
 
