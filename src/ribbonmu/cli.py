@@ -1,14 +1,15 @@
 """Command-line interface.
 
 Subcommands: invariants, obstruct, snf, alink, braid.  Knots are given
-as catalog names, inline Seifert matrices, or JSON knot files.  The JSON
-wire format is this module's: a matrix is an array of rows, its entries
-read as JSON integers or decimal strings ``-?[0-9]+`` and written as
-decimal strings, so arbitrary-precision values survive; ``--json``
-writes each record as exactly ``json.dumps(record)`` and a newline,
-matrices streamed row by row.  Exit status is a stable scripting
-contract: 0 on success (whatever the verdict), 2 on validation errors,
-3 on parse errors, and 141 when standard output is closed early.
+as catalog names, inline Seifert matrices, or JSON knot files; a path is
+a plain string, quoted as given in errors.  The JSON wire format is this
+module's: matrix entries are read as JSON integers or decimal strings
+``-?[0-9]+`` (the grammar of braid letters and ``--strands`` too) and
+written as decimal strings; ``--json`` writes each record as exactly
+``json.dumps(record)`` and a newline, matrices streamed row by row.
+Exit status is a stable scripting contract: 0 on success (whatever the
+verdict), 2 on validation errors, 3 on parse errors, and 141 when
+standard output is closed early.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import json
 import os
 import re
 import sys
-from pathlib import Path
 
 from .abelian import FiniteAbelianGroup, is_double
 from .alink import InducedMap, alinking
@@ -28,7 +28,7 @@ from .exactla import (InputError, IntMatrix, _diagonal_matrix, cokernel_invarian
 from .obstruct import Verdict, obstruct_ribbon_equivalent, obstruct_ribbon_trivial
 from .spinmu import validate_seifert
 
-_DECIMAL = re.compile(r"-?[0-9]+")  # a matrix entry given as a string
+_DECIMAL = re.compile(r"-?[0-9]+")  # a command-line integer, or a matrix entry string
 _COLUMN_RE = re.compile(r"\(\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*\)")  # "(a,b)"
 
 
@@ -36,22 +36,30 @@ class CliParseError(InputError):
     """Malformed command-line or file input: exit status 3, not 2."""
 
 
-def _read_json(source: str | Path) -> object:
-    """Decode inline JSON text (a matrix), or the JSON file at a path."""
-    if isinstance(source, Path):
-        where = f"{source}:"
-        try:
-            text = source.read_text()
-        except (OSError, UnicodeError) as exc:
-            raise CliParseError(f"cannot read {source}: {exc}") from None
-    else:
-        where, text = "matrix", source
+def integer(text: str) -> int:
+    """A command-line integer: ASCII ``-?[0-9]+``, as string matrix entries."""
+    if _DECIMAL.fullmatch(text) is None:
+        raise CliParseError(f"{text!r} is not an integer -?[0-9]+")
+    return int(text)
+
+
+def _read_json(path: str) -> object:
+    """Decode the JSON file at a path."""
+    try:
+        with open(path) as file:
+            text = file.read()
+    except (OSError, UnicodeError) as exc:  # an OSError's strerror omits the path
+        raise CliParseError(f"cannot read {path!r}: {getattr(exc, 'strerror', exc)}") from None
+    return _decode(text, f"{path}:")
+
+
+def _decode(text: str, where: str) -> object:
+    """Decode JSON text; ``where`` starts each error message."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise CliParseError(
-            f"{where} parse error at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}") from None
+        raise CliParseError(f"{where} parse error at line {exc.lineno}, column {exc.colno}: "
+                            f"{exc.msg}") from None
     except RecursionError:
         raise CliParseError(f"{where} parse error: nested too deeply") from None
 
@@ -73,7 +81,12 @@ def _matrix_from_json(data: object) -> IntMatrix:
         raise CliParseError(f"bad matrix: {exc}") from None
 
 
-def _knot_from_file(path: Path) -> KnotRecord:
+def _braid_knot(name, strands, letters, even_form=None) -> KnotRecord:
+    seifert = seifert_matrix_from_braid(BraidWord(strands, tuple(letters)))
+    return KnotRecord(name=name, source="braid", seifert=seifert, even_form=even_form)
+
+
+def _knot_from_file(path: str) -> KnotRecord:
     data = _read_json(path)
     if not isinstance(data, dict):
         raise CliParseError(f"{path}: knot file must be a JSON object")
@@ -87,6 +100,7 @@ def _knot_from_file(path: Path) -> KnotRecord:
         raise CliParseError(
             f"{path}: need one of catalog/braid/seifert_matrix (or an "
             f"even_form), got {sources or 'none'}")
+    name = data.get("name", os.path.splitext(os.path.basename(path))[0])
     source, seifert = (sources or ["even_form"])[0], None
     if source == "catalog":
         entry = catalog(data["catalog"])
@@ -100,39 +114,33 @@ def _knot_from_file(path: Path) -> KnotRecord:
         # type(...) is int: JSON true/false arrive as bool, a subclass of int
         if (type(strands) is not int or not isinstance(letters, list)
                 or any(type(x) is not int for x in letters)):
-            raise CliParseError(
-                f"{path}: braid 'strands' must be an integer and 'letters' "
-                "a list of integers")
-        seifert = seifert_matrix_from_braid(BraidWord(strands, tuple(letters)))
+            raise CliParseError(f"{path}: braid 'strands' must be an integer and 'letters' "
+                                "a list of integers")
+        return _braid_knot(name, strands, letters, even_form)
     elif source == "seifert_matrix":
         seifert = validate_seifert(_matrix_from_json(data["seifert_matrix"]))
-    return KnotRecord(name=data.get("name", path.stem),
-                      source=source.replace("_", "-"),
+    return KnotRecord(name=name, source=source.replace("_", "-"),
                       seifert=seifert, even_form=even_form)
 
 
 def resolve_knot(spec: str) -> KnotRecord:
     """Inline Seifert matrix, path to a JSON knot file, or catalog name.
 
-    An argument that cannot be a file name (one too long for the file
-    system, say) is looked up in the catalog.
+    An argument that names no file (one too long for the file system,
+    say) and does not end in ``.json`` is looked up in the catalog.
     """
     if spec.lstrip().startswith("["):
-        matrix = _matrix_from_json(_read_json(spec))
+        matrix = _matrix_from_json(_decode(spec, "matrix"))
         return KnotRecord(name="<inline>", source="seifert-matrix",
                           seifert=validate_seifert(matrix))
-    try:
-        is_file = spec.endswith(".json") or Path(spec).is_file()
-    except OSError:
-        is_file = False
-    return _knot_from_file(Path(spec)) if is_file else catalog(spec)
+    is_file = spec.endswith(".json") or os.path.isfile(spec)
+    return _knot_from_file(spec) if is_file else catalog(spec)
 
 
 def _matrix_arg(args) -> IntMatrix:
     """The matrix of ``snf`` and ``alink``: ``--file``, else inline JSON."""
-    if args.file == "":  # Path("") is ".", a directory the user never named
-        raise CliParseError("cannot read '': no file name given")
-    return _matrix_from_json(_read_json(args.matrix if args.file is None else Path(args.file)))
+    return _matrix_from_json(_decode(args.matrix, "matrix") if args.file is None
+                             else _read_json(args.file))
 
 
 def _induced_map(args) -> InducedMap:
@@ -257,23 +265,22 @@ def _cmd_invariants(args, out) -> int:
     return 0
 
 
-def _batch(name: str, out) -> int:
+def _batch(directory: str, out) -> int:
     """One JSON line per *.json file, failures included; the worst status."""
-    directory = Path(name)
-    try:  # Path("") is the current directory, but "" names no directory
-        is_dir = name != "" and directory.is_dir()
-    except OSError:  # e.g. a name too long for the file system
-        is_dir = False
-    if not is_dir:
-        raise CliParseError(f"batch path {name!r} is not a directory")
+    if not os.path.isdir(directory):
+        raise CliParseError(f"batch path {directory!r} is not a directory")
+    try:
+        names = sorted(n for n in os.listdir(directory) if n.endswith(".json"))
+    except OSError as exc:
+        raise CliParseError(f"cannot read {directory!r}: {exc.strerror}") from None
     codes = []
-    for path in sorted(directory.glob("*.json")):
+    for name in names:
         try:
-            record = _invariant_record(_knot_from_file(path))
+            record = _invariant_record(_knot_from_file(os.path.join(directory, name)))
             codes.append(0)
         except InputError as exc:
             codes.append(3 if isinstance(exc, CliParseError) else 2)
-            record = {"name": path.name, "error": str(exc), "exit": codes[-1]}
+            record = {"name": name, "error": str(exc), "exit": codes[-1]}
         _emit(record, True, None, out)
     print(f"{len(codes)} files, {sum(map(bool, codes))} failed", file=sys.stderr)
     return max(codes, default=0)
@@ -320,24 +327,15 @@ def _cmd_alink(args, out) -> int:
 
 
 def _cmd_braid(args, out) -> int:
-    letters: list[int] = []
-    for token in args.letters:
-        for piece in token.split():
-            try:
-                letters.append(int(piece))
-            except ValueError:
-                raise CliParseError(f"bad braid letter {piece!r}") from None
-    seifert = seifert_matrix_from_braid(BraidWord(args.strands, tuple(letters)))
+    letters = [integer(piece) for token in args.letters for piece in token.split()]
+    knot = _braid_knot(f"closure of {letters} on {args.strands} strands", args.strands, letters)
 
     def print_text(record, out):
         print("Seifert matrix:", file=out)
-        print(seifert.matrix, file=out)
+        print(knot.seifert.matrix, file=out)
         _print_invariant_text(record, out)
 
-    record = _invariant_record(KnotRecord(
-        name=f"closure of {letters} on {args.strands} strands",
-        source="braid", seifert=seifert))
-    _emit(record, args.json, print_text, out)
+    _emit(_invariant_record(knot), args.json, print_text, out)
     return 0
 
 
@@ -365,12 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
     given.add_argument("--batch", metavar="DIR", help="process every *.json "
                        "knot file in DIR, one JSON record per line")
     p.add_argument("--json", action="store_true", help="machine-readable output")
+    p.set_defaults(run=_cmd_invariants)
 
     p = sub.add_parser("obstruct", help="test ribbon-move equivalence "
                        "obstructions between two 2-knots")
     p.add_argument("first", help="knot spec")
     p.add_argument("second", nargs="?", help="knot spec; omitted = trivial 2-knot")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=_cmd_obstruct)
 
     p = sub.add_parser("snf", help="Smith normal form of an integer matrix")
     given = p.add_mutually_exclusive_group(required=True)
@@ -378,6 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     given.add_argument("--file", help="read the matrix from a JSON file")
     p.add_argument("--full", action="store_true", help="also print U and V")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=_cmd_snf)
 
     p = sub.add_parser("alink", help="alinking number of a (sphere, torus)-link")
     given = p.add_mutually_exclusive_group(required=True)
@@ -385,22 +386,15 @@ def build_parser() -> argparse.ArgumentParser:
                        "JSON 2-row matrix")
     given.add_argument("--file", help="read the 2-row matrix from a JSON file")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=_cmd_alink)
 
     p = sub.add_parser("braid", help="Seifert matrix of a braid closure")
     p.add_argument("letters", nargs="+", help="signed generator indices, "
                    "e.g. 1 1 1 or \"1 -2 1 -2\"")
-    p.add_argument("--strands", type=int, required=True)
+    p.add_argument("--strands", type=integer, required=True)
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=_cmd_braid)
     return parser
-
-
-_COMMANDS = {
-    "invariants": _cmd_invariants,
-    "obstruct": _cmd_obstruct,
-    "snf": _cmd_snf,
-    "alink": _cmd_alink,
-    "braid": _cmd_braid,
-}
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
@@ -414,7 +408,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args, out)
+        return args.run(args, out)
     except InputError as exc:  # anything else is a bug: it keeps its traceback
         code = 3 if isinstance(exc, CliParseError) else 2
         print(f"{'parse error' if code == 3 else 'error'}: {exc}", file=sys.stderr)

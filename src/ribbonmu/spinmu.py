@@ -64,9 +64,6 @@ class Mu(_Value):
     def __add__(self, other: Mu) -> Mu:
         return Mu(self.value + other.value)
 
-    def __int__(self) -> int:
-        return self.value
-
     def __str__(self) -> str:
         # The explicit suffix avoids the sign ambiguity of e.g. a
         # signature of -2 rendering as 14.

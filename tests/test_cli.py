@@ -243,6 +243,29 @@ class TestBraidCommand:
         assert code == 2
         assert "99999999999 components" in capsys.readouterr().err
 
+    def test_negative_letters_are_read(self):
+        code, text = run_cli("braid", "--strands", "2", "-1", "-1", "-1", "--json")
+        assert code == 0
+        assert json.loads(text)["mu"] == "14"  # the mirror trefoil
+
+    @pytest.mark.parametrize("argv", [
+        ["--strands", "2", "\u0661", "1", "1"], ["--strands", "2", "+1", "1", "1"],
+        ["--strands", "2", "1_0"], ["--strands", "2", "0x1"], ["--strands", "2", "1 +1 1"],
+        ["--strands", "2", "1.0"], ["--strands", "2", "\uff11"], ["--strands", "2", "-"],
+        ["--strands", "\u0662", "1", "1", "1"], ["--strands", "+2", "1", "1", "1"],
+        ["--strands", "2_0", "1"],
+    ], ids=lambda argv: " ".join(argv).encode("ascii", "backslashreplace").decode())
+    def test_integers_are_ascii_decimal(self, capsys, argv):
+        # letters and --strands take the grammar of string matrix entries
+        assert run_cli("braid", *argv) == (3, "")
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and "Traceback" not in err
+        assert "is not an integer" in err or "invalid integer value" in err
+
+    @pytest.mark.parametrize("text, value", [("0", 0), ("-0", 0), ("007", 7), ("-12", -12)])
+    def test_integer_grammar(self, text, value):
+        assert cli.integer(text) == value
+
 
 class TestKnotFiles:
     def test_file_with_braid_source(self, tmp_path):
@@ -405,6 +428,25 @@ class TestKnotFiles:
         (tmp_path / "c_list.json").unlink()
         assert run_cli("invariants", "--batch", str(tmp_path))[0] == 2
 
+    def test_batch_lists_json_names_in_byte_order(self, tmp_path, capsys):
+        for name in (".h.json", "B.json", "a.json"):
+            (tmp_path / name).write_text(json.dumps({"catalog": "trefoil"}))
+        (tmp_path / "sub.json").mkdir()  # listed, and unreadable as a file
+        (tmp_path / "note.txt").write_text("ignored")
+        code, text = run_cli("invariants", "--batch", str(tmp_path))
+        assert code == 3
+        records = [json.loads(line) for line in text.splitlines()]
+        assert [r["name"] for r in records] == [".h", "B", "a", "sub.json"]
+        assert [r.get("exit") for r in records] == [None, None, None, 3]
+        assert records[3]["error"].startswith("cannot read ")
+        assert capsys.readouterr().err == "4 files, 1 failed\n"
+
+    def test_read_error_names_the_path_as_given(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("invariants", "./nope.json") == (3, "")
+        err = capsys.readouterr().err
+        assert err == "parse error: cannot read './nope.json': No such file or directory\n"
+
     def test_batch_round_trip(self, tmp_path):
         (tmp_path / "k.json").write_text(json.dumps({"catalog": "poincare"}))
         code, text = run_cli("invariants", "--batch", str(tmp_path))
@@ -489,13 +531,13 @@ class TestExitContract:
 
     @pytest.mark.parametrize("command", ["invariants", "obstruct"])
     def test_argument_too_long_for_a_file_name(self, capsys, command):
-        # Path.is_file raises OSError (errno 36, name too long) here; such
-        # an argument cannot name a file, so it is looked up in the catalog
+        # os.path.isfile is False here (errno 36, name too long); such an
+        # argument names no file, so it is looked up in the catalog
         assert run_cli(command, "x" * 300) == (2, "")
         assert "unknown catalog entry" in capsys.readouterr().err
 
     def test_batch_path_too_long_for_a_file_name(self, capsys):
-        # Path.is_dir raises OSError here too: not a directory, a parse error
+        # os.path.isdir is False here too: not a directory, a parse error
         assert run_cli("invariants", "--batch", "x" * 300) == (3, "")
         assert "is not a directory" in capsys.readouterr().err
 
@@ -528,7 +570,7 @@ class TestExitContract:
         assert run_cli(*argv) == (3, "")
         err = capsys.readouterr().err
         assert err.startswith("parse error: ") and "Traceback" not in err
-        if "" in argv:  # the name as given, not the "." that Path("") means
+        if "" in argv:  # the name as given, not the "." that pathlib makes of it
             assert "''" in err and "'.'" not in err and "Errno" not in err
 
     def test_help_still_exits_zero(self, capsys):
@@ -887,10 +929,11 @@ class TestModuleEntryPoint:
 
     def test_startup_stays_lean(self):
         # dataclasses and the inspect module it imports cost a fresh
-        # interpreter about 30 ms, which every CLI op pays, and typing a
-        # few ms more.  -S: no site hook may have loaded one of them already
+        # interpreter about 30 ms, which every CLI op pays; typing and
+        # pathlib (it loads urllib.parse and ipaddress) a few ms more each.
+        # -S: no site hook may have loaded one of them already
         script = ("import sys; before = set(sys.modules); import ribbonmu.cli; "
-                  "print(sorted({'dataclasses', 'inspect', 'typing'}"
+                  "print(sorted({'dataclasses', 'inspect', 'pathlib', 'typing'}"
                   " & (set(sys.modules) - before)))")
         proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
                               text=True, env=package_env(), timeout=60)
