@@ -3,8 +3,9 @@
 The package computes, over arbitrary-precision integers:
 
 * the mu-invariant (mod 16) of 2-twist-spun 2-knots and of 2-knots
-  presented by an even bounding form,
-* first homology of branched double covers from Seifert matrices,
+  presented by an even bounding form, and the cover torsion (for a
+  2-twist spin, the first homology of the branched double cover), both
+  read off one ``TwoKnotInvariants`` record,
 * the torsion doubling obstruction on Seifert-hypersurface homology,
 * alinking numbers of (sphere, torus)-links,
 
@@ -54,11 +55,8 @@ from .spinmu import (
     SeifertValidationError,
     SpinStructureError,
     TwoKnotInvariants,
-    branched_double_cover_h1,
     intersection_form,
     mu_boundary_link_sum,
-    mu_from_even_form,
-    mu_two_twist_spin,
     validate_seifert,
 )
 
@@ -86,7 +84,6 @@ __all__ = [
     "TwoKnotInvariants",
     "Verdict",
     "alinking",
-    "branched_double_cover_h1",
     "catalog",
     "cokernel_invariants",
     "combine_doubles",
@@ -98,8 +95,6 @@ __all__ = [
     "is_double",
     "mod2_alinking",
     "mu_boundary_link_sum",
-    "mu_from_even_form",
-    "mu_two_twist_spin",
     "obstruct_ribbon_equivalent",
     "obstruct_ribbon_trivial",
     "seifert_matrix_from_braid",

@@ -19,6 +19,7 @@ divisibility by pairwise (gcd, lcm) replacement.
 from __future__ import annotations
 
 import math
+from operator import index
 
 from .exactla import InputError, IntMatrix, _Value, _invariant_chain, cokernel_invariants
 
@@ -33,7 +34,7 @@ class FiniteAbelianGroup(_Value):
     invariant_factors: tuple[int, ...]
 
     def __init__(self, invariant_factors: tuple[int, ...]) -> None:
-        factors = tuple(int(d) for d in invariant_factors)
+        factors = tuple(map(index, invariant_factors))
         for d in factors:
             if d < 2:
                 raise ValueError(f"invariant factor {d} < 2")

@@ -38,6 +38,8 @@ so the word is read as given: a stabilized word has the same matrix.
 
 from __future__ import annotations
 
+from operator import index
+
 from .exactla import DimensionError, InputError, IntMatrix, _Value
 from .spinmu import SeifertMatrix, TwoKnotInvariants
 
@@ -57,7 +59,7 @@ class BraidWord(_Value):
     letters: tuple[int, ...]
 
     def __init__(self, strands: int, letters: tuple[int, ...]) -> None:
-        letters = tuple(int(x) for x in letters)
+        strands, letters = index(strands), tuple(map(index, letters))
         if strands < 1:
             raise DimensionError(f"strand count must be >= 1, got {strands}")
         for letter in letters:

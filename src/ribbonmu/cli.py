@@ -29,7 +29,8 @@ from .obstruct import Verdict, obstruct_ribbon_equivalent, obstruct_ribbon_trivi
 from .spinmu import validate_seifert
 
 _DECIMAL = re.compile(r"-?[0-9]+")  # a command-line integer, or a matrix entry string
-_COLUMN_RE = re.compile(r"\(\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*\)")  # "(a,b)"
+_SPACES = re.compile(r"\s+", re.ASCII)  # between braid letters: space, \t, \n, \r, \f, \v
+_COLUMN_RE = re.compile(r"\(\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*\)", re.ASCII)  # "(a,b)"
 
 
 class CliParseError(InputError):
@@ -76,7 +77,7 @@ def _matrix_from_json(data: object) -> IntMatrix:
                 raise CliParseError(f"bad matrix entry [{i}][{j}]: {got}, not an "
                                     "integer or a decimal string")
     try:
-        return IntMatrix.from_rows(data)
+        return IntMatrix.from_rows([list(map(int, row)) for row in data])
     except ValueError as exc:
         raise CliParseError(f"bad matrix: {exc}") from None
 
@@ -190,10 +191,10 @@ def _print_invariant_text(record: dict[str, object], out) -> None:
     print(f"mu = {record['mu']} (mod 16)", file=out)
     print(f"signature = {record['signature']}", file=out)
     print(f"form determinant = {record['form_determinant']}", file=out)
-    h1 = FiniteAbelianGroup(record["h1_invariant_factors"])
+    h1 = FiniteAbelianGroup(tuple(map(int, record["h1_invariant_factors"])))
     print(f"H1(Seifert hypersurface) = {h1}", file=out)
     if record["h1_is_double"]:
-        half = FiniteAbelianGroup(record["h1_double_half"])
+        half = FiniteAbelianGroup(tuple(map(int, record["h1_double_half"])))
         print(f"doubling test: passes, half = {half}", file=out)
     else:
         print("doubling test: fails (not of the form G + G)", file=out)
@@ -327,7 +328,7 @@ def _cmd_alink(args, out) -> int:
 
 
 def _cmd_braid(args, out) -> int:
-    letters = [integer(piece) for token in args.letters for piece in token.split()]
+    letters = [integer(p) for token in args.letters for p in _SPACES.split(token) if p]
     knot = _braid_knot(f"closure of {letters} on {args.strands} strands", args.strands, letters)
 
     def print_text(record, out):

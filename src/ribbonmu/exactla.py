@@ -70,7 +70,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from itertools import compress
-from operator import add, eq, sub
+from operator import add, eq, index, sub
 
 
 class InputError(ValueError):
@@ -142,12 +142,12 @@ class IntMatrix(_Value):
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> IntMatrix:
-        """Build from nested sequences; ``cols`` disambiguates zero-row shapes."""
+        """Build from nested sequences of ints; ``cols`` disambiguates zero-row shapes."""
         r = len(rows)
         if r == 0:
             return IntMatrix(0, 0 if cols is None else cols, ())
         c = len(rows[0]) if cols is None else cols
-        return IntMatrix(r, c, tuple(tuple(int(x) for x in row) for row in rows))
+        return IntMatrix(r, c, tuple(tuple(map(index, row)) for row in rows))
 
     @staticmethod
     def empty() -> IntMatrix:

@@ -19,12 +19,15 @@ route covers 2-knots such as the 5-twist-spun trefoil, whose natural
 hypersurface is the punctured Poincare sphere bounded by the E8 form.
 
 There is no general algorithm for the mu-invariant of an arbitrary
-2-knot; these two algebraic routes are the ones this package computes.
+2-knot; these two algebraic routes are the ones this package computes,
+as ``TwoKnotInvariants.from_seifert`` and ``from_even_form``.  Mu and the
+cover torsion are read off that one record.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import index
 
 from .abelian import FiniteAbelianGroup, from_presentation
 from .exactla import (FormError, InputError, IntMatrix, _Value, determinant,
@@ -59,7 +62,7 @@ class Mu(_Value):
     value: int
 
     def __init__(self, value: int) -> None:
-        self._set(value=int(value) % 16)
+        self._set(value=index(value) % 16)
 
     def __add__(self, other: Mu) -> Mu:
         return Mu(self.value + other.value)
@@ -91,29 +94,6 @@ def intersection_form(seifert: SeifertMatrix) -> IntMatrix:
     return seifert.matrix + seifert.matrix.transpose()
 
 
-def branched_double_cover_h1(seifert: SeifertMatrix) -> FiniteAbelianGroup:
-    """First homology of the branched double cover, presented by S + S^t.
-
-    Always finite: the validation determinant forces det(S + S^t) odd.
-    """
-    return TwoKnotInvariants.from_seifert(seifert).cover_torsion
-
-
-def mu_two_twist_spin(seifert: SeifertMatrix) -> Mu:
-    """Mu-invariant of the 2-twist-spun 2-knot of the knot with matrix S."""
-    return TwoKnotInvariants.from_seifert(seifert).mu
-
-
-def mu_from_even_form(form: IntMatrix) -> Mu:
-    """Signature mod 16 of an even symmetric form with odd determinant.
-
-    The evenness makes the bounded 4-manifold spin; the odd determinant
-    makes the spin structure on its boundary unique, so the residue is
-    well defined.
-    """
-    return TwoKnotInvariants.from_even_form(form).mu
-
-
 def mu_boundary_link_sum(components: Sequence[SeifertMatrix]) -> Mu:
     """Mu of a boundary 2-link with the given components: the mod-16 sum.
 
@@ -122,7 +102,7 @@ def mu_boundary_link_sum(components: Sequence[SeifertMatrix]) -> Mu:
     is the block-diagonal sum; signature additivity makes the mu of the
     block form equal the sum of component mu values.
     """
-    return sum((mu_two_twist_spin(s) for s in components), Mu(0))
+    return sum((TwoKnotInvariants.from_seifert(s).mu for s in components), Mu(0))
 
 
 class TwoKnotInvariants(_Value):
@@ -158,7 +138,8 @@ class TwoKnotInvariants(_Value):
     @staticmethod
     def from_even_form(form: IntMatrix) -> TwoKnotInvariants:
         """Check and read a bounding form in one pass; the O(n) evenness
-        check runs first, so an odd form is never eliminated."""
+        check runs first, so an odd form is never eliminated.  Even and odd
+        determinant make the signature mod 16 well defined."""
         for i, d in enumerate(form.diagonal()):
             if d % 2 != 0:
                 raise FormError(f"form not even: diagonal entry {d} at index {i}")

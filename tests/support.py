@@ -116,6 +116,11 @@ def to_decimal_rows(matrix: IntMatrix) -> list[list[str]]:
     return [[str(x) for x in row] for row in matrix.entries]
 
 
+def from_decimal_rows(rows: list[list[str | int]]) -> IntMatrix:
+    """Read wire-format rows back: ``IntMatrix`` takes exact integers only."""
+    return IntMatrix.from_rows([[int(x) for x in row] for row in rows])
+
+
 def alexander_at(seifert: SeifertMatrix, t: int) -> int:
     """Exact value det(S - t * S^t) of the Alexander polynomial form.
 

@@ -24,14 +24,11 @@ from ribbonmu import (
     IntMatrix,
     TwoKnotInvariants,
     alinking,
-    branched_double_cover_h1,
     combine_doubles,
     determinant,
     direct_sum,
     intersection_form,
     is_double,
-    mu_from_even_form,
-    mu_two_twist_spin,
     obstruct_ribbon_equivalent,
     obstruct_ribbon_trivial,
     seifert_matrix_from_braid,
@@ -44,6 +41,7 @@ from ribbonmu.cli import main
 
 from support import (
     block_diag,
+    from_decimal_rows,
     matmul,
     package_env,
     rand_group_factors,
@@ -68,15 +66,15 @@ def seifert_corpus():
 
 
 def test_c01_mu_regression():
-    assert mu_two_twist_spin(TREFOIL).value == 2
-    assert mu_two_twist_spin(FIGURE8).value == 0
-    assert mu_from_even_form(E8).value == 8
+    assert TwoKnotInvariants.from_seifert(TREFOIL).mu.value == 2
+    assert TwoKnotInvariants.from_seifert(FIGURE8).mu.value == 0
+    assert TwoKnotInvariants.from_even_form(E8).mu.value == 8
     print("PASS criterion 1: mu values 2 / 0 / 8 reproduced exactly")
 
 
 def test_c02_homology_regression():
-    assert branched_double_cover_h1(TREFOIL) == FiniteAbelianGroup((3,))
-    assert branched_double_cover_h1(FIGURE8) == FiniteAbelianGroup((5,))
+    assert TwoKnotInvariants.from_seifert(TREFOIL).cover_torsion == FiniteAbelianGroup((3,))
+    assert TwoKnotInvariants.from_seifert(FIGURE8).cover_torsion == FiniteAbelianGroup((5,))
     print("PASS criterion 2: branched cover homology Z3 / Z5 reproduced exactly")
 
 
@@ -157,13 +155,14 @@ def test_c07_parity_theorem(seifert_corpus):
 
 def test_c08_additivity(seifert_corpus):
     rng = random.Random(8)
-    mus = [mu_two_twist_spin(s).value for s in seifert_corpus]
+    mus = [TwoKnotInvariants.from_seifert(s).mu.value for s in seifert_corpus]
     forms = [intersection_form(s) for s in seifert_corpus]
     pairs = 0
     for _ in range(500):
         i, j = rng.randrange(len(forms)), rng.randrange(len(forms))
         block = block_diag(forms[i], forms[j])
-        assert mu_from_even_form(block).value == (mus[i] + mus[j]) % 16
+        mu = TwoKnotInvariants.from_even_form(block).mu
+        assert mu.value == (mus[i] + mus[j]) % 16
         pairs += 1
     assert pairs == 500
     print(f"PASS criterion 8: block-sum mu additivity held on {pairs}/500 "
@@ -178,8 +177,8 @@ def test_c09_braid_cross_check():
         dq, rq = intersection_form(derived), intersection_form(reference)
         assert abs(determinant(dq)) == abs(determinant(rq))
         assert abs(signature(dq)) == abs(signature(rq))
-        assert branched_double_cover_h1(derived) == \
-            branched_double_cover_h1(reference)
+        assert TwoKnotInvariants.from_seifert(derived).cover_torsion == \
+            TwoKnotInvariants.from_seifert(reference).cover_torsion
     print("PASS criterion 9: braid-derived trefoil and figure-eight match "
           "the catalog matrices in |det|, |sigma|, and torsion")
 
@@ -224,7 +223,7 @@ def test_c11_dense_snf_transforms(tmp_path, n):
     assert code == 0
     record = json.loads(out.getvalue())
     assert max(len(x.lstrip("-")) for key in "uv" for row in record[key] for x in row) < 4300
-    m, u, d, v = (IntMatrix.from_rows(x) for x in
+    m, u, d, v = (from_decimal_rows(x) for x in
                   (rows, record["u"], record["d"], record["v"]))
     assert matmul(u, m, v) == d
     # det U * det M * det V = det D, all integers, and |det M| = det D,
@@ -253,7 +252,7 @@ def test_c12_dense_even_form_torsion_modulo_determinant():
     assert record["signature"] == "-18"
     assert record["form_determinant"] == str(det)
     assert record["h1_invariant_factors"] == [str(d) for d in cover]
-    form = IntMatrix.from_rows(json.loads(EVEN80.read_text())["even_form"])
+    form = from_decimal_rows(json.loads(EVEN80.read_text())["even_form"])
     assert determinant(form) == det == -prod(cover)
     print("PASS criterion 12: the torsion of a dense 80-row even form, reduced "
           "modulo its determinant, matches its block recipe")

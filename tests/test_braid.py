@@ -9,11 +9,10 @@ from ribbonmu import (
     CatalogError,
     IntMatrix,
     NotAKnotError,
-    branched_double_cover_h1,
+    TwoKnotInvariants,
     catalog,
     determinant,
     intersection_form,
-    mu_two_twist_spin,
     seifert_matrix_from_braid,
     signature,
     validate_seifert,
@@ -31,7 +30,7 @@ CATALOG_NAMES = ("figure8", "poincare", "trefoil", "unknot")
 def congruence_invariants(seifert):
     q = intersection_form(seifert)
     return (abs(determinant(q)), abs(signature(q)),
-            branched_double_cover_h1(seifert).invariant_factors)
+            TwoKnotInvariants.from_seifert(seifert).cover_torsion.invariant_factors)
 
 
 class TestBraidWord:
@@ -85,8 +84,8 @@ class TestSeifertMatrixFromBraid:
 
     def test_trefoil_braid_and_catalog_agree_on_mu(self):
         s = seifert_matrix_from_braid(TREFOIL_BRAID)
-        assert mu_two_twist_spin(s).value == \
-            mu_two_twist_spin(catalog("trefoil").seifert).value == 2
+        assert TwoKnotInvariants.from_seifert(s).mu.value == \
+            TwoKnotInvariants.from_seifert(catalog("trefoil").seifert).mu.value == 2
 
     def test_figure8_matches_catalog_invariants(self):
         s = seifert_matrix_from_braid(FIGURE8_BRAID)
@@ -108,7 +107,7 @@ class TestSeifertMatrixFromBraid:
         s = seifert_matrix_from_braid(BraidWord(3, (2, 2, 2, 1)))
         assert congruence_invariants(s) == \
             congruence_invariants(catalog("trefoil").seifert)
-        assert mu_two_twist_spin(s).value == 2
+        assert TwoKnotInvariants.from_seifert(s).mu.value == 2
 
     def test_multi_component_closure_rejected(self):
         with pytest.raises(NotAKnotError, match="components"):
@@ -185,25 +184,25 @@ class TestMarkovStability:
     def test_conjugation_invariance(self):
         for word in self.CATALOG_BRAIDS:
             base = congruence_invariants(seifert_matrix_from_braid(word))
-            mu = mu_two_twist_spin(seifert_matrix_from_braid(word)).value
+            mu = TwoKnotInvariants.from_seifert(seifert_matrix_from_braid(word)).mu.value
             for r in range(1, len(word.letters)):
                 rotated = BraidWord(
                     word.strands, word.letters[r:] + word.letters[:r])
                 s = seifert_matrix_from_braid(rotated)
                 assert congruence_invariants(s) == base
-                assert mu_two_twist_spin(s).value == mu
+                assert TwoKnotInvariants.from_seifert(s).mu.value == mu
 
     def test_stabilization_invariance(self):
         for word in self.CATALOG_BRAIDS:
             base = congruence_invariants(seifert_matrix_from_braid(word))
-            mu = mu_two_twist_spin(seifert_matrix_from_braid(word)).value
+            mu = TwoKnotInvariants.from_seifert(seifert_matrix_from_braid(word)).mu.value
             for sign in (1, -1):
                 stabilized = BraidWord(
                     word.strands + 1,
                     word.letters + (sign * word.strands,))
                 s = seifert_matrix_from_braid(stabilized)
                 assert congruence_invariants(s) == base
-                assert mu_two_twist_spin(s).value == mu
+                assert TwoKnotInvariants.from_seifert(s).mu.value == mu
 
     def test_markov_moves_on_random_words(self):
         rng = random.Random(53)

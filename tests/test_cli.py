@@ -16,8 +16,9 @@ from ribbonmu import (BraidWord, IntMatrix, TwoKnotInvariants, braid, cli, exact
                       seifert_matrix_from_braid, signature, spinmu)
 from ribbonmu.cli import main
 
-from support import (block_diag, digit_limit_lifted, matmul, package_env, rand_matrix,
-                     rand_unimodular, sturm_signature, time_limit, to_decimal_rows, zeros)
+from support import (block_diag, digit_limit_lifted, from_decimal_rows, matmul, package_env,
+                     rand_matrix, rand_unimodular, sturm_signature, time_limit,
+                     to_decimal_rows, zeros)
 
 
 DATA = Path(__file__).parent / "data"
@@ -76,7 +77,7 @@ class TestInvariantsCommand:
     def test_round_trip_recompute(self):
         _, text = run_cli("invariants", "figure8", "--json")
         record = json.loads(text)
-        form = IntMatrix.from_rows(record["form"])
+        form = from_decimal_rows(record["form"])
         recomputed = TwoKnotInvariants.from_even_form(form)
         assert str(recomputed.mu.value) == record["mu"]
         assert str(recomputed.form_determinant) == record["form_determinant"]
@@ -136,7 +137,7 @@ class TestSnfCommand:
     def test_full_transforms_reconstruct(self):
         code, text = run_cli("snf", "[[2,4],[6,8]]", "--full", "--json")
         record = json.loads(text)
-        u, v, d = (IntMatrix.from_rows(record[key]) for key in "uvd")
+        u, v, d = (from_decimal_rows(record[key]) for key in "uvd")
         m = IntMatrix.from_rows([[2, 4], [6, 8]])
         assert matmul(u, m, v) == d
 
@@ -208,6 +209,17 @@ class TestAlinkCommand:
         assert run_cli("alink", "(\u0661,2)") == (3, "")
         assert "cannot parse induced map" in capsys.readouterr().err
 
+    def test_non_ascii_space_is_parse_error(self, capsys):
+        # a no-break space is Unicode whitespace, not a separator of the syntax
+        assert run_cli("alink", "(1,\u00a02)") == (3, "")
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: cannot parse induced map") and "Traceback" not in err
+
+    def test_ascii_spaces_in_columns(self):
+        assert run_cli("alink", "(1, 2) (3,4)")[0] == 2  # read, then outside the classification
+        assert run_cli("alink", "( 2 ,\t4 ) (0,0)", "--json") == \
+            run_cli("alink", "(2,4)(0,0)", "--json")
+
     def test_three_rows_is_parse_error(self, tmp_path, capsys):
         matrix = "[[1], [2], [3]]"
         (tmp_path / "m.json").write_text(matrix)
@@ -253,14 +265,22 @@ class TestBraidCommand:
         ["--strands", "2", "1_0"], ["--strands", "2", "0x1"], ["--strands", "2", "1 +1 1"],
         ["--strands", "2", "1.0"], ["--strands", "2", "\uff11"], ["--strands", "2", "-"],
         ["--strands", "\u0662", "1", "1", "1"], ["--strands", "+2", "1", "1", "1"],
-        ["--strands", "2_0", "1"],
+        ["--strands", "2_0", "1"], ["--strands", "2", "1\u00a01 1"],
+        ["--strands", "2", "1\u30001 1"],
     ], ids=lambda argv: " ".join(argv).encode("ascii", "backslashreplace").decode())
     def test_integers_are_ascii_decimal(self, capsys, argv):
-        # letters and --strands take the grammar of string matrix entries
+        # letters and --strands take the grammar of string matrix entries;
+        # only ASCII whitespace separates letters, not U+00A0 or U+3000
         assert run_cli("braid", *argv) == (3, "")
         err = capsys.readouterr().err
         assert err.startswith("parse error: ") and "Traceback" not in err
         assert "is not an integer" in err or "invalid integer value" in err
+
+    @pytest.mark.parametrize("token", ["1\t-2 1\n-2", " 1\r-2\x0b1\x0c-2 "])
+    def test_ascii_whitespace_separates_letters(self, token):
+        code, text = run_cli("braid", "--strands", "3", token, "--json")
+        assert code == 0
+        assert json.loads(text)["name"] == "closure of [1, -2, 1, -2] on 3 strands"
 
     @pytest.mark.parametrize("text, value", [("0", 0), ("-0", 0), ("007", 7), ("-12", -12)])
     def test_integer_grammar(self, text, value):
@@ -451,7 +471,7 @@ class TestKnotFiles:
         (tmp_path / "k.json").write_text(json.dumps({"catalog": "poincare"}))
         code, text = run_cli("invariants", "--batch", str(tmp_path))
         record = json.loads(text.strip())
-        form = IntMatrix.from_rows(record["form"])
+        form = from_decimal_rows(record["form"])
         assert str(TwoKnotInvariants.from_even_form(form).mu.value) == record["mu"]
 
 
@@ -704,7 +724,7 @@ class TestEachFactOnce:
         path.write_text(json.dumps({"braid": {"strands": 4, "letters": letters}}))
         code, text = run_cli("invariants", str(path), "--json")
         assert code == 0
-        form = IntMatrix.from_rows(json.loads(text)["form"])
+        form = from_decimal_rows(json.loads(text)["form"])
         assert form.rows >= 4
         assert json.loads(text)["signature"] == str(sturm_signature(form))
         assert [args[0] for args in calls["pass"]] == [form]
@@ -913,17 +933,17 @@ class TestModuleEntryPoint:
     @pytest.mark.skipif(sys.platform == "win32", reason="POSIX pipe semantics")
     def test_closed_stdout_exits_141(self):
         # The reader keeps 20 bytes of a 14 MB record and closes the pipe.
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "ribbonmu", "invariants", str(LONG_BRAID), "--json"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env())
-        try:
-            head = proc.stdout.read(20)
-            proc.stdout.close()
-            err = proc.stderr.read()
-            code = proc.wait(timeout=120)
-        finally:
-            proc.kill()
-            proc.wait()
+        # Leaving the with block closes both pipes and reaps the child.
+        with subprocess.Popen(
+                [sys.executable, "-m", "ribbonmu", "invariants", str(LONG_BRAID), "--json"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env()) as proc:
+            try:
+                head = proc.stdout.read(20)
+                proc.stdout.close()
+                err = proc.stderr.read()
+                code = proc.wait(timeout=120)
+            finally:
+                proc.kill()
         assert head == b'{"name": "braid6_120'
         assert (code, err) == (141, b"")
 
@@ -982,17 +1002,18 @@ class TestDecimalEntries:
         assert run_cli(*argv, "--json")[0] == 0
 
 
-# The package's public names: paper content (mu, cover torsion, doubling,
-# the combiner, alinking, the verdicts) and the exact kernel.
+# The package's public names: paper content (mu and cover torsion, both
+# read off TwoKnotInvariants; doubling, the combiner, alinking, the
+# verdicts) and the exact kernel.
 PUBLIC_NAMES = [
     "BraidWord", "CatalogError", "ClassificationError", "Conclusion", "DimensionError",
     "DoublingHypothesisError", "E8", "FiniteAbelianGroup", "FormError", "InducedMap",
     "InputError", "IntMatrix", "Mu", "NotAKnotError", "SeifertMatrix",
     "SeifertValidationError", "SnfResult", "SpinStructureError", "TwoKnotInvariants",
-    "Verdict", "alinking", "branched_double_cover_h1", "catalog", "cokernel_invariants",
+    "Verdict", "alinking", "catalog", "cokernel_invariants",
     "combine_doubles", "determinant", "direct_sum", "from_presentation",
     "intersection_form", "invariant_factors", "is_double", "mod2_alinking",
-    "mu_boundary_link_sum", "mu_from_even_form", "mu_two_twist_spin",
+    "mu_boundary_link_sum",
     "obstruct_ribbon_equivalent", "obstruct_ribbon_trivial", "seifert_matrix_from_braid",
     "signature", "smith_normal_form", "validate_seifert",
 ]

@@ -11,12 +11,10 @@ from ribbonmu import (
     Mu,
     SeifertValidationError,
     SpinStructureError,
-    branched_double_cover_h1,
+    TwoKnotInvariants,
     determinant,
     intersection_form,
     mu_boundary_link_sum,
-    mu_from_even_form,
-    mu_two_twist_spin,
     signature,
     spinmu,
     validate_seifert,
@@ -79,34 +77,35 @@ class TestIntersectionForm:
 
 class TestBranchedDoubleCover:
     def test_trefoil_homology(self):
-        assert branched_double_cover_h1(validate_seifert(TREFOIL)) == \
-            FiniteAbelianGroup((3,))
+        inv = TwoKnotInvariants.from_seifert(validate_seifert(TREFOIL))
+        assert inv.cover_torsion == FiniteAbelianGroup((3,))
 
     def test_figure8_homology(self):
-        assert branched_double_cover_h1(validate_seifert(FIGURE8)) == \
-            FiniteAbelianGroup((5,))
+        inv = TwoKnotInvariants.from_seifert(validate_seifert(FIGURE8))
+        assert inv.cover_torsion == FiniteAbelianGroup((5,))
 
     def test_unknot_homology(self):
-        assert branched_double_cover_h1(
-            validate_seifert(IntMatrix.empty())).is_trivial
+        assert TwoKnotInvariants.from_seifert(
+            validate_seifert(IntMatrix.empty())).cover_torsion.is_trivial
 
     def test_order_equals_form_determinant(self):
         rng = random.Random(32)
         for _ in range(80):
             s = rand_seifert(rng)
-            order = branched_double_cover_h1(s).order()
+            order = TwoKnotInvariants.from_seifert(s).cover_torsion.order()
             assert order == abs(determinant(intersection_form(s)))
 
 
 class TestMuTwoTwistSpin:
     def test_trefoil(self):
-        assert mu_two_twist_spin(validate_seifert(TREFOIL)).value == 2
+        assert TwoKnotInvariants.from_seifert(validate_seifert(TREFOIL)).mu.value == 2
 
     def test_figure8(self):
-        assert mu_two_twist_spin(validate_seifert(FIGURE8)).value == 0
+        assert TwoKnotInvariants.from_seifert(validate_seifert(FIGURE8)).mu.value == 0
 
     def test_unknot(self):
-        assert mu_two_twist_spin(validate_seifert(IntMatrix.empty())).value == 0
+        inv = TwoKnotInvariants.from_seifert(validate_seifert(IntMatrix.empty()))
+        assert inv.mu.value == 0
 
     def test_congruence_invariance(self):
         rng = random.Random(33)
@@ -114,25 +113,26 @@ class TestMuTwoTwistSpin:
             s = rand_seifert(rng)
             p = rand_unimodular(rng, s.size)
             transformed = validate_seifert(matmul(p.transpose(), s.matrix, p))
-            assert mu_two_twist_spin(transformed).value == \
-                mu_two_twist_spin(s).value
+            assert TwoKnotInvariants.from_seifert(transformed).mu.value == \
+                TwoKnotInvariants.from_seifert(s).mu.value
 
 
 class TestMuFromEvenForm:
     def test_e8_reproduces_five_twist_spun_trefoil(self):
         assert sturm_signature(E8) == 8
-        assert mu_from_even_form(E8).value == 8
+        assert TwoKnotInvariants.from_even_form(E8).mu.value == 8
 
     def test_trefoil_form(self):
-        assert mu_from_even_form(IntMatrix.from_rows([[2, 1], [1, 2]])).value == 2
+        form = IntMatrix.from_rows([[2, 1], [1, 2]])
+        assert TwoKnotInvariants.from_even_form(form).mu.value == 2
 
     def test_hyperbolic_form(self):
         assert determinant(HYPERBOLIC) == -1
-        assert mu_from_even_form(HYPERBOLIC).value == 0
+        assert TwoKnotInvariants.from_even_form(HYPERBOLIC).mu.value == 0
 
     def test_odd_diagonal_rejected(self):
         with pytest.raises(FormError, match="even"):
-            mu_from_even_form(IntMatrix.from_rows([[1, 0], [0, 2]]))
+            TwoKnotInvariants.from_even_form(IntMatrix.from_rows([[1, 0], [0, 2]]))
 
     def test_odd_form_rejected_before_elimination(self, monkeypatch):
         def eliminate(form):
@@ -140,19 +140,19 @@ class TestMuFromEvenForm:
         monkeypatch.setattr(spinmu, "signature_and_determinant", eliminate)
         odd = IntMatrix.from_rows([[2, 1, 0], [1, 2, 1], [0, 1, 3]])
         with pytest.raises(FormError, match="form not even"):
-            mu_from_even_form(odd)
+            TwoKnotInvariants.from_even_form(odd)
 
     def test_even_determinant_rejected(self):
         with pytest.raises(SpinStructureError, match="spin structure"):
-            mu_from_even_form(IntMatrix.from_rows([[2, 0], [0, 2]]))
+            TwoKnotInvariants.from_even_form(IntMatrix.from_rows([[2, 0], [0, 2]]))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(FormError):
-            mu_from_even_form(IntMatrix.from_rows([[2, 1], [0, 2]]))
+            TwoKnotInvariants.from_even_form(IntMatrix.from_rows([[2, 1], [0, 2]]))
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
-            mu_from_even_form(IntMatrix.from_rows([[2, 0], [0, 2], [0, 0]]))
+            TwoKnotInvariants.from_even_form(IntMatrix.from_rows([[2, 0], [0, 2], [0, 0]]))
 
 
 class TestParityTheorem:
@@ -172,8 +172,8 @@ class TestStabilizationInvariance:
             stabilized = block_diag(q, HYPERBOLIC)
             assert signature(stabilized) == signature(q)
             assert abs(determinant(stabilized)) == abs(determinant(q))
-            assert mu_from_even_form(stabilized).value == \
-                mu_from_even_form(q).value
+            assert TwoKnotInvariants.from_even_form(stabilized).mu.value == \
+                TwoKnotInvariants.from_even_form(q).mu.value
 
 
 class TestBoundaryLinkSum:
@@ -184,7 +184,7 @@ class TestBoundaryLinkSum:
     def test_single_component(self):
         fig8 = validate_seifert(FIGURE8)
         assert mu_boundary_link_sum([fig8]).value == \
-            mu_two_twist_spin(fig8).value
+            TwoKnotInvariants.from_seifert(fig8).mu.value
 
     def test_empty_link(self):
         assert mu_boundary_link_sum([]).value == 0
@@ -194,7 +194,7 @@ class TestBoundaryLinkSum:
         for _ in range(60):
             a, b = rand_seifert(rng), rand_seifert(rng)
             q = block_diag(intersection_form(a), intersection_form(b))
-            expected = (mu_two_twist_spin(a).value
-                        + mu_two_twist_spin(b).value) % 16
-            assert mu_from_even_form(q).value == expected
+            expected = (TwoKnotInvariants.from_seifert(a).mu.value
+                        + TwoKnotInvariants.from_seifert(b).mu.value) % 16
+            assert TwoKnotInvariants.from_even_form(q).mu.value == expected
             assert mu_boundary_link_sum([a, b]).value == expected

@@ -9,6 +9,8 @@ behaviour of the types whatever machinery implements them.
 import copy
 import pickle
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -181,3 +183,29 @@ def test_cover_torsion_is_derived_not_stored(monkeypatch):
     assert "cover_torsion" not in repr(inv) and "cover_torsion" not in vars(inv)
     with pytest.raises(AttributeError):
         inv.cover_torsion = Z3
+
+
+# Each constructor that takes integers stores them through operator.index:
+# int and bool go in as exact ints, and any other number or a decimal
+# string is refused rather than truncated or parsed.
+INTEGER_SLOTS = {
+    "IntMatrix.from_rows": lambda x: IntMatrix.from_rows([[x]]).entries[0][0],
+    "FiniteAbelianGroup": lambda x: FiniteAbelianGroup((x,)).invariant_factors[0],
+    "BraidWord.letters": lambda x: BraidWord(4, (x,)).letters[0],
+    "BraidWord.strands": lambda x: BraidWord(x, ()).strands,
+    "Mu": lambda x: Mu(x).value,
+}
+
+
+@pytest.mark.parametrize("build", INTEGER_SLOTS.values(), ids=INTEGER_SLOTS)
+@pytest.mark.parametrize("value", [2.7, 3.0, "3", Fraction(3), Decimal(3)], ids=repr)
+def test_integer_slots_refuse_other_numbers(build, value):
+    with pytest.raises(TypeError):
+        build(value)
+
+
+@pytest.mark.parametrize("build", INTEGER_SLOTS.values(), ids=INTEGER_SLOTS)
+def test_integer_slots_store_exact_ints(build):
+    assert build(3) == 3 and type(build(3)) is int
+    if build is not INTEGER_SLOTS["FiniteAbelianGroup"]:  # an invariant factor is >= 2
+        assert build(True) == 1 and type(build(True)) is int
