@@ -95,38 +95,29 @@ class BraidWord(_Value):
         return self.closure_components() == 1
 
 
-def _consecutive_pairs(word: tuple[int, ...]) -> list[tuple[int, int]]:
-    """(position, next position of the same generator) for each loop."""
-    nxt: list[int | None] = [None] * len(word)
-    last: dict[int, int] = {}
-    for p, letter in enumerate(word):
-        g = abs(letter)
-        if g in last:
-            nxt[last[g]] = p
-        last[g] = p
-    return [(i, n) for i, n in enumerate(nxt) if n is not None]
-
-
 def seifert_matrix_from_braid(braid: BraidWord) -> SeifertMatrix:
     """Seifert matrix of the braid closure; the closure must be a knot.
 
-    One sweep over the word: when loop a = (i, p) closes at position p,
-    the loop of the same column starting at p shares its band, and in
-    each adjacent column h only the loop starting at the last occurrence
-    of h before p can interleave with a (it starts inside (i, p) and
-    ends after p).  So the build takes time linear in the word length.
+    A position starts a loop exactly when its generator occurs again
+    later, and loops are numbered by start position.  One sweep over the
+    word: when loop a = (i, p) closes at position p, the loop of the same
+    column starting at p shares its band, and in each adjacent column h
+    only the loop starting at the last occurrence of h before p can
+    interleave with a (it starts inside (i, p) and ends after p).  So the
+    build takes time linear in the word length.
 
     S is not re-validated: S - S^t is the intersection form of a connected
     surface with one boundary circle, so det(S - S^t) = +-1 by construction
     (Lickorish, An Introduction to Knot Theory, 1997, ch. 6).
     """
-    if not braid.is_knot_closure:
-        raise NotAKnotError(
-            f"closure has {braid.closure_components()} components, not a knot")
+    components = braid.closure_components()
+    if components != 1:
+        raise NotAKnotError(f"closure has {components} components, not a knot")
     word = braid.letters
-    loops = _consecutive_pairs(word)
-    m = len(loops)
-    starting_at = {i: a for a, (i, _) in enumerate(loops)}
+    final = {abs(letter): p for p, letter in enumerate(word)}  # generator -> last position
+    starts = [p for p, letter in enumerate(word) if p != final[abs(letter)]]
+    starting_at = {i: a for a, i in enumerate(starts)}  # loop start position -> row
+    m = len(starts)
     sign = lambda x: 1 if x > 0 else -1
     v = [[0] * m for _ in range(m)]
     last: dict[int, int] = {}  # generator -> its latest position so far

@@ -47,7 +47,7 @@ def integer(text: str) -> int:
 def _read_json(path: str) -> object:
     """Decode the JSON file at a path."""
     try:
-        with open(path) as file:
+        with open(path, encoding="utf-8") as file:  # JSON text is UTF-8 (RFC 8259)
             text = file.read()
     except (OSError, UnicodeError) as exc:  # an OSError's strerror omits the path
         raise CliParseError(f"cannot read {path!r}: {getattr(exc, 'strerror', exc)}") from None
@@ -82,45 +82,45 @@ def _matrix_from_json(data: object) -> IntMatrix:
         raise CliParseError(f"bad matrix: {exc}") from None
 
 
-def _braid_knot(name, strands, letters, even_form=None) -> KnotRecord:
-    seifert = seifert_matrix_from_braid(BraidWord(strands, tuple(letters)))
-    return KnotRecord(name=name, source="braid", seifert=seifert, even_form=even_form)
+_KNOT_KEYS = ("name", "catalog", "braid", "seifert_matrix", "even_form")
 
 
-def _knot_from_file(path: str) -> KnotRecord:
-    data = _read_json(path)
-    if not isinstance(data, dict):
-        raise CliParseError(f"{path}: knot file must be a JSON object")
+def _knot(spec: object, default_name: str, where: str) -> KnotRecord:
+    """The knot of a spec in the knot-file schema; ``where`` starts its errors."""
+    if not isinstance(spec, dict):
+        raise CliParseError(f"{where}: knot file must be a JSON object")
+    unknown = [key for key in spec if key not in _KNOT_KEYS]
+    if unknown:
+        raise CliParseError(f"{where}: unknown key {unknown[0]!r}, not one of {_KNOT_KEYS}")
     for key in ("catalog", "name"):
-        if key in data and not isinstance(data[key], str):
-            raise CliParseError(f"{path}: {key!r} must be a string")
-    sources = [k for k in ("catalog", "braid", "seifert_matrix") if k in data]
-    even_form = (_matrix_from_json(data["even_form"])
-                 if "even_form" in data else None)
+        if key in spec and not isinstance(spec[key], str):
+            raise CliParseError(f"{where}: {key!r} must be a string")
+    sources = [k for k in ("catalog", "braid", "seifert_matrix") if k in spec]
+    even_form = (_matrix_from_json(spec["even_form"])
+                 if "even_form" in spec else None)
     if len(sources) > 1 or (not sources and even_form is None):
         raise CliParseError(
-            f"{path}: need one of catalog/braid/seifert_matrix (or an "
+            f"{where}: need one of catalog/braid/seifert_matrix (or an "
             f"even_form), got {sources or 'none'}")
-    name = data.get("name", os.path.splitext(os.path.basename(path))[0])
     source, seifert = (sources or ["even_form"])[0], None
     if source == "catalog":
-        entry = catalog(data["catalog"])
+        entry = catalog(spec["catalog"])
         seifert = entry.seifert
         even_form = entry.even_form if even_form is None else even_form
     elif source == "braid":
-        spec = data["braid"]
-        if not isinstance(spec, dict) or "strands" not in spec or "letters" not in spec:
-            raise CliParseError(f"{path}: braid needs 'strands' and 'letters'")
-        strands, letters = spec["strands"], spec["letters"]
+        word = spec["braid"]
+        if not isinstance(word, dict) or "strands" not in word or "letters" not in word:
+            raise CliParseError(f"{where}: braid needs 'strands' and 'letters'")
+        strands, letters = word["strands"], word["letters"]
         # type(...) is int: JSON true/false arrive as bool, a subclass of int
         if (type(strands) is not int or not isinstance(letters, list)
                 or any(type(x) is not int for x in letters)):
-            raise CliParseError(f"{path}: braid 'strands' must be an integer and 'letters' "
+            raise CliParseError(f"{where}: braid 'strands' must be an integer and 'letters' "
                                 "a list of integers")
-        return _braid_knot(name, strands, letters, even_form)
+        seifert = seifert_matrix_from_braid(BraidWord(strands, letters))
     elif source == "seifert_matrix":
-        seifert = validate_seifert(_matrix_from_json(data["seifert_matrix"]))
-    return KnotRecord(name=name, source=source.replace("_", "-"),
+        seifert = validate_seifert(_matrix_from_json(spec["seifert_matrix"]))
+    return KnotRecord(name=spec.get("name", default_name), source=source.replace("_", "-"),
                       seifert=seifert, even_form=even_form)
 
 
@@ -131,11 +131,10 @@ def resolve_knot(spec: str) -> KnotRecord:
     say) and does not end in ``.json`` is looked up in the catalog.
     """
     if spec.lstrip().startswith("["):
-        matrix = _matrix_from_json(_decode(spec, "matrix"))
-        return KnotRecord(name="<inline>", source="seifert-matrix",
-                          seifert=validate_seifert(matrix))
-    is_file = spec.endswith(".json") or os.path.isfile(spec)
-    return _knot_from_file(spec) if is_file else catalog(spec)
+        return _knot({"seifert_matrix": _decode(spec, "matrix")}, "<inline>", "matrix")
+    if not (spec.endswith(".json") or os.path.isfile(spec)):
+        return catalog(spec)
+    return _knot(_read_json(spec), os.path.splitext(os.path.basename(spec))[0], spec)
 
 
 def _matrix_arg(args) -> IntMatrix:
@@ -276,8 +275,11 @@ def _batch(directory: str, out) -> int:
         raise CliParseError(f"cannot read {directory!r}: {exc.strerror}") from None
     codes = []
     for name in names:
+        path = os.path.join(directory, name)
         try:
-            record = _invariant_record(_knot_from_file(os.path.join(directory, name)))
+            if not os.path.isfile(path):  # opening a FIFO, say, would block
+                raise CliParseError(f"cannot read {path!r}: not a regular file")
+            record = _invariant_record(_knot(_read_json(path), os.path.splitext(name)[0], path))
             codes.append(0)
         except InputError as exc:
             codes.append(3 if isinstance(exc, CliParseError) else 2)
@@ -329,7 +331,8 @@ def _cmd_alink(args, out) -> int:
 
 def _cmd_braid(args, out) -> int:
     letters = [integer(p) for token in args.letters for p in _SPACES.split(token) if p]
-    knot = _braid_knot(f"closure of {letters} on {args.strands} strands", args.strands, letters)
+    knot = _knot({"braid": {"strands": args.strands, "letters": letters}},
+                 f"closure of {letters} on {args.strands} strands", "braid")
 
     def print_text(record, out):
         print("Seifert matrix:", file=out)
@@ -420,6 +423,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
 
 
 def entry_point() -> None:
+    # stderr's handler: what the locale cannot encode ("⊕", a name) is escaped
+    sys.stdout.reconfigure(errors="backslashreplace")
     try:
         code = main()
         sys.stdout.flush()  # so a closed pipe fails here, not at exit

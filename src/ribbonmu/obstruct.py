@@ -33,9 +33,12 @@ class Conclusion(enum.Enum):
     NO_OBSTRUCTION_FOUND = "no-obstruction-found"
 
 
-MU_RULE = "ribbon-move equivalent 2-links have equal mu-invariants"
-TORSION_RULE = ("combined Seifert-hypersurface torsion of ribbon-move "
-                "equivalent 2-links is a double G + G")
+_RULES = {
+    Conclusion.OBSTRUCTED_BY_MU: "ribbon-move equivalent 2-links have equal mu-invariants",
+    Conclusion.OBSTRUCTED_BY_TORSION: ("combined Seifert-hypersurface torsion of ribbon-move "
+                                       "equivalent 2-links is a double G + G"),
+    Conclusion.NO_OBSTRUCTION_FOUND: "necessary conditions all hold",
+}
 
 
 class Verdict(_Value):
@@ -46,12 +49,10 @@ class Verdict(_Value):
     """
 
     conclusion: Conclusion
-    rule: str
     mu_pair: tuple[Mu, Mu] | None
     torsion_witness: FiniteAbelianGroup | None
 
-    def __init__(self, conclusion: Conclusion, rule: str,
-                 mu_pair: tuple[Mu, Mu] | None = None,
+    def __init__(self, conclusion: Conclusion, mu_pair: tuple[Mu, Mu] | None = None,
                  torsion_witness: FiniteAbelianGroup | None = None) -> None:
         if conclusion is Conclusion.OBSTRUCTED_BY_MU and (
                 mu_pair is None or mu_pair[0].value == mu_pair[1].value):
@@ -61,8 +62,12 @@ class Verdict(_Value):
                 torsion_witness is None or is_double(torsion_witness) is not None):
             raise ValueError(f"{conclusion.value} needs torsion that is not a double, "
                              f"got {torsion_witness}")
-        self._set(conclusion=conclusion, rule=rule, mu_pair=mu_pair,
-                  torsion_witness=torsion_witness)
+        self._set(conclusion=conclusion, mu_pair=mu_pair, torsion_witness=torsion_witness)
+
+    @property
+    def rule(self) -> str:
+        """The necessary condition the conclusion rests on."""
+        return _RULES[self.conclusion]
 
     @property
     def obstructed(self) -> bool:
@@ -82,14 +87,11 @@ class Verdict(_Value):
 def obstruct_ribbon_equivalent(a: TwoKnotInvariants, b: TwoKnotInvariants) -> Verdict:
     """Test whether two 2-knots can be ribbon-move equivalent."""
     if a.mu.value != b.mu.value:
-        return Verdict(Conclusion.OBSTRUCTED_BY_MU, MU_RULE,
-                       mu_pair=(a.mu, b.mu))
+        return Verdict(Conclusion.OBSTRUCTED_BY_MU, mu_pair=(a.mu, b.mu))
     combined = direct_sum(a.cover_torsion, b.cover_torsion)
     if is_double(combined) is None:
-        return Verdict(Conclusion.OBSTRUCTED_BY_TORSION, TORSION_RULE,
-                       torsion_witness=combined)
-    return Verdict(Conclusion.NO_OBSTRUCTION_FOUND,
-                   "necessary conditions all hold")
+        return Verdict(Conclusion.OBSTRUCTED_BY_TORSION, torsion_witness=combined)
+    return Verdict(Conclusion.NO_OBSTRUCTION_FOUND)
 
 
 def obstruct_ribbon_trivial(knot: TwoKnotInvariants) -> Verdict:

@@ -32,15 +32,20 @@ from ribbonmu import BraidWord, IntMatrix, SeifertMatrix, validate_seifert
 # -- limits -----------------------------------------------------------
 
 
+class TimeLimitExceeded(Exception):
+    """Not TimeoutError: that is an OSError, which a file read's handler
+    would turn into an ordinary read error."""
+
+
 @contextmanager
 def time_limit(seconds: float):
-    """Turn a hang into a failure: raise TimeoutError after ``seconds``."""
+    """Turn a hang into a failure: raise TimeLimitExceeded after ``seconds``."""
     if not hasattr(signal, "SIGALRM"):
         yield
         return
 
     def expire(signum, frame):
-        raise TimeoutError(f"took longer than {seconds} s")
+        raise TimeLimitExceeded(f"took longer than {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)

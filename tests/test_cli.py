@@ -1,6 +1,7 @@
 import importlib
 import io
 import json
+import os
 import pkgutil
 import random
 import subprocess
@@ -23,6 +24,7 @@ from support import (block_diag, digit_limit_lifted, from_decimal_rows, matmul, 
 
 DATA = Path(__file__).parent / "data"
 LONG_BRAID = DATA / "braid6_1201.json"
+TWO_TREFOILS = "[[1,1,0,0],[0,1,0,0],[0,0,1,1],[0,0,0,1]]"  # cover Z3 + Z3, a double
 
 
 def run_cli(*argv):
@@ -126,6 +128,31 @@ class TestObstructCommand:
         assert code == 0
         assert "obstructed-by-mu" in text
         assert "mu-invariants" in text
+
+
+class TestTextOutput:
+    """The text printers, byte for byte."""
+
+    @pytest.mark.parametrize("argv, text", [
+        (["snf", "[[2,4],[6,8]]"], "D =\n[2 0]\n[0 4]\n"),
+        (["snf", "[[2,4],[6,8]]", "--full"],
+         "D =\n[2 0]\n[0 4]\nU =\n[-2 1]\n[3 -1]\nV =\n[1 0]\n[0 1]\n"),
+        (["snf", "[]"], "D =\n<empty 0x0>\n"),
+        (["alink", "(2,4)"], "alinking = 2\nalinking mod 2 = 0\n"),
+        (["braid", "--strands", "2", "1", "1", "1"],
+         "Seifert matrix:\n[1 0]\n[-1 1]\n"
+         "name: closure of [1, 1, 1] on 2 strands  (source: braid)\n"
+         "mu = 2 (mod 16)\nsignature = 2\nform determinant = 3\n"
+         "H1(Seifert hypersurface) = Z3\n"
+         "doubling test: fails (not of the form G + G)\n"),
+        (["invariants", TWO_TREFOILS],
+         "name: <inline>  (source: seifert-matrix)\n"
+         "mu = 4 (mod 16)\nsignature = 4\nform determinant = 9\n"
+         "H1(Seifert hypersurface) = Z3 \u2295 Z3\n"
+         "doubling test: passes, half = Z3\n"),
+    ], ids=["snf", "snf-full", "snf-empty", "alink", "braid", "invariants-double"])
+    def test_text(self, argv, text):
+        assert run_cli(*argv) == (0, text)
 
 
 class TestSnfCommand:
@@ -380,6 +407,15 @@ class TestKnotFiles:
         path.write_text(json.dumps(data))
         assert json.loads(run_cli("invariants", str(path), "--json")[1])["name"] == "k"
 
+    @pytest.mark.parametrize("key", ["even_from", "Name", "seifert"])
+    def test_unknown_key_is_parse_error(self, tmp_path, capsys, key):
+        # ignored, a misspelled even_form would leave the Seifert route: mu 2, not 8
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({"seifert_matrix": [[1, 1], [0, 1]],
+                                    key: to_decimal_rows(braid.E8)}))
+        assert run_cli("invariants", str(path), "--json") == (3, "")
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+
     def test_huge_strand_count_is_not_a_knot(self, tmp_path, one_second, capsys):
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(
@@ -460,6 +496,17 @@ class TestKnotFiles:
         assert [r.get("exit") for r in records] == [None, None, None, 3]
         assert records[3]["error"].startswith("cannot read ")
         assert capsys.readouterr().err == "4 files, 1 failed\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_batch_does_not_open_a_fifo(self, tmp_path, capsys):
+        (tmp_path / "a.json").write_text(json.dumps({"catalog": "trefoil"}))
+        os.mkfifo(tmp_path / "p.json")  # open() would wait for a writer
+        with time_limit(5.0):
+            code, text = run_cli("invariants", "--batch", str(tmp_path))
+        records = [json.loads(line) for line in text.splitlines()]
+        assert (code, [r.get("exit") for r in records]) == (3, [None, 3])
+        assert records[1]["error"].startswith("cannot read ")
+        assert capsys.readouterr().err == "2 files, 1 failed\n"
 
     def test_read_error_names_the_path_as_given(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -930,6 +977,22 @@ class TestModuleEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 3
 
+    def test_knot_file_is_read_as_utf8_in_an_ascii_locale(self, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_text('{"name": "Poincar\u00e9", "catalog": "poincare"}', encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "ribbonmu", "invariants", str(path), "--json"],
+            capture_output=True, env=ascii_locale_env(), timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert json.loads(proc.stdout)["name"] == "Poincar\u00e9"
+
+    def test_text_output_in_an_ascii_locale(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ribbonmu", "invariants", TWO_TREFOILS],
+            capture_output=True, env=ascii_locale_env(), timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert b"H1(Seifert hypersurface) = Z3 \\u2295 Z3\n" in proc.stdout
+
     @pytest.mark.skipif(sys.platform == "win32", reason="POSIX pipe semantics")
     def test_closed_stdout_exits_141(self):
         # The reader keeps 20 bytes of a 14 MB record and closes the pipe.
@@ -959,6 +1022,11 @@ class TestModuleEntryPoint:
                               text=True, env=package_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+def ascii_locale_env() -> dict[str, str]:
+    """A fresh interpreter whose locale encoding is ASCII (no UTF-8 mode)."""
+    return dict(package_env(), LC_ALL="C", PYTHONUTF8="0")
 
 
 def matrix_argv(route: str, matrix: list, tmp_path: Path) -> list[str]:

@@ -112,20 +112,33 @@ class TestVerdictWitnesses:
                              ids=["none", "equal", "equal-mod-16"])
     def test_mu_verdict_needs_different_mu(self, mu_pair):
         with pytest.raises(ValueError, match="two different mu values"):
-            Verdict(Conclusion.OBSTRUCTED_BY_MU, "rule", mu_pair=mu_pair)
+            Verdict(Conclusion.OBSTRUCTED_BY_MU, mu_pair=mu_pair)
 
     @pytest.mark.parametrize("witness", [
         None, FiniteAbelianGroup(()), FiniteAbelianGroup((3, 3)),
         FiniteAbelianGroup((2, 2, 4, 4))], ids=["none", "trivial", "Z3+Z3", "Z2+Z2+Z4+Z4"])
     def test_torsion_verdict_needs_a_non_double(self, witness):
         with pytest.raises(ValueError, match="not a double"):
-            Verdict(Conclusion.OBSTRUCTED_BY_TORSION, "rule", torsion_witness=witness)
+            Verdict(Conclusion.OBSTRUCTED_BY_TORSION, torsion_witness=witness)
 
     def test_consistent_verdicts_build(self):
-        assert Verdict(Conclusion.OBSTRUCTED_BY_MU, "r", (Mu(2), Mu(0))).obstructed
-        assert Verdict(Conclusion.OBSTRUCTED_BY_TORSION, "r",
+        assert Verdict(Conclusion.OBSTRUCTED_BY_MU, (Mu(2), Mu(0))).obstructed
+        assert Verdict(Conclusion.OBSTRUCTED_BY_TORSION,
                        torsion_witness=FiniteAbelianGroup((3, 9))).obstructed
-        assert not Verdict(Conclusion.NO_OBSTRUCTION_FOUND, "r").obstructed
+        assert not Verdict(Conclusion.NO_OBSTRUCTION_FOUND).obstructed
+
+    def test_rule_is_read_off_the_conclusion(self):
+        verdicts = (Verdict(Conclusion.OBSTRUCTED_BY_MU, (Mu(2), Mu(0))),
+                    Verdict(Conclusion.OBSTRUCTED_BY_TORSION,
+                            torsion_witness=FiniteAbelianGroup((3,))),
+                    Verdict(Conclusion.NO_OBSTRUCTION_FOUND))
+        assert [v.rule for v in verdicts] == [
+            "ribbon-move equivalent 2-links have equal mu-invariants",
+            "combined Seifert-hypersurface torsion of ribbon-move equivalent 2-links "
+            "is a double G + G",
+            "necessary conditions all hold"]
+        with pytest.raises(TypeError):
+            Verdict(Conclusion.NO_OBSTRUCTION_FOUND, rule="anything")
 
     def test_checks_survive_python_dash_o(self):
         # -O strips assert statements; the witness checks must still run
@@ -135,7 +148,7 @@ class TestVerdictWitnesses:
             "        (C.OBSTRUCTED_BY_MU, {'mu_pair': (Mu(1), Mu(1))}),\n"
             "        (C.OBSTRUCTED_BY_TORSION, {'torsion_witness': FiniteAbelianGroup((5, 5))})):\n"
             "    try:\n"
-            "        Verdict(conclusion, 'rule', **kwargs)\n"
+            "        Verdict(conclusion, **kwargs)\n"
             "    except ValueError:\n"
             "        continue\n"
             "    raise SystemExit(f'{conclusion} built without a valid witness')\n")

@@ -60,11 +60,11 @@ CASES = [
      TwoKnotInvariants(-2, 3, IntMatrix(2, 2, ((-2, -1), (-1, -2)))),
      "TwoKnotInvariants(signature=2, form_determinant=3, "
      "form=IntMatrix(rows=2, cols=2, entries=((2, 1), (1, 2))))"),
-    (Verdict, {"conclusion": Conclusion.OBSTRUCTED_BY_MU, "rule": "r",
+    (Verdict, {"conclusion": Conclusion.OBSTRUCTED_BY_MU,
                "mu_pair": (Mu(2), Mu(0)), "torsion_witness": None},
-     Verdict(Conclusion.OBSTRUCTED_BY_MU, "r", (Mu(0), Mu(2))),
+     Verdict(Conclusion.OBSTRUCTED_BY_MU, (Mu(0), Mu(2))),
      "Verdict(conclusion=<Conclusion.OBSTRUCTED_BY_MU: 'obstructed-by-mu'>, "
-     "rule='r', mu_pair=(Mu(value=2), Mu(value=0)), torsion_witness=None)"),
+     "mu_pair=(Mu(value=2), Mu(value=0)), torsion_witness=None)"),
     (KnotRecord, {"name": "k", "source": "braid", "seifert": None,
                   "even_form": IntMatrix(2, 2, ((2, 1), (1, 2)))},
      KnotRecord("k", "braid", SeifertMatrix(S)),
@@ -137,7 +137,7 @@ def test_equal_fields_of_another_type_are_unequal():
 
 
 def test_defaults():
-    verdict = Verdict(Conclusion.NO_OBSTRUCTION_FOUND, "r")
+    verdict = Verdict(Conclusion.NO_OBSTRUCTION_FOUND)
     assert verdict.mu_pair is None and verdict.torsion_witness is None
     record = KnotRecord(name="k", source="catalog")
     assert record.seifert is None and record.even_form is None
