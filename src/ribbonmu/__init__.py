@@ -11,7 +11,8 @@ The package computes, over arbitrary-precision integers:
 
 together with the supporting exact kernel: Smith normal forms,
 determinants, cokernels (``cokernel_invariants``: free rank and torsion)
-and signatures of symmetric forms.  The JSON wire format is the CLI's.
+and the signature and determinant of a symmetric form, from one pass
+(``signature_and_determinant``).  The JSON wire format is the CLI's.
 """
 
 from .abelian import (
@@ -39,8 +40,7 @@ from .exactla import (
     SnfResult,
     cokernel_invariants,
     determinant,
-    invariant_factors,
-    signature,
+    signature_and_determinant,
     smith_normal_form,
 )
 from .obstruct import (
@@ -91,14 +91,13 @@ __all__ = [
     "direct_sum",
     "from_presentation",
     "intersection_form",
-    "invariant_factors",
     "is_double",
     "mod2_alinking",
     "mu_boundary_link_sum",
     "obstruct_ribbon_equivalent",
     "obstruct_ribbon_trivial",
     "seifert_matrix_from_braid",
-    "signature",
+    "signature_and_determinant",
     "smith_normal_form",
     "validate_seifert",
 ]

@@ -18,7 +18,6 @@ divisibility by pairwise (gcd, lcm) replacement.
 
 from __future__ import annotations
 
-import math
 from operator import index
 
 from .exactla import InputError, IntMatrix, _Value, _invariant_chain, cokernel_invariants
@@ -44,23 +43,9 @@ class FiniteAbelianGroup(_Value):
                     f"invariant factors must form a divisibility chain, {a} does not divide {b}")
         self._set(invariant_factors=factors)
 
-    @staticmethod
-    def trivial() -> FiniteAbelianGroup:
-        return FiniteAbelianGroup(())
-
-    @staticmethod
-    def cyclic(n: int) -> FiniteAbelianGroup:
-        """Z_n; n = 1 gives the trivial group."""
-        if n < 1:
-            raise ValueError(f"cyclic group order must be positive, got {n}")
-        return FiniteAbelianGroup(() if n == 1 else (n,))
-
     @property
     def is_trivial(self) -> bool:
         return not self.invariant_factors
-
-    def order(self) -> int:
-        return math.prod(self.invariant_factors)
 
     def __str__(self) -> str:
         if self.is_trivial:

@@ -19,9 +19,7 @@ under a single ribbon-move resolution, in the finite-type sense.
 from __future__ import annotations
 
 from .exactla import DimensionError, InputError, IntMatrix, _Value, cokernel_invariants
-# Unused here, but the benchmark's tracer (perfbench/spans.py) rebinds
-# this name and fails without it.  It goes once the package traces
-# itself (ROADMAP: "--trace from inside the package").
+# Bound by the benchmark tracer (perfbench/spans.py) until ROADMAP item 2.
 from .exactla import smith_normal_form  # noqa: F401
 
 

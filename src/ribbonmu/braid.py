@@ -90,10 +90,6 @@ class BraidWord(_Value):
                     p = at[p]
         return cycles
 
-    @property
-    def is_knot_closure(self) -> bool:
-        return self.closure_components() == 1
-
 
 def seifert_matrix_from_braid(braid: BraidWord) -> SeifertMatrix:
     """Seifert matrix of the braid closure; the closure must be a knot.

@@ -23,8 +23,9 @@ import sys
 from .abelian import FiniteAbelianGroup, is_double
 from .alink import InducedMap, alinking
 from .braid import BraidWord, KnotRecord, catalog, seifert_matrix_from_braid
-from .exactla import (InputError, IntMatrix, _diagonal_matrix, cokernel_invariants,
-                      smith_normal_form)
+from .exactla import InputError, IntMatrix, _diagonal_matrix, cokernel_invariants
+# Bound by the benchmark tracer (perfbench/spans.py) until ROADMAP item 2.
+from .exactla import smith_normal_form
 from .obstruct import Verdict, obstruct_ribbon_equivalent, obstruct_ribbon_trivial
 from .spinmu import validate_seifert
 
@@ -83,15 +84,21 @@ def _matrix_from_json(data: object) -> IntMatrix:
 
 
 _KNOT_KEYS = ("name", "catalog", "braid", "seifert_matrix", "even_form")
+_BRAID_KEYS = ("strands", "letters")
+
+
+def _check_keys(spec: dict, keys: tuple[str, ...], where: str) -> None:
+    """A key outside ``keys`` is a parse error, never silently ignored."""
+    unknown = [key for key in spec if key not in keys]
+    if unknown:
+        raise CliParseError(f"{where}: unknown key {unknown[0]!r}, not one of {keys}")
 
 
 def _knot(spec: object, default_name: str, where: str) -> KnotRecord:
     """The knot of a spec in the knot-file schema; ``where`` starts its errors."""
     if not isinstance(spec, dict):
         raise CliParseError(f"{where}: knot file must be a JSON object")
-    unknown = [key for key in spec if key not in _KNOT_KEYS]
-    if unknown:
-        raise CliParseError(f"{where}: unknown key {unknown[0]!r}, not one of {_KNOT_KEYS}")
+    _check_keys(spec, _KNOT_KEYS, where)
     for key in ("catalog", "name"):
         if key in spec and not isinstance(spec[key], str):
             raise CliParseError(f"{where}: {key!r} must be a string")
@@ -111,6 +118,7 @@ def _knot(spec: object, default_name: str, where: str) -> KnotRecord:
         word = spec["braid"]
         if not isinstance(word, dict) or "strands" not in word or "letters" not in word:
             raise CliParseError(f"{where}: braid needs 'strands' and 'letters'")
+        _check_keys(word, _BRAID_KEYS, f"{where}: braid")
         strands, letters = word["strands"], word["letters"]
         # type(...) is int: JSON true/false arrive as bool, a subclass of int
         if (type(strands) is not int or not isinstance(letters, list)
@@ -423,6 +431,10 @@ def main(argv: list[str] | None = None, out=None) -> int:
 
 
 def entry_point() -> None:
+    if sys.stdout is None:  # started with stdout closed: writing to it is a broken pipe
+        reader, writer = os.pipe()
+        os.close(reader)
+        sys.stdout = open(writer, "w")
     # stderr's handler: what the locale cannot encode ("⊕", a name) is escaped
     sys.stdout.reconfigure(errors="backslashreplace")
     try:

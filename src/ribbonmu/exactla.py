@@ -8,8 +8,8 @@ points are
 * :func:`smith_normal_form` -- U * M * V = D with unimodular U, V and a
   nonnegative diagonal satisfying the divisibility chain d1 | d2 | ...,
   from Kannan-Bachem Hermite normal forms, so U and V stay polynomial
-  in size; :func:`cokernel_invariants` and :func:`invariant_factors`
-  reduce for the diagonal only, without building U and V.
+  in size; :func:`cokernel_invariants` reduces for the diagonal only,
+  without building U and V.
 * :func:`determinant` -- fraction-free (Bareiss) exact determinant.
 * :func:`signature_and_determinant` -- both invariants of a symmetric
   form from one fraction-free symmetric elimination.
@@ -155,10 +155,6 @@ class IntMatrix(_Value):
 
     # -- basic structure ---------------------------------------------
 
-    def __getitem__(self, index: tuple[int, int]) -> int:
-        i, j = index
-        return self.entries[i][j]
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -210,9 +206,6 @@ class SnfResult(_Value):
 
     def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix) -> None:
         self._set(U=U, D=D, V=V)
-
-    def diagonal(self) -> tuple[int, ...]:
-        return self.D.diagonal()
 
 
 def _smith_diagonal(m: list[list[int]], det: int | None = None) -> list[int]:
@@ -577,6 +570,7 @@ def determinant(matrix: IntMatrix) -> int:
     return sign * (m[n - 1][n - 1] * prev // exact[n - 1])
 
 
+# Bound by the benchmark tracer (perfbench/spans.py) until ROADMAP item 2.
 def invariant_factors(matrix: IntMatrix) -> tuple[int, ...]:
     """Diagonal entries >= 2 of the Smith form (the torsion data)."""
     return cokernel_invariants(matrix)[1]
@@ -676,6 +670,7 @@ def signature_and_determinant(form: IntMatrix) -> tuple[int, int]:
     return sig, 0 if singular else prev
 
 
+# Bound by the benchmark tracer (perfbench/spans.py) until ROADMAP item 2.
 def signature(form: IntMatrix) -> int:
     """Signature of a symmetric integer form, exactly."""
     return signature_and_determinant(form)[0]

@@ -69,10 +69,6 @@ class Verdict(_Value):
         """The necessary condition the conclusion rests on."""
         return _RULES[self.conclusion]
 
-    @property
-    def obstructed(self) -> bool:
-        return self.conclusion is not Conclusion.NO_OBSTRUCTION_FOUND
-
     def explanation(self) -> str:
         if self.conclusion is Conclusion.OBSTRUCTED_BY_MU:
             a, b = self.mu_pair

@@ -51,6 +51,7 @@ class SeifertMatrix(_Value):
     def __init__(self, matrix: IntMatrix) -> None:
         self._set(matrix=matrix)
 
+    # Read by the benchmark tracer (perfbench/spans.py) until ROADMAP item 2.
     @property
     def size(self) -> int:
         return self.matrix.rows
@@ -131,6 +132,8 @@ class TwoKnotInvariants(_Value):
     def cover_torsion(self) -> FiniteAbelianGroup:
         return from_presentation(self.form, self.form_determinant)
 
+    # Both builders are bound as staticmethods by the benchmark tracer
+    # (perfbench/spans.py) until ROADMAP item 2.
     @staticmethod
     def from_seifert(seifert: SeifertMatrix) -> TwoKnotInvariants:
         return TwoKnotInvariants.from_even_form(intersection_form(seifert))

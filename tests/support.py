@@ -152,7 +152,7 @@ def rand_braid_knot(rng: random.Random, max_strands: int = 5,
             g = rng.randint(1, strands - 1)
             letters.append(g if rng.random() < 0.5 else -g)
         word = BraidWord(strands, tuple(letters))
-        if word.is_knot_closure:
+        if word.closure_components() == 1:
             return word
 
 

@@ -14,7 +14,7 @@ from ribbonmu import (
     determinant,
     intersection_form,
     seifert_matrix_from_braid,
-    signature,
+    signature_and_determinant,
     validate_seifert,
 )
 
@@ -29,7 +29,7 @@ CATALOG_NAMES = ("figure8", "poincare", "trefoil", "unknot")
 
 def congruence_invariants(seifert):
     q = intersection_form(seifert)
-    return (abs(determinant(q)), abs(signature(q)),
+    return (abs(determinant(q)), abs(signature_and_determinant(q)[0]),
             TwoKnotInvariants.from_seifert(seifert).cover_torsion.invariant_factors)
 
 
@@ -43,10 +43,10 @@ class TestBraidWord:
             BraidWord(0, ())
 
     def test_knot_closure_detection(self):
-        assert TREFOIL_BRAID.is_knot_closure
-        assert FIGURE8_BRAID.is_knot_closure
-        assert not BraidWord(2, ()).is_knot_closure
-        assert not BraidWord(2, (1, 1)).is_knot_closure  # Hopf link
+        assert TREFOIL_BRAID.closure_components() == 1
+        assert FIGURE8_BRAID.closure_components() == 1
+        assert BraidWord(2, ()).closure_components() == 2
+        assert BraidWord(2, (1, 1)).closure_components() == 2  # Hopf link
 
     def test_components_against_dense_permutation(self):
         rng = random.Random(47)
@@ -71,7 +71,7 @@ class TestBraidWord:
         with time_limit(1.0):
             word = BraidWord(10 ** 15, (1, -2, 1))  # swaps strands 0 and 2
             assert word.closure_components() == 10 ** 15 - 1
-            assert not word.is_knot_closure
+            assert word.closure_components() != 1
 
 
 class TestSeifertMatrixFromBraid:
@@ -80,7 +80,7 @@ class TestSeifertMatrixFromBraid:
         assert congruence_invariants(s) == \
             congruence_invariants(catalog("trefoil").seifert)
         assert abs(determinant(intersection_form(s))) == 3
-        assert abs(signature(intersection_form(s))) == 2
+        assert abs(signature_and_determinant(intersection_form(s))[0]) == 2
 
     def test_trefoil_braid_and_catalog_agree_on_mu(self):
         s = seifert_matrix_from_braid(TREFOIL_BRAID)
@@ -92,7 +92,7 @@ class TestSeifertMatrixFromBraid:
         assert congruence_invariants(s) == \
             congruence_invariants(catalog("figure8").seifert)
         assert abs(determinant(intersection_form(s))) == 5
-        assert signature(intersection_form(s)) == 0
+        assert signature_and_determinant(intersection_form(s))[0] == 0
 
     def test_single_crossing_destabilizes_to_unknot(self):
         s = seifert_matrix_from_braid(BraidWord(2, (1,)))
@@ -119,7 +119,7 @@ class TestSeifertMatrixFromBraid:
         s = seifert_matrix_from_braid(BraidWord(2, (1,) * 5))
         q = intersection_form(s)
         assert abs(determinant(q)) == 5
-        assert abs(signature(q)) == 4
+        assert abs(signature_and_determinant(q)[0]) == 4
 
     def test_every_braid_matrix_is_valid(self):
         # The build does not check det(S - S^t) = +-1 (it holds by
@@ -156,7 +156,7 @@ def six_strand_knot_word(rng: random.Random, length: int) -> BraidWord:
     while True:
         word = BraidWord(6, tuple(rng.choice((1, -1)) * rng.randint(1, 5)
                                   for _ in range(length)))
-        if word.is_knot_closure:
+        if word.closure_components() == 1:
             return word
 
 
@@ -210,19 +210,19 @@ class TestMarkovStability:
             word = rand_braid_knot(rng, max_strands=4, max_len=9)
             s = seifert_matrix_from_braid(word)
             base = congruence_invariants(s)
-            signed_sigma = signature(intersection_form(s))
+            signed_sigma = signature_and_determinant(intersection_form(s))[0]
             r = rng.randrange(len(word.letters))
             rotated = BraidWord(word.strands,
                                 word.letters[r:] + word.letters[:r])
             sr = seifert_matrix_from_braid(rotated)
             assert congruence_invariants(sr) == base
-            assert signature(intersection_form(sr)) == signed_sigma
+            assert signature_and_determinant(intersection_form(sr))[0] == signed_sigma
             for sign in (1, -1):
                 stabilized = BraidWord(word.strands + 1,
                                        word.letters + (sign * word.strands,))
                 ss = seifert_matrix_from_braid(stabilized)
                 assert congruence_invariants(ss) == base
-                assert signature(intersection_form(ss)) == signed_sigma
+                assert signature_and_determinant(intersection_form(ss))[0] == signed_sigma
 
     def test_stabilization_leaves_the_matrix_unchanged(self):
         # A stabilizing letter is a generator used once: it closes no loop

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import ribbonmu
 from ribbonmu import (BraidWord, IntMatrix, TwoKnotInvariants, braid, cli, exactla,
-                      seifert_matrix_from_braid, signature, spinmu)
+                      seifert_matrix_from_braid, signature_and_determinant, spinmu)
 from ribbonmu.cli import main
 
 from support import (block_diag, digit_limit_lifted, from_decimal_rows, matmul, package_env,
@@ -85,7 +85,7 @@ class TestInvariantsCommand:
         assert str(recomputed.form_determinant) == record["form_determinant"]
         assert [str(d) for d in recomputed.cover_torsion.invariant_factors] == \
             record["h1_invariant_factors"]
-        assert str(signature(form)) == record["signature"]
+        assert str(signature_and_determinant(form)[0]) == record["signature"]
 
     def test_validation_error_exit_status(self, capsys):
         code, _ = run_cli("invariants", "[[1,0],[0,1]]")
@@ -407,12 +407,15 @@ class TestKnotFiles:
         path.write_text(json.dumps(data))
         assert json.loads(run_cli("invariants", str(path), "--json")[1])["name"] == "k"
 
-    @pytest.mark.parametrize("key", ["even_from", "Name", "seifert"])
+    @pytest.mark.parametrize("key", ["even_from", "Name", "seifert", "twist"])
     def test_unknown_key_is_parse_error(self, tmp_path, capsys, key):
-        # ignored, a misspelled even_form would leave the Seifert route: mu 2, not 8
+        # ignored, a misspelled even_form would leave the Seifert route (mu 2,
+        # not 8), and a twist inside braid the 2-twist spin
+        data = {"seifert_matrix": [[1, 1], [0, 1]], key: to_decimal_rows(braid.E8)}
+        if key == "twist":
+            data = {"braid": {"strands": 2, "letters": [1, 1, 1], "twist": 5}}
         path = tmp_path / "typo.json"
-        path.write_text(json.dumps({"seifert_matrix": [[1, 1], [0, 1]],
-                                    key: to_decimal_rows(braid.E8)}))
+        path.write_text(json.dumps(data))
         assert run_cli("invariants", str(path), "--json") == (3, "")
         assert f"unknown key '{key}'" in capsys.readouterr().err
 
@@ -939,7 +942,7 @@ class TestJsonWire:
         while True:  # a 301-letter, 6-strand knot word: a 296-row form
             word = BraidWord(6, tuple(rng.choice((1, -1)) * rng.randint(1, 5)
                                       for _ in range(301)))
-            if word.is_knot_closure:
+            if word.closure_components() == 1:
                 break
         path = tmp_path / "long.json"
         path.write_text(json.dumps({"braid": {"strands": 6, "letters": list(word.letters)}}))
@@ -1009,6 +1012,20 @@ class TestModuleEntryPoint:
                 proc.kill()
         assert head == b'{"name": "braid6_120'
         assert (code, err) == (141, b"")
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="closes fd 1 in the child")
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_stdout_closed_at_start_exits_141(self, flags):
+        # Python starts with sys.stdout None; an error found before any
+        # output keeps its own status
+        def run(*argv):
+            proc = subprocess.run([sys.executable, "-m", "ribbonmu", *argv, *flags],
+                                  stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                                  preexec_fn=lambda: os.close(1), env=package_env(), timeout=60)
+            return proc.returncode, proc.stderr
+        assert run("invariants", "trefoil") == (141, b"")
+        code, err = run("invariants", "nosuchknot")
+        assert code == 2 and err.startswith(b"error: unknown catalog entry")
 
     def test_startup_stays_lean(self):
         # dataclasses and the inspect module it imports cost a fresh
@@ -1080,10 +1097,9 @@ PUBLIC_NAMES = [
     "SeifertValidationError", "SnfResult", "SpinStructureError", "TwoKnotInvariants",
     "Verdict", "alinking", "catalog", "cokernel_invariants",
     "combine_doubles", "determinant", "direct_sum", "from_presentation",
-    "intersection_form", "invariant_factors", "is_double", "mod2_alinking",
-    "mu_boundary_link_sum",
+    "intersection_form", "is_double", "mod2_alinking", "mu_boundary_link_sum",
     "obstruct_ribbon_equivalent", "obstruct_ribbon_trivial", "seifert_matrix_from_braid",
-    "signature", "smith_normal_form", "validate_seifert",
+    "signature_and_determinant", "smith_normal_form", "validate_seifert",
 ]
 
 

@@ -33,7 +33,7 @@ class TestAgainstTrivial:
         verdict = obstruct_ribbon_trivial(TREFOIL)
         assert verdict.conclusion is Conclusion.OBSTRUCTED_BY_MU
         assert {m.value for m in verdict.mu_pair} == {2, 0}
-        assert verdict.obstructed
+        assert verdict.conclusion is not Conclusion.NO_OBSTRUCTION_FOUND
 
     def test_figure8_spin_obstructed_by_torsion(self):
         verdict = obstruct_ribbon_trivial(FIGURE8)
@@ -44,7 +44,6 @@ class TestAgainstTrivial:
     def test_unknot_unobstructed(self):
         verdict = obstruct_ribbon_trivial(UNKNOT)
         assert verdict.conclusion is Conclusion.NO_OBSTRUCTION_FOUND
-        assert not verdict.obstructed
 
     def test_explanations_are_one_liners(self):
         for knot in (TREFOIL, FIGURE8, UNKNOT):
@@ -122,10 +121,11 @@ class TestVerdictWitnesses:
             Verdict(Conclusion.OBSTRUCTED_BY_TORSION, torsion_witness=witness)
 
     def test_consistent_verdicts_build(self):
-        assert Verdict(Conclusion.OBSTRUCTED_BY_MU, (Mu(2), Mu(0))).obstructed
-        assert Verdict(Conclusion.OBSTRUCTED_BY_TORSION,
-                       torsion_witness=FiniteAbelianGroup((3, 9))).obstructed
-        assert not Verdict(Conclusion.NO_OBSTRUCTION_FOUND).obstructed
+        for conclusion, args in ((Conclusion.OBSTRUCTED_BY_MU, {"mu_pair": (Mu(2), Mu(0))}),
+                                 (Conclusion.OBSTRUCTED_BY_TORSION,
+                                  {"torsion_witness": FiniteAbelianGroup((3, 9))}),
+                                 (Conclusion.NO_OBSTRUCTION_FOUND, {})):
+            assert Verdict(conclusion, **args).conclusion is conclusion
 
     def test_rule_is_read_off_the_conclusion(self):
         verdicts = (Verdict(Conclusion.OBSTRUCTED_BY_MU, (Mu(2), Mu(0))),
