@@ -41,8 +41,6 @@ class InducedMap(_Value):
     @staticmethod
     def from_columns(columns: list[list[int]]) -> InducedMap:
         rows = [[col[0] for col in columns], [col[1] for col in columns]]
-        if not columns:
-            rows = [[], []]
         return InducedMap(IntMatrix.from_rows(rows, cols=len(columns)))
 
 

@@ -135,12 +135,12 @@ def _knot(spec: object, default_name: str, where: str) -> KnotRecord:
 def resolve_knot(spec: str) -> KnotRecord:
     """Inline Seifert matrix, path to a JSON knot file, or catalog name.
 
-    An argument that names no file (one too long for the file system,
-    say) and does not end in ``.json`` is looked up in the catalog.
+    An argument that names a directory or no file (too long a name, say)
+    and does not end in ``.json`` is looked up in the catalog.
     """
     if spec.lstrip().startswith("["):
         return _knot({"seifert_matrix": _decode(spec, "matrix")}, "<inline>", "matrix")
-    if not (spec.endswith(".json") or os.path.isfile(spec)):
+    if not (spec.endswith(".json") or os.path.exists(spec) and not os.path.isdir(spec)):
         return catalog(spec)
     return _knot(_read_json(spec), os.path.splitext(os.path.basename(spec))[0], spec)
 

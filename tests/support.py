@@ -70,6 +70,21 @@ def digit_limit_lifted():
         sys.set_int_max_str_digits(before)
 
 
+def address_space_cap(kb: int):
+    """A ``preexec_fn`` that caps the child's address space at ``kb`` kB,
+    as ``ulimit -v`` does (Linux enforces RLIMIT_AS; a hard limit already
+    below it is kept)."""
+    def cap():
+        import resource
+
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        soft = kb * 1024
+        if hard != resource.RLIM_INFINITY:
+            soft = min(soft, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+    return cap
+
+
 def package_env() -> dict[str, str]:
     """Environment for a fresh interpreter that imports this ribbonmu."""
     src = Path(ribbonmu.__file__).resolve().parent.parent

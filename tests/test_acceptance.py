@@ -40,6 +40,7 @@ from ribbonmu import BraidWord, catalog
 from ribbonmu.cli import main
 
 from support import (
+    address_space_cap,
     block_diag,
     from_decimal_rows,
     matmul,
@@ -209,7 +210,7 @@ DENSE80 = Path(__file__).parent / "data" / "dense80.json"
 @pytest.mark.parametrize("n", [60, 80])
 def test_c11_dense_snf_transforms(tmp_path, n):
     # Entries uniform in [-50, 50] from Random(1); the 80 x 80 matrix is
-    # committed so that CI can run the same command.
+    # committed so that other tests and benchmarks read the same one.
     rng = random.Random(1)
     rows = [[str(rng.randint(-50, 50)) for _ in range(n)] for _ in range(n)]
     if n == 80:
@@ -260,32 +261,28 @@ def test_c12_dense_even_form_torsion_modulo_determinant():
 
 
 LONG_BRAID = Path(__file__).parent / "data" / "braid6_1201.json"
-ADDRESS_SPACE_KB = 150_000  # the CI step's ulimit -v
+ADDRESS_SPACE_KB = 150_000
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="needs RLIMIT_AS as Linux enforces it")
-def test_c13_long_braid_record_in_bounded_memory():
+@pytest.mark.parametrize("command", ["invariants", "obstruct"])
+def test_c13_long_braid_record_in_bounded_memory(command):
     # The 1201-letter word's record is 14 MB of JSON for a 1196-row form
     # with about 5k nonzeros.  Built as n^2 decimal strings and one
     # json.dumps string, it peaked at 263 MB and died with MemoryError
-    # under this limit; streamed row by row it peaks near 60 MB.
-    import resource
-
-    def cap_address_space():
-        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-        soft = ADDRESS_SPACE_KB * 1024
-        if hard != resource.RLIM_INFINITY:
-            soft = min(soft, hard)
-        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
-
+    # under this limit; streamed row by row it peaks near 60 MB.  Its
+    # verdict against the trivial 2-knot is settled by mu alone.
     proc = subprocess.run(
-        [sys.executable, "-m", "ribbonmu", "invariants", str(LONG_BRAID), "--json"],
-        capture_output=True, env=package_env(), preexec_fn=cap_address_space,
-        timeout=120)
+        [sys.executable, "-m", "ribbonmu", command, str(LONG_BRAID), "--json"],
+        capture_output=True, env=package_env(),
+        preexec_fn=address_space_cap(ADDRESS_SPACE_KB), timeout=30)
     assert proc.returncode == 0, proc.stderr.decode()[-2000:]
     assert proc.stderr == b""
     record = json.loads(proc.stdout)
-    assert len(record["form"]) == len(record["seifert_matrix"]) == 1196
-    print(f"PASS criterion 13: the 1201-letter braid's record is written "
-          f"within {ADDRESS_SPACE_KB} kB of address space")
+    if command == "invariants":
+        assert len(record["form"]) == len(record["seifert_matrix"]) == 1196
+    else:
+        assert (record["conclusion"], record["mu_pair"]) == ("obstructed-by-mu", ["14", "0"])
+    print(f"PASS criterion 13: the 1201-letter braid's {command} record is "
+          f"written within {ADDRESS_SPACE_KB} kB of address space")

@@ -17,9 +17,9 @@ from ribbonmu import (BraidWord, IntMatrix, TwoKnotInvariants, braid, cli, exact
                       seifert_matrix_from_braid, signature_and_determinant, spinmu)
 from ribbonmu.cli import main
 
-from support import (block_diag, digit_limit_lifted, from_decimal_rows, matmul, package_env,
-                     rand_matrix, rand_unimodular, sturm_signature, time_limit,
-                     to_decimal_rows, zeros)
+from support import (address_space_cap, block_diag, digit_limit_lifted, from_decimal_rows,
+                     matmul, package_env, rand_matrix, rand_unimodular, sturm_signature,
+                     time_limit, to_decimal_rows, zeros)
 
 
 DATA = Path(__file__).parent / "data"
@@ -185,7 +185,8 @@ class TestSnfCommand:
             raise AssertionError("snf without --full built U and V")
 
         monkeypatch.setattr(cli, "smith_normal_form", refuse)
-        code, alone = run_cli("snf", "--file", str(path), "--json")
+        with time_limit(10.0):
+            code, alone = run_cli("snf", "--file", str(path), "--json")
         assert code == 0
         # byte-identical: the record without --full is the d field alone
         assert alone == full[:full.index(', "u": ')] + "}\n"
@@ -281,6 +282,17 @@ class TestBraidCommand:
         code, _ = run_cli("braid", "--strands", "100000000000", "1")
         assert code == 2
         assert "99999999999 components" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="needs RLIMIT_AS as Linux enforces it")
+    def test_huge_strand_count_in_bounded_memory(self):
+        # nothing is allocated per strand: a list of 1e11 would not fit
+        proc = subprocess.run(
+            [sys.executable, "-m", "ribbonmu", "braid", "--strands", "100000000000", "1"],
+            capture_output=True, env=package_env(),
+            preexec_fn=address_space_cap(1_000_000), timeout=10)
+        assert proc.returncode == 2, proc.stderr.decode()[-2000:]
+        assert b"99999999999 components" in proc.stderr
 
     def test_negative_letters_are_read(self):
         code, text = run_cli("braid", "--strands", "2", "-1", "-1", "-1", "--json")
@@ -600,11 +612,29 @@ class TestExitContract:
         assert code in (0, 2, 3)
 
     @pytest.mark.parametrize("command", ["invariants", "obstruct"])
-    def test_argument_too_long_for_a_file_name(self, capsys, command):
-        # os.path.isfile is False here (errno 36, name too long); such an
-        # argument names no file, so it is looked up in the catalog
-        assert run_cli(command, "x" * 300) == (2, "")
-        assert "unknown catalog entry" in capsys.readouterr().err
+    def test_argument_too_long_for_a_file_name(self, tmp_path, capsys, command):
+        # os.path.exists is False here (errno 36, name too long); such an
+        # argument names no file, so it is looked up in the catalog, as is
+        # a directory
+        for spec in ("x" * 300, str(tmp_path)):
+            assert run_cli(command, spec) == (2, "")
+            assert "unknown catalog entry" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /dev/stdin")
+    @pytest.mark.parametrize("argv, text, key, value", [
+        (["invariants", "/dev/stdin"], '{"catalog": "trefoil"}', "mu", "2"),
+        (["obstruct", "/dev/stdin", "trefoil"], '{"catalog": "figure8"}',
+         "mu_pair", ["0", "2"]),
+        (["snf", "--file", "/dev/stdin"], "[[2, 4], [6, 8]]", "d", [["2", "0"], ["0", "4"]]),
+    ], ids=["invariants", "obstruct", "snf"])
+    def test_pipe_is_read_as_a_file(self, argv, text, key, value):
+        # a pipe is no regular file, but a knot argument or --file naming
+        # one is read like any file
+        proc = subprocess.run([sys.executable, "-m", "ribbonmu", *argv, "--json"],
+                              input=text.encode(), capture_output=True,
+                              env=package_env(), timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert json.loads(proc.stdout)[key] == value
 
     def test_batch_path_too_long_for_a_file_name(self, capsys):
         # os.path.isdir is False here too: not a directory, a parse error
