@@ -352,28 +352,38 @@ def _cmd_braid(args, out) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A usage error is malformed command-line input: exit 3, not 2."""
+    """A usage error is malformed command-line input: exit 3, not 2.  No option is abbreviated."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         raise CliParseError(f"{self.prog}: {message}")
 
 
+class _Once(argparse.Action):
+    """A value option given twice is a usage error, not the last one wins."""
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(self, "given twice")
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ribbonmu",
-        description=("Ribbon-move obstructions of 2-knots: mu-invariants, "
-                     "branched-cover homology, torsion doubling tests, "
-                     "Smith normal forms, and alinking numbers, all over "
-                     "exact integer arithmetic."))
+        description=("Ribbon-move obstructions of 2-knots: mu-invariants, branched-cover "
+                     "homology, torsion doubling tests, Smith normal forms, and alinking "
+                     "numbers, all over exact integer arithmetic."))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("invariants", help="mu, signature, determinant, and "
                        "cover homology of a 2-knot")
     given = p.add_mutually_exclusive_group(required=True)
-    given.add_argument("knot", nargs="?", help="catalog name, knot file, or "
-                       "inline Seifert matrix")
-    given.add_argument("--batch", metavar="DIR", help="process every *.json "
-                       "knot file in DIR, one JSON record per line")
+    given.add_argument("knot", nargs="?", help="catalog name, knot file, or inline Seifert matrix")
+    given.add_argument("--batch", metavar="DIR", action=_Once, help="process every "
+                       "*.json knot file in DIR, one JSON record per line")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(run=_cmd_invariants)
 
@@ -387,23 +397,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("snf", help="Smith normal form of an integer matrix")
     given = p.add_mutually_exclusive_group(required=True)
     given.add_argument("matrix", nargs="?", help="inline JSON matrix")
-    given.add_argument("--file", help="read the matrix from a JSON file")
+    given.add_argument("--file", action=_Once, help="read the matrix from a JSON file")
     p.add_argument("--full", action="store_true", help="also print U and V")
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=_cmd_snf)
 
     p = sub.add_parser("alink", help="alinking number of a (sphere, torus)-link")
     given = p.add_mutually_exclusive_group(required=True)
-    given.add_argument("matrix", nargs="?", help="columns \"(a,b) (c,d)\" or "
-                       "JSON 2-row matrix")
-    given.add_argument("--file", help="read the 2-row matrix from a JSON file")
+    given.add_argument("matrix", nargs="?", help="columns \"(a,b) (c,d)\" or JSON 2-row matrix")
+    given.add_argument("--file", action=_Once, help="read the 2-row matrix from a JSON file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=_cmd_alink)
 
     p = sub.add_parser("braid", help="Seifert matrix of a braid closure")
     p.add_argument("letters", nargs="+", help="signed generator indices, "
                    "e.g. 1 1 1 or \"1 -2 1 -2\"")
-    p.add_argument("--strands", type=integer, required=True)
+    p.add_argument("--strands", type=integer, required=True, action=_Once)
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=_cmd_braid)
     return parser
@@ -411,13 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
-    # The wire format is decimal strings of any length, so Python's
-    # int <-> str digit limit (3.10.7 and later) is lifted while the CLI
-    # runs and restored after it.
-    lift = hasattr(sys, "set_int_max_str_digits")
-    if lift:
-        before = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
+    # The wire format has decimals of any length, so the int <-> str digit limit is lifted here.
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         return args.run(args, out)
@@ -426,8 +431,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         print(f"{'parse error' if code == 3 else 'error'}: {exc}", file=sys.stderr)
         return code
     finally:
-        if lift:
-            sys.set_int_max_str_digits(before)
+        sys.set_int_max_str_digits(before)
 
 
 def entry_point() -> None:

@@ -9,7 +9,9 @@ the Alexander values), the signature oracle counts
 characteristic-polynomial root signs with Sturm sequences, group
 isomorphism is checked by brute-force element-order counting, group
 arithmetic by trial-division elementary divisors, and braid Seifert
-matrices by testing every pair of loops.
+matrices by testing every pair of loops.  Torus knots come with their
+signature (a lattice count) and determinant in closed form, so braid
+forms of any size have answers the package did not compute.
 """
 
 from __future__ import annotations
@@ -58,10 +60,7 @@ def time_limit(seconds: float):
 
 @contextmanager
 def digit_limit_lifted():
-    """Python's int <-> str digit limit (3.10.7 and later) off, then restored."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
+    """Python's int <-> str digit limit off, then restored."""
     before = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -249,6 +248,34 @@ def rand_group_factors(rng: random.Random, max_factor: int = 64,
             break
         factors.append(d)
     return tuple(factors)
+
+
+# -- torus knots: answers in closed form at any size -------------------
+
+
+def torus_letters(p: int, q: int) -> tuple[int, ...]:
+    """The word (s1 s2 ... s_{p-1})^q on p strands, whose closure is the
+    torus knot T(p, q) when gcd(p, q) = 1."""
+    return tuple(range(1, p)) * q
+
+
+def torus_signature(p: int, q: int) -> int:
+    """Signature of T(p, q) by the lattice count (Brieskorn's at k = 2):
+    each 0 < i < p, 0 < j < q adds +1 when 1/2 < i/p + j/q < 3/2, -1
+    when the sum is outside [1/2, 3/2], and 0 at either end.  The sign
+    convention is the package's: the trefoil closure of s1^3 has +2."""
+    total = 0
+    for i in range(1, p):
+        for j in range(1, q):
+            twice = 2 * (i * q + j * p)  # 2 pq (i/p + j/q), compared with pq and 3 pq
+            total += (p * q < twice < 3 * p * q) - (twice < p * q or twice > 3 * p * q)
+    return total
+
+
+def torus_determinant(p: int, q: int) -> int:
+    """|det| of T(p, q), which is |Alexander(-1)|: q for even p, p for
+    even q, else 1."""
+    return q if p % 2 == 0 else p if q % 2 == 0 else 1
 
 
 # -- Smith-form diagonal oracle --------------------------------------

@@ -1,5 +1,6 @@
 import json
 import random
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from ribbonmu import (
 )
 
 from support import (alexander_at, det_fraction, rand_braid_knot, seifert_matrix_pairwise,
-                     time_limit)
+                     time_limit, torus_determinant, torus_letters, torus_signature)
 
 TREFOIL_BRAID = BraidWord(2, (1, 1, 1))
 FIGURE8_BRAID = BraidWord(3, (1, -2, 1, -2))
@@ -86,6 +87,14 @@ class TestSeifertMatrixFromBraid:
         s = seifert_matrix_from_braid(TREFOIL_BRAID)
         assert TwoKnotInvariants.from_seifert(s).mu.value == \
             TwoKnotInvariants.from_seifert(catalog("trefoil").seifert).mu.value == 2
+
+    def test_torus_3_5_braid_and_poincare_agree(self):
+        # both bound the Poincare homology sphere: mu 8 and a trivial cover group
+        braid = TwoKnotInvariants.from_seifert(
+            seifert_matrix_from_braid(BraidWord(3, torus_letters(3, 5))))
+        for inv in (braid, catalog("poincare").invariants()):
+            assert inv.mu.value == 8
+            assert inv.cover_torsion.is_trivial
 
     def test_figure8_matches_catalog_invariants(self):
         s = seifert_matrix_from_braid(FIGURE8_BRAID)
@@ -176,6 +185,27 @@ class TestAgainstPairwiseOracle:
         s = seifert_matrix_from_braid(word).matrix
         assert s.rows == length - 5
         assert s == seifert_matrix_pairwise(word)
+
+
+class TestTorusKnots:
+    """T(p, q) of 200-1200 rows against answers in closed form."""
+
+    TORUS = ((3, 101), (2, 401), (5, 151), (6, 161), (4, 301), (7, 201))
+
+    @pytest.mark.parametrize("p, q", TORUS)
+    def test_closed_form_invariants(self, p, q):
+        inv = TwoKnotInvariants.from_seifert(
+            seifert_matrix_from_braid(BraidWord(p, torus_letters(p, q))))
+        assert inv.form.rows == (p - 1) * (q - 1)
+        assert inv.signature == torus_signature(p, q)
+        assert abs(inv.form_determinant) == torus_determinant(p, q)
+        assert prod(inv.cover_torsion.invariant_factors) == torus_determinant(p, q)
+
+    @pytest.mark.parametrize("p, q", TORUS)
+    def test_mirror_negates_signature(self, p, q):
+        mirror = BraidWord(p, tuple(-x for x in torus_letters(p, q)))
+        inv = TwoKnotInvariants.from_seifert(seifert_matrix_from_braid(mirror))
+        assert inv.signature == -torus_signature(p, q)
 
 
 class TestMarkovStability:

@@ -648,6 +648,13 @@ class TestExitContract:
         [],  # no subcommand
         ["braid", "1"],  # missing --strands
         ["obstruct"],  # missing knot
+        ["invariants", "[[1,1],[0,1]]", "--js"],  # a prefix is not the option
+        ["snf", "[[2]]", "--fu"],
+        ["braid", "1", "1", "1", "--str", "2"],
+        ["braid", "1", "--strands", "2", "--strands", "3"],  # a value option twice
+        ["invariants", "--batch", "a", "--batch", "b"],
+        ["snf", "--file", "a.json", "--file", "b.json"],
+        ["alink", "--file", "a.json", "--file", "a.json"],
     ])
     def test_usage_error_is_parse_error(self, capsys, argv):
         assert run_cli(*argv) == (3, "")

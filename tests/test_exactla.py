@@ -678,6 +678,10 @@ class TestIntMatrix:
             IntMatrix(2, 2, ((1, 2),))
         with pytest.raises(DimensionError):
             IntMatrix(1, 2, ((1, 2, 3),))
+        with pytest.raises(DimensionError, match="negative"):
+            IntMatrix(-1, 0, ())
+        with pytest.raises(DimensionError, match="negative"):
+            IntMatrix(0, -1, ())
 
     def test_sum_and_difference_shape_check(self):
         a, b = identity(2), zeros(2, 3)
