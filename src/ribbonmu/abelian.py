@@ -60,8 +60,9 @@ def from_presentation(matrix: IntMatrix, det: int | None = None) -> FiniteAbelia
     cokernel.  A presentation with free quotient still yields its
     torsion part; ``exactla.cokernel_invariants`` also gives the free rank.
     A caller that already has the nonzero determinant passes it as
-    ``det``, so the reduction can work modulo it (see
-    :func:`~ribbonmu.exactla.cokernel_invariants`).
+    ``det``, so the reduction can work modulo it.  It must be this
+    matrix's own: a proper divisor gives a smaller group with no error
+    (see :func:`~ribbonmu.exactla.cokernel_invariants`).
     """
     _, torsion = cokernel_invariants(matrix, det)
     return FiniteAbelianGroup(torsion)

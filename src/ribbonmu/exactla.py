@@ -70,7 +70,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from itertools import compress
-from operator import add, eq, index, sub
+from operator import eq, index
 
 
 class InputError(ValueError):
@@ -167,18 +167,6 @@ class IntMatrix(_Value):
         # zip(*()) is empty, so a 0 x c matrix needs its c empty rows spelled out
         return IntMatrix(self.cols, self.rows,
                          tuple(zip(*self.entries)) if self.rows else ((),) * self.cols)
-
-    def __add__(self, other: IntMatrix) -> IntMatrix:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError("matrix addition needs equal shapes")
-        return IntMatrix(self.rows, self.cols, tuple(
-            tuple(map(add, ra, rb)) for ra, rb in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: IntMatrix) -> IntMatrix:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError("matrix subtraction needs equal shapes")
-        return IntMatrix(self.rows, self.cols, tuple(
-            tuple(map(sub, ra, rb)) for ra, rb in zip(self.entries, other.entries)))
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
@@ -286,8 +274,8 @@ def _core_mod_det(a: list[list[int]], det: int) -> list[int]:
     d = gcd(pivot, R), which leaves a cokernel of order R // d, so the
     rest continues modulo R // d; R = 1 ends the reduction.  The split
     factors need not divide each other; pairwise gcd/lcm makes them the
-    chain.  A wrong determinant raises ValueError when their product
-    cannot reach it, as for any multiple of the true one.
+    chain.  R must be |det a|: a multiple of it raises ValueError, as the
+    product cannot reach it, but a proper divisor gives a smaller group.
     """
     R = det
     n = len(a)
@@ -585,8 +573,10 @@ def cokernel_invariants(matrix: IntMatrix,
     reduced modulo a determinant (see :func:`_smith_diagonal`).  A caller
     that already knows the nonzero determinant of a square matrix passes
     it as ``det`` (either sign), which saves the two Hermite forms that
-    would find it.  The value is trusted: a wrong one raises ValueError
-    only when the factors cannot multiply to it.
+    would find it.  The value is trusted, so it must be this matrix's
+    own: a wrong one raises ValueError only when the factors cannot
+    multiply to it, as a multiple of the true one, and a proper divisor
+    gives another group with no error (diag(3, 5), ``det=3``: Z3).
     """
     if det and not matrix.is_square:
         raise DimensionError(

@@ -26,8 +26,8 @@ cover torsion are read off that one record.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from operator import index
+from collections.abc import Callable, Sequence
+from operator import add, index, sub
 
 from .abelian import FiniteAbelianGroup, from_presentation
 from .exactla import (FormError, InputError, IntMatrix, _Value, determinant,
@@ -83,7 +83,7 @@ def validate_seifert(matrix: IntMatrix) -> SeifertMatrix:
     if not matrix.is_square:
         raise SeifertValidationError(
             f"Seifert matrix must be square, got {matrix.rows}x{matrix.cols}")
-    d = determinant(matrix - matrix.transpose())
+    d = determinant(_with_transpose(matrix, sub))
     if d not in (1, -1):
         raise SeifertValidationError(
             f"not a knot Seifert matrix: det(S - S^t) = {d}, need +-1")
@@ -92,7 +92,14 @@ def validate_seifert(matrix: IntMatrix) -> SeifertMatrix:
 
 def intersection_form(seifert: SeifertMatrix) -> IntMatrix:
     """The even symmetric form S + S^t of a bounding 4-manifold."""
-    return seifert.matrix + seifert.matrix.transpose()
+    return _with_transpose(seifert.matrix, add)
+
+
+def _with_transpose(matrix: IntMatrix, op: Callable[[int, int], int]) -> IntMatrix:
+    """S + S^t or S - S^t of a square S, row i against column i: no transposed copy."""
+    rows = matrix.entries
+    return IntMatrix(matrix.rows, matrix.cols,
+                     tuple(tuple(map(op, row, col)) for row, col in zip(rows, zip(*rows))))
 
 
 def mu_boundary_link_sum(components: Sequence[SeifertMatrix]) -> Mu:

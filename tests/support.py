@@ -9,9 +9,10 @@ the Alexander values), the signature oracle counts
 characteristic-polynomial root signs with Sturm sequences, group
 isomorphism is checked by brute-force element-order counting, group
 arithmetic by trial-division elementary divisors, and braid Seifert
-matrices by testing every pair of loops.  Torus knots come with their
-signature (a lattice count) and determinant in closed form, so braid
-forms of any size have answers the package did not compute.
+matrices by testing every pair of loops.  Torus knots (also as
+scrambled words) and linear plumbings come with their signature,
+determinant and cover group in closed form, so forms of any size have
+answers the package did not compute.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm, prod
-from operator import mul
+from operator import add, mul, sub
 from pathlib import Path
 
 import ribbonmu
@@ -99,6 +100,18 @@ def zeros(rows: int, cols: int) -> IntMatrix:
 
 def identity(n: int) -> IntMatrix:
     return IntMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+
+
+def matadd(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    assert (a.rows, a.cols) == (b.rows, b.cols), "matadd needs equal shapes"
+    return IntMatrix.from_rows([list(map(add, ra, rb)) for ra, rb in zip(a.entries, b.entries)],
+                               cols=a.cols)
+
+
+def matsub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    assert (a.rows, a.cols) == (b.rows, b.cols), "matsub needs equal shapes"
+    return IntMatrix.from_rows([list(map(sub, ra, rb)) for ra, rb in zip(a.entries, b.entries)],
+                               cols=a.cols)
 
 
 def matmul(*factors: IntMatrix) -> IntMatrix:
@@ -276,6 +289,59 @@ def torus_determinant(p: int, q: int) -> int:
     """|det| of T(p, q), which is |Alexander(-1)|: q for even p, p for
     even q, else 1."""
     return q if p % 2 == 0 else p if q % 2 == 0 else 1
+
+
+def scrambled_torus_word(rng: random.Random, p: int, q: int, new_strands: int,
+                         conjugator: int) -> tuple[int, tuple[int, ...]]:
+    """(strands, letters) of a word whose closure is still T(p, q):
+    :func:`torus_letters` Markov-stabilized by one letter +-s_n per new
+    strand n, then conjugated to w beta w^-1 by a random word w of
+    ``conjugator`` letters on all the strands."""
+    letters, strands = torus_letters(p, q), p
+    for _ in range(new_strands):
+        letters += (rng.choice((1, -1)) * strands,)
+        strands += 1
+    w = tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(conjugator))
+    return strands, w + letters + tuple(-x for x in reversed(w))
+
+
+# -- linear plumbings: 2-bridge knots in closed form at any size -------
+
+
+def plumbing(xs: list[int]) -> list[list[int]]:
+    """The Seifert matrix with diagonal x1 .. xn and 1 on the
+    superdiagonal, as plain lists.  For even n, S - S^t is tridiagonal
+    with zero diagonal, and its leading minors run 1, 0, 1, 0, ..., so
+    det(S - S^t) = 1 for any integers x."""
+    n = len(xs)
+    assert n % 2 == 0, "a plumbing Seifert matrix needs even size"
+    rows = []
+    for i, x in enumerate(xs):
+        row = [0] * n
+        row[i] = x
+        if i + 1 < n:
+            row[i + 1] = 1
+        rows.append(row)
+    return rows
+
+
+def plumbing_invariants(xs: list[int]) -> tuple[int, int, tuple[int, ...]]:
+    """(signature, det, invariant factors) of S + S^t for S = plumbing(xs),
+    every x nonzero.
+
+    S + S^t is tridiagonal: 2x on the diagonal, 1 beside it.  Its leading
+    minors are the continuant D_0 = 1, D_1 = 2x_1,
+    D_k = 2x_k D_{k-1} - D_{k-2}, so det = D_n.  With every |2x| >= 2,
+    |D_k| strictly increases, no leading minor vanishes, and Jacobi's
+    rule gives the signature as the sum of sign(D_k D_{k-1}).  Deleting
+    row 1 and column n leaves a triangular minor of 1s, so the cover
+    group is cyclic of order |D_n|."""
+    assert all(xs), "a zero x can make a leading minor vanish"
+    prev, d, signature = 0, 1, 0
+    for x in xs:
+        prev, d = d, 2 * x * d - prev
+        signature += 1 if (d > 0) == (prev > 0) else -1
+    return signature, d, (abs(d),) if abs(d) > 1 else ()
 
 
 # -- Smith-form diagonal oracle --------------------------------------

@@ -18,7 +18,7 @@ from ribbonmu import (BraidWord, IntMatrix, TwoKnotInvariants, braid, cli, exact
 from ribbonmu.cli import main
 
 from support import (address_space_cap, block_diag, digit_limit_lifted, from_decimal_rows,
-                     matmul, package_env, rand_matrix, rand_unimodular, sturm_signature,
+                     matadd, matmul, package_env, rand_matrix, rand_unimodular, sturm_signature,
                      time_limit, to_decimal_rows, zeros)
 
 
@@ -998,7 +998,7 @@ class TestJsonWire:
         assert json.dumps(record) + "\n" == text
         s = seifert_matrix_from_braid(word).matrix
         assert len(record["form"]) == s.rows == 296
-        longest_row = max(len(json.dumps(r)) for m in (s + s.transpose(), s)
+        longest_row = max(len(json.dumps(r)) for m in (matadd(s, s.transpose()), s)
                           for r in to_decimal_rows(m))
         assert max(map(len, spy.pieces)) <= len(', "seifert_matrix": [') + longest_row
 

@@ -27,6 +27,7 @@ from support import (
     elementary_divisors_oracle,
     identity,
     matmul,
+    matsub,
     rand_braid_knot,
     rand_matrix,
     rand_symmetric,
@@ -301,7 +302,7 @@ class TestSignature:
             q2 = rand_symmetric(rng, max_dim=4)
             s1, s2 = signature_and_determinant(q1)[0], signature_and_determinant(q2)[0]
             assert signature_and_determinant(block_diag(q1, q2))[0] == s1 + s2
-            assert signature_and_determinant(zeros(q1.rows, q1.rows) - q1)[0] == -s1
+            assert signature_and_determinant(matsub(zeros(q1.rows, q1.rows), q1))[0] == -s1
 
     def test_random_against_sturm_oracle(self):
         rng = random.Random(13)
@@ -313,7 +314,7 @@ class TestSignature:
 # Blocks with known (signature, determinant), for congruence tests.
 KNOWN_BLOCKS = (
     (IntMatrix.from_rows(E8_ROWS), 8, 1),
-    (zeros(8, 8) - IntMatrix.from_rows(E8_ROWS), -8, 1),
+    (matsub(zeros(8, 8), IntMatrix.from_rows(E8_ROWS)), -8, 1),
     (IntMatrix.from_rows([[0, 1], [1, 0]]), 0, -1),
     (IntMatrix.from_rows([[2, 1], [1, 4]]), 2, 7),
     (IntMatrix.from_rows([[-2, 1], [1, -6]]), -2, 11),
@@ -682,13 +683,6 @@ class TestIntMatrix:
             IntMatrix(-1, 0, ())
         with pytest.raises(DimensionError, match="negative"):
             IntMatrix(0, -1, ())
-
-    def test_sum_and_difference_shape_check(self):
-        a, b = identity(2), zeros(2, 3)
-        with pytest.raises(DimensionError, match="addition"):
-            a + b
-        with pytest.raises(DimensionError, match="subtraction"):
-            a - b
 
     def test_transpose_involution(self):
         rng = random.Random(15)
