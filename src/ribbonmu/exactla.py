@@ -196,9 +196,9 @@ class SnfResult(_Value):
         self._set(U=U, D=D, V=V)
 
 
-def _smith_diagonal(m: list[list[int]], det: int | None = None) -> list[int]:
-    """The nonzero entries of the Smith diagonal of the matrix m, which
-    is overwritten.
+def _smith_diagonal(m: list[list[int]], det: int | None = None) -> tuple[int, list[int]]:
+    """The rank of the matrix m, which is overwritten, and its invariant
+    factors >= 2, the Smith diagonal's entries other than 1 and 0.
 
     Unit pivots come first (:func:`_unit_pivots`), then the core they
     leave is reduced modulo |det| (:func:`_core_mod_det`).  Unless
@@ -214,8 +214,7 @@ def _smith_diagonal(m: list[list[int]], det: int | None = None) -> list[int]:
         form, _ = _hermite(core, len(core[0]) if core else 0)
         core, _ = _hermite([list(c) for c in zip(*form)], len(form))
         det = math.prod(r[i] for i, r in enumerate(core))
-    chain = _core_mod_det(core, abs(det))
-    return [1] * (units + len(core) - len(chain)) + chain
+    return units + len(core), _core_mod_det(core, abs(det))
 
 
 def _unit_pivots(m: list[list[int]]) -> tuple[int, list[list[int]]]:
@@ -433,9 +432,9 @@ def smith_normal_form(matrix: IntMatrix) -> SnfResult:
     Works on any rectangular integer matrix, including empty ones, and
     is deterministic for a fixed input.  Kannan-Bachem: Hermite normal
     forms of the rows and of the columns alternate until the matrix is
-    diagonal.  The first row form finds the rank r and moves the left
-    null space to the last rows of U; the first column form moves the
-    right null space to the last columns of V and leaves an r x r
+    diagonal.  The first two forms, one of rows and one of columns,
+    find the rank r, move the left null space to the last rows of U and
+    the right one to the last columns of V, and leave an r x r
     nonsingular block.  Each further form turns that block between upper
     and lower triangular.  The first pivot whose row or column is not
     yet clear only ever shrinks to a divisor, strictly whenever it does
@@ -445,22 +444,18 @@ def smith_normal_form(matrix: IntMatrix) -> SnfResult:
     V stay polynomial in size; zeros come last.
     """
     rows, cols = matrix.rows, matrix.cols
-    if rows < cols:
-        # A wide matrix goes through its transpose.  The first row form
-        # then splits the null space off the input's own short rows; off
-        # the columns of a Hermite form, whose entries are as large as
-        # its minors, the null rows of V grew to about five times the
-        # Hadamard bound in bits (20 x 24, entries in [-50, 50]).
-        res = smith_normal_form(matrix.transpose())
-        return SnfResult(U=res.V.transpose(), D=res.D.transpose(), V=res.U.transpose())
     # The block's rows belong to side 0 (rows of U) or side 1 (rows of
     # V^t); each form works on the rows of the other side, so it takes
     # the block's columns, each followed by its rider: the row of U or
-    # V^t that made it.  It starts as M^t, so the first form is a row form.
-    block = matrix.transpose().to_lists()
+    # V^t that made it.  The first form takes the input's short side (the
+    # rows of a tall input, the columns of a wide one), so the null space
+    # splits off the input's own vectors; off the columns of a Hermite
+    # form, whose entries are as large as its minors, the null rows of V
+    # grew to about 5x the Hadamard bound in bits (20 x 24, in [-50, 50]).
+    side = int(rows >= cols)  # flipped at the top of each pass
+    block = (matrix.transpose() if side else matrix).to_lists()
     riders = [[_unit(i, rows) for i in range(rows)], [_unit(j, cols) for j in range(cols)]]
     null: list[list[list[int]]] = [[], []]
-    side = 1
     while True:
         side ^= 1
         width = len(block)
@@ -581,8 +576,8 @@ def cokernel_invariants(matrix: IntMatrix,
     if det and not matrix.is_square:
         raise DimensionError(
             f"a determinant needs a square matrix, got {matrix.rows}x{matrix.cols}")
-    diag = _smith_diagonal(matrix.to_lists(), det)
-    return matrix.rows - len(diag), tuple(d for d in diag if d >= 2)
+    rank, chain = _smith_diagonal(matrix.to_lists(), det)
+    return matrix.rows - rank, tuple(chain)
 
 
 def _shear_pivot(m: list[list[int]], k: int, end: list[int],

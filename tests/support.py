@@ -9,7 +9,9 @@ the Alexander values), the signature oracle counts
 characteristic-polynomial root signs with Sturm sequences, group
 isomorphism is checked by brute-force element-order counting, group
 arithmetic by trial-division elementary divisors, and braid Seifert
-matrices by testing every pair of loops.  Torus knots (also as
+matrices by testing every pair of loops.  A braid's cover group also
+has a presentation of strands - 1 generators from its Burau matrix at
+t = -1, with no Seifert matrix at all.  Torus knots (also as
 scrambled words) and linear plumbings come with their signature,
 determinant and cover group in closed form, so forms of any size have
 answers the package did not compute.
@@ -440,6 +442,41 @@ def seifert_matrix_pairwise(braid: BraidWord) -> IntMatrix:
                 else:
                     v[a][b] = 1
     return IntMatrix.from_rows(v, cols=m)
+
+
+# -- braid cover group oracle ----------------------------------------
+
+
+def burau_cover_presentation(strands: int, letters: tuple[int, ...]) -> IntMatrix:
+    """B - I for the reduced Burau matrix B of the braid at t = -1, whose
+    cokernel is the homology of the double branched cover of the closure.
+
+    On an odd number of strands the cover is an open book whose page is
+    the hyperelliptic surface with one boundary circle, and B is the
+    monodromy on its H1 (Birman and Hilden 1973).  An even strand count
+    is first made odd by appending s_n, a Markov stabilization.  B acts
+    on row vectors: letter +-s_a right-multiplies it by the identity
+    with row i = a - 1 replaced by (-1, 1, 1) at columns i - 1, i, i + 1
+    for +s_a and by (1, 1, -1) for -s_a, columns outside 0 .. n - 2
+    dropped.  That factor differs from the identity only in columns
+    i - 1 and i + 1 of row i, so each letter adds a multiple of column i
+    to those two.  The matrix is (n - 1)-square at any word length."""
+    if strands % 2 == 0:
+        letters, strands = tuple(letters) + (strands,), strands + 1
+    n = strands - 1
+    b = [[int(i == j) for j in range(n)] for i in range(n)]
+    for x in letters:
+        i = abs(x) - 1
+        sign = 1 if x > 0 else -1
+        for row in b:
+            if row[i]:
+                if i > 0:
+                    row[i - 1] -= sign * row[i]
+                if i + 1 < n:
+                    row[i + 1] += sign * row[i]
+    for i in range(n):
+        b[i][i] -= 1
+    return IntMatrix.from_rows(b, cols=n)
 
 
 # -- determinant oracles ---------------------------------------------

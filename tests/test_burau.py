@@ -1,0 +1,92 @@
+"""The braid route's cover group against the Burau presentation at t = -1.
+
+``support.burau_cover_presentation`` presents the homology of the double
+branched cover of a braid closure with strands - 1 generators, however
+long the word, and ``support.snf_diagonal_oracle`` reads the group off
+it.  So random words far above the small-oracle sizes get an answer the
+package did not compute, on every route that takes a braid."""
+
+import io
+import json
+import random
+from math import prod
+from pathlib import Path
+
+from ribbonmu import BraidWord
+from ribbonmu.cli import main, resolve_knot
+
+from support import (burau_cover_presentation, matadd, seifert_matrix_pairwise,
+                     snf_diagonal_oracle)
+
+LONG_BRAID = Path(__file__).parent / "data" / "braid6_1201.json"
+
+
+def knot_letters(rng: random.Random, strands: int, length: int) -> tuple[int, ...]:
+    """Uniform signed letters, drawn again until the closure is a knot,
+    that is, until the word's permutation of the strands is one cycle.
+    An n-cycle is a product of n - 1 transpositions and no fewer, and
+    of no other parity, so the length must be one of strands - 1,
+    strands + 1, ...."""
+    assert length >= strands - 1 and (length - strands + 1) % 2 == 0
+    while True:
+        letters = tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                        for _ in range(length))
+        perm = list(range(strands))
+        for a in map(abs, letters):
+            perm[a - 1], perm[a] = perm[a], perm[a - 1]
+        k, cycle = perm[0], 1
+        while k:
+            k, cycle = perm[k], cycle + 1
+        if cycle == strands:
+            return letters
+
+
+def burau_torsion(strands: int, letters: tuple[int, ...]) -> tuple[int, ...]:
+    diag = snf_diagonal_oracle(burau_cover_presentation(strands, letters))
+    assert 0 not in diag  # a knot's cover is a rational homology sphere
+    return tuple(d for d in diag if d > 1)
+
+
+def run_json(*argv):
+    out = io.StringIO()
+    assert main(list(argv), out=out) == 0
+    return json.loads(out.getvalue())
+
+
+def test_oracle_against_the_seifert_form_on_small_words():
+    # Oracle against oracle: no package algorithm computes either side.
+    rng = random.Random(11)
+    strand_counts = set()
+    for _ in range(300):
+        strands = rng.randint(2, 6)
+        letters = knot_letters(rng, strands, rng.randrange(strands - 1, 13, 2))
+        s = seifert_matrix_pairwise(BraidWord(strands, letters))
+        diag = snf_diagonal_oracle(matadd(s, s.transpose()))
+        assert burau_torsion(strands, letters) == tuple(d for d in diag if d > 1)
+        strand_counts.add(strands)
+    assert strand_counts == {2, 3, 4, 5, 6}
+
+
+def test_random_601_letter_word_on_every_braid_route(tmp_path):
+    letters = knot_letters(random.Random(601), 6, 601)
+    mirror = tuple(-x for x in letters)
+    torsion = burau_torsion(6, letters)
+    assert burau_torsion(6, mirror) == torsion
+    s = seifert_matrix_pairwise(BraidWord(6, letters))
+    specs = {"braid": {"braid": {"strands": 6, "letters": list(letters)}},
+             "mirror": {"braid": {"strands": 6, "letters": list(mirror)}},
+             "seifert": {"seifert_matrix": s.to_lists()}}
+    for name, spec in specs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(spec))
+        record = run_json("invariants", str(path), "--json")
+        assert record["h1_invariant_factors"] == [str(d) for d in torsion], name
+        assert abs(int(record["form_determinant"])) == prod(torsion), name
+
+
+def test_committed_1201_letter_word():
+    spec = json.loads(LONG_BRAID.read_text())["braid"]
+    torsion = burau_torsion(spec["strands"], tuple(spec["letters"]))
+    inv = resolve_knot(str(LONG_BRAID)).invariants()
+    assert inv.cover_torsion.invariant_factors == torsion
+    assert abs(inv.form_determinant) == prod(torsion)

@@ -93,6 +93,24 @@ class TestSmithNormalForm:
         m = rand_matrix(rng, max_dim=6)
         assert smith_normal_form(m) == smith_normal_form(m)
 
+    def test_wide_input_transposes_its_tall_transpose(self):
+        # A wide input's first form takes its columns, as a tall input's
+        # takes its rows, so the two decompositions mirror entry for entry.
+        rng = random.Random(33)
+        shapes = [(0, c) for c in range(1, 5)] + [(1, 7), (2, 40), (12, 30), (20, 24)]
+        shapes += [(r, rng.randint(r + 1, 9)) for r in (rng.randint(1, 8) for _ in range(60))]
+        for rows, cols in shapes:
+            if rng.random() < 0.3:  # rank below the short side
+                inner = rng.randint(0, rows)
+                m = matmul(rand_matrix(rng, rows=rows, cols=inner, lo=-6, hi=6),
+                           rand_matrix(rng, rows=inner, cols=cols, lo=-6, hi=6))
+            else:
+                m = rand_matrix(rng, rows=rows, cols=cols)
+            wide, tall = smith_normal_form(m), smith_normal_form(m.transpose())
+            assert wide.U == tall.V.transpose(), (rows, cols)
+            assert wide.D == tall.D.transpose(), (rows, cols)
+            assert wide.V == tall.U.transpose(), (rows, cols)
+
     def test_random_decompositions_and_oracle(self):
         rng = random.Random(101)
         for _ in range(120):
