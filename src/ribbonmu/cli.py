@@ -1,15 +1,16 @@
 """Command-line interface.
 
-Subcommands: invariants, obstruct, snf, alink, braid.  Knots are given
-as catalog names, inline Seifert matrices, or JSON knot files; a path is
-a plain string, quoted as given in errors.  The JSON wire format is this
-module's: matrix entries are read as JSON integers or decimal strings
-``-?[0-9]+`` (the grammar of braid letters and ``--strands`` too) and
-written as decimal strings; ``--json`` writes each record as exactly
-``json.dumps(record)`` and a newline, matrices streamed row by row.
-Exit status is a stable scripting contract: 0 on success (whatever the
-verdict), 2 on validation errors, 3 on parse errors, and 141 when
-standard output is closed early.
+Subcommands: invariants, obstruct, snf, alink, braid.  Each returns its
+record and text printer; :func:`main` alone writes the record, as JSON
+or as text.  Knots are given as catalog names, inline Seifert matrices,
+or JSON knot files; a path is a plain string, quoted as given in errors.
+The JSON wire format is this module's: matrix entries are read as JSON
+integers or decimal strings ``-?[0-9]+`` (the grammar of braid letters
+and ``--strands`` too) and written as decimal strings; ``--json`` writes
+each record as exactly ``json.dumps(record)`` and a newline, matrices
+streamed row by row.  Exit status is a stable scripting contract: 0 on
+success (whatever the verdict), 2 on validation errors, 3 on parse
+errors, and 141 when standard output is closed early.
 """
 
 from __future__ import annotations
@@ -255,22 +256,10 @@ def _write_json(record: dict[str, object], out) -> None:
     out.write("}\n")
 
 
-def _emit(record: dict[str, object], as_json: bool, printer, out) -> None:
-    """Write a record as one JSON line, or through its text printer."""
-    if as_json:
-        _write_json(record, out)
-    else:
-        printer(record, out)
-
-
 # -- subcommands -----------------------------------------------------
 
-def _cmd_invariants(args, out) -> int:
-    if args.batch is not None:
-        return _batch(args.batch, out)
-    record = _invariant_record(resolve_knot(args.knot))
-    _emit(record, args.json, _print_invariant_text, out)
-    return 0
+def _cmd_invariants(args):
+    return _invariant_record(resolve_knot(args.knot)), _print_invariant_text
 
 
 def _batch(directory: str, out) -> int:
@@ -292,12 +281,12 @@ def _batch(directory: str, out) -> int:
         except InputError as exc:
             codes.append(3 if isinstance(exc, CliParseError) else 2)
             record = {"name": name, "error": str(exc), "exit": codes[-1]}
-        _emit(record, True, None, out)
+        _write_json(record, out)
     print(f"{len(codes)} files, {sum(map(bool, codes))} failed", file=sys.stderr)
     return max(codes, default=0)
 
 
-def _cmd_obstruct(args, out) -> int:
+def _cmd_obstruct(args):
     first = resolve_knot(args.first)
     if args.second is None:
         verdict = obstruct_ribbon_trivial(first.invariants())
@@ -307,11 +296,10 @@ def _cmd_obstruct(args, out) -> int:
         verdict = obstruct_ribbon_equivalent(first.invariants(),
                                              second.invariants())
         names = (first.name, second.name)
-    _emit(_verdict_record(verdict, names), args.json, _print_verdict_text, out)
-    return 0
+    return _verdict_record(verdict, names), _print_verdict_text
 
 
-def _cmd_snf(args, out) -> int:
+def _cmd_snf(args):
     matrix = _matrix_arg(args)
     if args.full:
         result = smith_normal_form(matrix)
@@ -326,18 +314,15 @@ def _cmd_snf(args, out) -> int:
             print(f"{key.upper()} =", file=out)
             print(shown, file=out)
 
-    _emit(record, args.json, print_text, out)
-    return 0
+    return record, print_text
 
 
-def _cmd_alink(args, out) -> int:
+def _cmd_alink(args):
     v = alinking(_induced_map(args))
-    _emit({"alinking": str(v), "mod2": str(v % 2)}, args.json,
-          _print_alink_text, out)
-    return 0
+    return {"alinking": str(v), "mod2": str(v % 2)}, _print_alink_text
 
 
-def _cmd_braid(args, out) -> int:
+def _cmd_braid(args):
     letters = [integer(p) for token in args.letters for p in _SPACES.split(token) if p]
     knot = _knot({"braid": {"strands": args.strands, "letters": letters}},
                  f"closure of {letters} on {args.strands} strands", "braid")
@@ -347,8 +332,7 @@ def _cmd_braid(args, out) -> int:
         print(knot.seifert.matrix, file=out)
         _print_invariant_text(record, out)
 
-    _emit(_invariant_record(knot), args.json, print_text, out)
-    return 0
+    return _invariant_record(knot), print_text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -425,7 +409,11 @@ def main(argv: list[str] | None = None, out=None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-        return args.run(args, out)
+        if getattr(args, "batch", None) is not None:
+            return _batch(args.batch, out)
+        record, printer = args.run(args)
+        (_write_json if args.json else printer)(record, out)
+        return 0
     except InputError as exc:  # anything else is a bug: it keeps its traceback
         code = 3 if isinstance(exc, CliParseError) else 2
         print(f"{'parse error' if code == 3 else 'error'}: {exc}", file=sys.stderr)

@@ -11,7 +11,8 @@ isomorphism is checked by brute-force element-order counting, group
 arithmetic by trial-division elementary divisors, and braid Seifert
 matrices by testing every pair of loops.  A braid's cover group also
 has a presentation of strands - 1 generators from its Burau matrix at
-t = -1, with no Seifert matrix at all.  Torus knots (also as
+t = -1, with no Seifert matrix at all, and a signature from the same
+matrices letter by letter.  Torus knots (also as
 scrambled words) and linear plumbings come with their signature,
 determinant and cover group in closed form, so forms of any size have
 answers the package did not compute.
@@ -19,12 +20,15 @@ answers the package did not compute.
 
 from __future__ import annotations
 
+import io
+import json
 import os
 import random
 import signal
 import sys
 from collections import Counter
 from contextlib import contextmanager
+from functools import cache
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm, prod
@@ -33,6 +37,7 @@ from pathlib import Path
 
 import ribbonmu
 from ribbonmu import BraidWord, IntMatrix, SeifertMatrix, validate_seifert
+from ribbonmu.cli import main
 
 # -- limits -----------------------------------------------------------
 
@@ -91,6 +96,13 @@ def package_env() -> dict[str, str]:
     """Environment for a fresh interpreter that imports this ribbonmu."""
     src = Path(ribbonmu.__file__).resolve().parent.parent
     return dict(os.environ, PYTHONPATH=str(src))
+
+
+def run_json(*argv: str) -> dict:
+    """The record of one in-process ``ribbonmu`` run that must exit 0."""
+    out = io.StringIO()
+    assert main(list(argv), out=out) == 0
+    return json.loads(out.getvalue())
 
 
 # -- matrix helpers ---------------------------------------------------
@@ -444,7 +456,28 @@ def seifert_matrix_pairwise(braid: BraidWord) -> IntMatrix:
     return IntMatrix.from_rows(v, cols=m)
 
 
-# -- braid cover group oracle ----------------------------------------
+# -- braid cover group and signature oracles -------------------------
+
+
+def _odd_strands(strands: int, letters) -> tuple[int, tuple[int, ...]]:
+    """The word on an odd number of strands: an even count gets s_n
+    appended, a Markov stabilization, which keeps the closure."""
+    if strands % 2 == 0:
+        return strands + 1, tuple(letters) + (strands,)
+    return strands, tuple(letters)
+
+
+def _burau_step(b: list[list[int]], x: int) -> None:
+    """Right-multiply b, in place, by the reduced Burau matrix at t = -1
+    of the letter x (see :func:`burau_cover_presentation`)."""
+    i, n = abs(x) - 1, len(b[0])
+    sign = 1 if x > 0 else -1
+    for row in b:
+        if row[i]:
+            if i > 0:
+                row[i - 1] -= sign * row[i]
+            if i + 1 < n:
+                row[i + 1] += sign * row[i]
 
 
 def burau_cover_presentation(strands: int, letters: tuple[int, ...]) -> IntMatrix:
@@ -461,22 +494,100 @@ def burau_cover_presentation(strands: int, letters: tuple[int, ...]) -> IntMatri
     dropped.  That factor differs from the identity only in columns
     i - 1 and i + 1 of row i, so each letter adds a multiple of column i
     to those two.  The matrix is (n - 1)-square at any word length."""
-    if strands % 2 == 0:
-        letters, strands = tuple(letters) + (strands,), strands + 1
+    strands, letters = _odd_strands(strands, letters)
     n = strands - 1
     b = [[int(i == j) for j in range(n)] for i in range(n)]
     for x in letters:
-        i = abs(x) - 1
-        sign = 1 if x > 0 else -1
-        for row in b:
-            if row[i]:
-                if i > 0:
-                    row[i - 1] -= sign * row[i]
-                if i + 1 < n:
-                    row[i + 1] += sign * row[i]
+        _burau_step(b, x)
     for i in range(n):
         b[i][i] -= 1
     return IntMatrix.from_rows(b, cols=n)
+
+
+def _rref(m: list[list[Fraction]]) -> list[int]:
+    """Reduce m, overwritten, to reduced row echelon form over Q; the
+    pivot column of each of its first rows, in order."""
+    pivots: list[int] = []
+    for c in range(len(m[0]) if m else 0):
+        k = len(pivots)
+        p = next((i for i in range(k, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[k], m[p] = m[p], m[k]
+        m[k] = [y / m[k][c] for y in m[k]]
+        for i, row in enumerate(m):
+            if i != k and row[c]:
+                f = row[c]
+                m[i] = [y - f * z for y, z in zip(row, m[k])]
+        pivots.append(c)
+    return pivots
+
+
+@cache
+def _burau_skew_form(n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The n x n form J with T J T^t = J for the Burau matrix T of every
+    letter +-s_1 .. +-s_n: the intersection form of the page, found as
+    the one-dimensional solution space over Q.  Its sign is fixed
+    explicitly, J[0][1] = 1, which gives the trefoil s_1^3 (on 3
+    strands after stabilization) the signature +2 that the package
+    gives it; the orientation of the solver's basis plays no part."""
+    equations = []
+    for a in range(1, n + 1):
+        t = [[int(i == j) for j in range(n)] for i in range(n)]
+        _burau_step(t, a)
+        # (T J T^t)[p][q] - J[p][q] = sum_{u,v} T[p][u] T[q][v] J[u][v] - J[p][q]
+        for p, q in product(range(n), repeat=2):
+            row = [Fraction(t[p][u] * t[q][v] - (u == p and v == q))
+                   for u, v in product(range(n), repeat=2)]
+            equations.append(row)
+    pivots = _rref(equations)
+    [free] = [c for c in range(n * n) if c not in pivots]
+    flat = [Fraction(0)] * (n * n)
+    flat[free] = Fraction(1)
+    for row, c in zip(equations, pivots):
+        flat[c] = -row[free]
+    scale = 1 / flat[1]  # J[0][1] = 1
+    return tuple(tuple(scale * flat[u * n + v] for v in range(n)) for u in range(n))
+
+
+def burau_signature(strands: int, letters: tuple[int, ...]) -> int:
+    """Signature of the closure from Burau matrices at t = -1 alone.
+
+    Gambaudo and Ghys (2005), "Braids and signatures": the signature of
+    a product's closure differs from the sum of the factors' by Meyer's
+    cocycle of their Burau images, and against one letter, a
+    transvection, the cocycle is the sign of one scalar.  Word letter by
+    letter: P is the product of the letters before the current one,
+    A = P^t and J the page's skew form (:func:`_burau_skew_form`).  For
+    letter +-s_{i+1} of sign e, r has -e at i - 1 and +e at i + 1.  If
+    (A - I) x = A r has a rational solution x, the letter adds
+    sign(x^t J r + (J r)_i); if it has none, it adds 0.  An even strand
+    count is stabilized first, as in :func:`burau_cover_presentation`."""
+    strands, letters = _odd_strands(strands, letters)
+    n = strands - 1
+    form = _burau_skew_form(n)
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    total = 0
+    for x in letters:
+        i, e = abs(x) - 1, 1 if x > 0 else -1
+        r = [0] * n
+        if i > 0:
+            r[i - 1] = -e
+        if i + 1 < n:
+            r[i + 1] = e
+        # A = P^t, so (A r)_u = sum_v P[v][u] r[v] and (A - I)[u][v] = P[v][u] - [u = v]
+        system = [[Fraction(p[v][u] - (u == v)) for v in range(n)]
+                  + [Fraction(sum(p[v][u] * r[v] for v in range(n)))] for u in range(n)]
+        pivots = _rref(system)
+        if n not in pivots:  # consistent: free unknowns 0, pivot unknowns from the rows
+            solution = [Fraction(0)] * n
+            for row, c in zip(system, pivots):
+                solution[c] = row[n]
+            jr = [sum(map(mul, row, r)) for row in form]
+            value = sum(map(mul, solution, jr)) + jr[i]
+            total += (value > 0) - (value < 0)
+        _burau_step(p, x)
+    return total
 
 
 # -- determinant oracles ---------------------------------------------

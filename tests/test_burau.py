@@ -4,19 +4,21 @@
 branched cover of a braid closure with strands - 1 generators, however
 long the word, and ``support.snf_diagonal_oracle`` reads the group off
 it.  So random words far above the small-oracle sizes get an answer the
-package did not compute, on every route that takes a braid."""
+package did not compute, on every route that takes a braid.
+``support.burau_signature`` reads the closure's signature off the same
+Burau matrices, letter by letter, and checks the braid route's
+signature the same way."""
 
-import io
 import json
 import random
 from math import prod
 from pathlib import Path
 
 from ribbonmu import BraidWord
-from ribbonmu.cli import main, resolve_knot
+from ribbonmu.cli import resolve_knot
 
-from support import (burau_cover_presentation, matadd, seifert_matrix_pairwise,
-                     snf_diagonal_oracle)
+from support import (burau_cover_presentation, burau_signature, matadd, rand_braid_knot,
+                     run_json, seifert_matrix_pairwise, snf_diagonal_oracle, sturm_signature)
 
 LONG_BRAID = Path(__file__).parent / "data" / "braid6_1201.json"
 
@@ -45,12 +47,6 @@ def burau_torsion(strands: int, letters: tuple[int, ...]) -> tuple[int, ...]:
     diag = snf_diagonal_oracle(burau_cover_presentation(strands, letters))
     assert 0 not in diag  # a knot's cover is a rational homology sphere
     return tuple(d for d in diag if d > 1)
-
-
-def run_json(*argv):
-    out = io.StringIO()
-    assert main(list(argv), out=out) == 0
-    return json.loads(out.getvalue())
 
 
 def test_oracle_against_the_seifert_form_on_small_words():
@@ -90,3 +86,30 @@ def test_committed_1201_letter_word():
     inv = resolve_knot(str(LONG_BRAID)).invariants()
     assert inv.cover_torsion.invariant_factors == torsion
     assert abs(inv.form_determinant) == prod(torsion)
+
+
+def test_signature_oracle_against_sturm_on_small_words():
+    # Oracle against oracle: no package algorithm computes either side.
+    rng = random.Random(5)
+    strand_counts = set()
+    for _ in range(150):
+        word = rand_braid_knot(rng, max_strands=6, max_len=10)
+        s = seifert_matrix_pairwise(word)
+        assert burau_signature(word.strands, word.letters) == sturm_signature(
+            matadd(s, s.transpose())), word
+        strand_counts.add(word.strands)
+    assert strand_counts == {2, 3, 4, 5, 6}
+    assert burau_signature(2, (1, 1, 1)) == 2  # the trefoil's sign, as the package has it
+
+
+def test_random_301_letter_word_signature_and_its_mirror(tmp_path):
+    letters = knot_letters(random.Random(301), 6, 301)
+    signature = burau_signature(6, letters)
+    assert signature != 0  # so the mirror's negation is a real check
+    for name, word, expected in (("braid", letters, signature),
+                                 ("mirror", tuple(-x for x in letters), -signature)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"braid": {"strands": 6, "letters": list(word)}}))
+        record = run_json("invariants", str(path), "--json")
+        assert record["signature"] == str(expected), name
+        assert record["mu"] == str(expected % 16), name

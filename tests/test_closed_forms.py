@@ -4,26 +4,18 @@ route, scrambled torus words on the braid route and torus Seifert
 matrices as knot files.  The expected values come from ``support``'s
 continuant and lattice count, never from the package."""
 
-import io
 import json
 import random
 
 import pytest
 
 from ribbonmu import BraidWord, IntMatrix, seifert_matrix_from_braid
-from ribbonmu.cli import main
 
 from support import (det_fraction, matadd, matsub, plumbing, plumbing_invariants,
-                     scrambled_torus_word, snf_diagonal_oracle, sturm_signature,
+                     run_json, scrambled_torus_word, snf_diagonal_oracle, sturm_signature,
                      torus_determinant, torus_letters, torus_signature)
 
 PLUMBING_X = (-3, -2, -1, 1, 2, 3)
-
-
-def run_json(*argv):
-    out = io.StringIO()
-    assert main(list(argv), out=out) == 0
-    return json.loads(out.getvalue())
 
 
 def assert_invariants(record, signature, det, factors):

@@ -512,6 +512,23 @@ class TestSparseInput:
                     cokernel_invariants: (0, (abs(det),))}[kernel]
         assert (result[1] if kernel is signature_and_determinant else result) == expected
 
+    def test_unit_cascade_is_not_cubic(self):
+        # 3 on the diagonal, 2 below, -2 above, and a last row ending in
+        # (-2, 1): each unit pivot makes a unit in the row above, so the
+        # unit phase retires one per sweep, bottom up, and a sweep that
+        # rescanned every live row would make it cubic.  By the continuant
+        # D_k = 3 D_(k-1) + 4 D_(k-2) = (4^(k+1) + (-1)^k) / 5, then
+        # D_n = D_(n-1) - 4 D_(n-2) = (-1)^(n-1).
+        n = 1000
+        m = tridiagonal([3] * n).to_lists()
+        for i in range(n - 1):
+            m[i][i + 1], m[i + 1][i] = -2, 2
+        m[n - 1][n - 2:] = [-2, 1]
+        form = IntMatrix.from_rows(m, cols=n)
+        with time_limit(3.0):
+            assert cokernel_invariants(form) == (0, ())
+            assert determinant(form) == (-1) ** (n - 1)
+
 
 def oracle_cokernel(m: IntMatrix) -> tuple[int, tuple[int, ...]]:
     diag = snf_diagonal_oracle(m)
