@@ -24,9 +24,8 @@ import sys
 from .abelian import FiniteAbelianGroup, is_double
 from .alink import InducedMap, alinking
 from .braid import BraidWord, KnotRecord, catalog, seifert_matrix_from_braid
-from .exactla import InputError, IntMatrix, _diagonal_matrix, cokernel_invariants
-# Bound by the benchmark tracer (perfbench/spans.py) until ROADMAP item 2.
-from .exactla import smith_normal_form
+from .exactla import (InputError, IntMatrix, _diagonal_matrix, cokernel_invariants,
+                      smith_normal_form)
 from .obstruct import Verdict, obstruct_ribbon_equivalent, obstruct_ribbon_trivial
 from .spinmu import validate_seifert
 

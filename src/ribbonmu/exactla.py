@@ -518,14 +518,12 @@ def determinant(matrix: IntMatrix) -> int:
         raise DimensionError(
             f"determinant needs a square matrix, got {matrix.rows}x{matrix.cols}")
     n = matrix.rows
-    if n == 0:
-        return 1
     m = matrix.to_lists()
     end = [_envelope(row) for row in m]  # nonzeros of row i lie left of end[i]
     exact = [1] * n  # the pivot at which each row was last rescaled
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if m[k][k] == 0:
             for i in range(k + 1, n):
                 if m[i][k] != 0:
@@ -552,7 +550,7 @@ def determinant(matrix: IntMatrix) -> int:
                                  for x, y in zip(row[k + 1:hi], pivot_row[k + 1:hi])]
                 end[i], exact[i] = hi, p
         prev = p
-    return sign * (m[n - 1][n - 1] * prev // exact[n - 1])
+    return sign * prev
 
 
 # Bound by the benchmark tracer (perfbench/spans.py) until ROADMAP item 2.

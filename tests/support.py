@@ -12,7 +12,9 @@ arithmetic by trial-division elementary divisors, and braid Seifert
 matrices by testing every pair of loops.  A braid's cover group also
 has a presentation of strands - 1 generators from its Burau matrix at
 t = -1, with no Seifert matrix at all, and a signature from the same
-matrices letter by letter.  Torus knots (also as
+matrices letter by letter; its k-fold cyclic covers have presentations
+from the Burau matrix and from a Seifert matrix alike.  Braid words
+shrink by far commutation, which keeps the braid.  Torus knots (also as
 scrambled words) and linear plumbings come with their signature,
 determinant and cover group in closed form, so forms of any size have
 answers the package did not compute.
@@ -456,52 +458,118 @@ def seifert_matrix_pairwise(braid: BraidWord) -> IntMatrix:
     return IntMatrix.from_rows(v, cols=m)
 
 
+def reduce_far_commutation(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The word with a letter x and a later x^-1 deleted whenever every
+    letter between them is a generator at distance >= 2 from x's,
+    repeated until nothing changes.  Such letters commute with x, so the
+    result is the same braid.  One pass keeps the word so far as a
+    stack: each letter looks back over far letters for its inverse."""
+    word = list(letters)
+    while True:
+        out: list[int] = []
+        for x in word:
+            for j in range(len(out) - 1, -1, -1):
+                if out[j] == -x:
+                    del out[j]
+                    break
+                if abs(abs(out[j]) - abs(x)) < 2:
+                    out.append(x)
+                    break
+            else:
+                out.append(x)
+        if len(out) == len(word):
+            return tuple(out)
+        word = out
+
+
 # -- braid cover group and signature oracles -------------------------
 
 
-def _odd_strands(strands: int, letters) -> tuple[int, tuple[int, ...]]:
-    """The word on an odd number of strands: an even count gets s_n
-    appended, a Markov stabilization, which keeps the closure."""
-    if strands % 2 == 0:
-        return strands + 1, tuple(letters) + (strands,)
-    return strands, tuple(letters)
+def _coprime_strands(strands: int, letters, k: int) -> tuple[int, tuple[int, ...]]:
+    """The word on a strand count prime to k: s_n is appended, a Markov
+    stabilization that keeps the closure, until the count is."""
+    letters = tuple(letters)
+    while gcd(strands, k) != 1:
+        letters += (strands,)
+        strands += 1
+    return strands, letters
 
 
-def _burau_step(b: list[list[int]], x: int) -> None:
-    """Right-multiply b, in place, by the reduced Burau matrix at t = -1
-    of the letter x (see :func:`burau_cover_presentation`)."""
-    i, n = abs(x) - 1, len(b[0])
-    sign = 1 if x > 0 else -1
+@cache
+def _burau_blocks(k: int) -> dict[int, tuple[tuple[tuple[int, ...], ...], ...]]:
+    """For the letters +s_a (key 1) and -s_a (key -1), block row a - 1 of
+    the reduced Burau matrix less the identity's, as the columns of its
+    blocks at block columns a - 2, a - 1, a: (T, -T - I, I) and
+    (I, -T^-1 - I, T^-1), for the companion matrix T of
+    1 + t + ... + t^(k-1) (see :func:`burau_cover_presentation`)."""
+    d = k - 1
+    t = IntMatrix.from_rows([[int(i == j + 1) - (j == d - 1) for j in range(d)]
+                             for i in range(d)], cols=d)
+    t_inv = matmul(*[t] * (k - 1))  # T^k = I
+    one, zero = identity(d), zeros(d, d)
+    rows = {1: (t, matsub(zero, matadd(t, one)), one),
+            -1: (one, matsub(zero, matadd(t_inv, one)), t_inv)}
+    return {sign: tuple(tuple(zip(*block.entries)) for block in blocks)
+            for sign, blocks in rows.items()}
+
+
+def _burau_step(b: list[list[int]], x: int, k: int = 2) -> None:
+    """Right-multiply b, in place, by the reduced Burau matrix of the
+    letter x at t = T for k (see :func:`burau_cover_presentation`).  The
+    factor differs from the identity only in block row i = |x| - 1, so
+    each row of b gains its block i times that block row less the
+    identity's."""
+    d, i = k - 1, abs(x) - 1
+    blocks, letter = len(b[0]) // d, _burau_blocks(k)[1 if x > 0 else -1]
     for row in b:
-        if row[i]:
-            if i > 0:
-                row[i - 1] -= sign * row[i]
-            if i + 1 < n:
-                row[i + 1] += sign * row[i]
+        v = row[i * d:(i + 1) * d]
+        if any(v):
+            for at, columns in zip((i - 1, i, i + 1), letter):
+                if 0 <= at < blocks:
+                    row[at * d:(at + 1) * d] = [y + sum(map(mul, v, col)) for y, col
+                                                in zip(row[at * d:(at + 1) * d], columns)]
 
 
-def burau_cover_presentation(strands: int, letters: tuple[int, ...]) -> IntMatrix:
-    """B - I for the reduced Burau matrix B of the braid at t = -1, whose
-    cokernel is the homology of the double branched cover of the closure.
+def burau_cover_presentation(strands: int, letters: tuple[int, ...], k: int = 2) -> IntMatrix:
+    """B - I for the reduced Burau matrix B of the braid at t = T, whose
+    cokernel is the homology of the k-fold cyclic branched cover of the
+    closure; T is the companion matrix of 1 + t + ... + t^(k-1), which
+    is (k-1)-square with 1 on the subdiagonal and -1 down the last
+    column, so T = [[-1]] at k = 2.
 
-    On an odd number of strands the cover is an open book whose page is
-    the hyperelliptic surface with one boundary circle, and B is the
-    monodromy on its H1 (Birman and Hilden 1973).  An even strand count
-    is first made odd by appending s_n, a Markov stabilization.  B acts
-    on row vectors: letter +-s_a right-multiplies it by the identity
-    with row i = a - 1 replaced by (-1, 1, 1) at columns i - 1, i, i + 1
-    for +s_a and by (1, 1, -1) for -s_a, columns outside 0 .. n - 2
-    dropped.  That factor differs from the identity only in columns
-    i - 1 and i + 1 of row i, so each letter adds a multiple of column i
-    to those two.  The matrix is (n - 1)-square at any word length."""
-    strands, letters = _odd_strands(strands, letters)
-    n = strands - 1
+    On a strand count n prime to k the cover is an open book whose page
+    is the k-fold cover of the disk branched at the n points, a surface
+    with one boundary circle, and B is the monodromy on its H1 (Birman
+    and Hilden 1973).  Another count is first made prime to k by
+    appending s_n, a Markov stabilization, until it is.  B acts on row
+    vectors as a grid of (k-1)-blocks: letter +-s_a right-multiplies it
+    by the identity with block row i = a - 1 replaced by (T, -T, I) at
+    block columns i - 1, i, i + 1 for +s_a and by (I, -T^-1, T^-1) for
+    -s_a, columns outside the grid dropped.  The matrix is
+    (n - 1)(k - 1)-square at any word length."""
+    strands, letters = _coprime_strands(strands, letters, k)
+    n = (strands - 1) * (k - 1)
     b = [[int(i == j) for j in range(n)] for i in range(n)]
     for x in letters:
-        _burau_step(b, x)
+        _burau_step(b, x, k)
     for i in range(n):
         b[i][i] -= 1
     return IntMatrix.from_rows(b, cols=n)
+
+
+def seifert_cover_presentation(s: IntMatrix, k: int) -> IntMatrix:
+    """G^k - (G - I)^k with G = (S^t - S)^-1 S^t, whose cokernel is the
+    homology of the k-fold cyclic branched cover of the knot with
+    Seifert matrix S (Rolfsen 1976, *Knots and Links*, ch. 8).  G is
+    integral because det(S^t - S) = +-1; it is solved from
+    (S^t - S) G = S^t over Q, with ints and ``Fraction`` only."""
+    n, st = s.rows, s.transpose()
+    system = [[Fraction(x) for x in ra + rb]
+              for ra, rb in zip(matsub(st, s).entries, st.entries)]
+    assert _rref(system) == list(range(n)), "S^t - S must be invertible"
+    assert all(x.denominator == 1 for row in system for x in row), "S^t - S must be unimodular"
+    g = IntMatrix.from_rows([[int(x) for x in row[n:]] for row in system], cols=n)
+    return matsub(matmul(*[g] * k), matmul(*[matsub(g, identity(n))] * k))
 
 
 def _rref(m: list[list[Fraction]]) -> list[int]:
@@ -563,7 +631,7 @@ def burau_signature(strands: int, letters: tuple[int, ...]) -> int:
     (A - I) x = A r has a rational solution x, the letter adds
     sign(x^t J r + (J r)_i); if it has none, it adds 0.  An even strand
     count is stabilized first, as in :func:`burau_cover_presentation`."""
-    strands, letters = _odd_strands(strands, letters)
+    strands, letters = _coprime_strands(strands, letters, 2)
     n = strands - 1
     form = _burau_skew_form(n)
     p = [[int(i == j) for j in range(n)] for i in range(n)]

@@ -19,8 +19,9 @@ from ribbonmu import (
     validate_seifert,
 )
 
-from support import (alexander_at, det_fraction, matsub, rand_braid_knot, seifert_matrix_pairwise,
-                     time_limit, torus_determinant, torus_letters, torus_signature)
+from support import (alexander_at, det_fraction, matsub, rand_braid_knot, reduce_far_commutation,
+                     seifert_matrix_pairwise, time_limit, torus_determinant, torus_letters,
+                     torus_signature)
 
 TREFOIL_BRAID = BraidWord(2, (1, 1, 1))
 FIGURE8_BRAID = BraidWord(3, (1, -2, 1, -2))
@@ -275,6 +276,39 @@ class TestMarkovStability:
                 word = BraidWord(word.strands + 1, letters)
                 assert seifert_matrix_from_braid(word) == s
         assert kinds == {"top", "bottom"}
+
+
+class TestFarCommutation:
+    """A word and its far-commutation reduction close to the same knot,
+    so the forms S + S^t of the two have the same signature and cover
+    group, and, both nondegenerate, determinants whose signs differ by
+    one per lost pair of rows.  A uniform error cancels here, and so
+    does a sign that follows the parity of the size, which the reduction
+    keeps; an error that depends on more of the size does not, a wrong
+    last pivot for one."""
+
+    @staticmethod
+    def check(strands, letters):
+        reduced = reduce_far_commutation(letters)
+        given, short = (TwoKnotInvariants.from_seifert(
+            seifert_matrix_from_braid(BraidWord(strands, word))) for word in (letters, reduced))
+        assert short.signature == given.signature
+        assert short.cover_torsion == given.cover_torsion
+        lost = given.form.rows - short.form.rows
+        assert given.form_determinant == (-1) ** (lost // 2) * short.form_determinant
+        return lost
+
+    def test_random_words(self):
+        rng = random.Random(11)
+        words = [rand_braid_knot(rng) for _ in range(300)]
+        shrunk = [w for w in words if len(reduce_far_commutation(w.letters)) < len(w.letters)]
+        assert len(shrunk) > 150
+        for word in shrunk:
+            self.check(word.strands, word.letters)
+
+    def test_committed_1201_letter_word(self):
+        spec = json.loads(LONG_BRAID.read_text())["braid"]
+        assert self.check(spec["strands"], tuple(spec["letters"])) == 1196 - 706
 
 
 class TestAlexander:

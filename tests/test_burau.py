@@ -7,18 +7,24 @@ it.  So random words far above the small-oracle sizes get an answer the
 package did not compute, on every route that takes a braid.
 ``support.burau_signature`` reads the closure's signature off the same
 Burau matrices, letter by letter, and checks the braid route's
-signature the same way."""
+signature the same way.  At t = T, the companion matrix of
+1 + t + ... + t^(k-1), the Burau matrix presents the k-fold cyclic
+branched cover, and ``support.seifert_cover_presentation`` presents it
+from a Seifert matrix instead."""
 
 import json
 import random
 from math import prod
 from pathlib import Path
 
+import pytest
+
 from ribbonmu import BraidWord
 from ribbonmu.cli import resolve_knot
 
 from support import (burau_cover_presentation, burau_signature, matadd, rand_braid_knot,
-                     run_json, seifert_matrix_pairwise, snf_diagonal_oracle, sturm_signature)
+                     run_json, seifert_cover_presentation, seifert_matrix_pairwise,
+                     snf_diagonal_oracle, sturm_signature)
 
 LONG_BRAID = Path(__file__).parent / "data" / "braid6_1201.json"
 
@@ -113,3 +119,33 @@ def test_random_301_letter_word_signature_and_its_mirror(tmp_path):
         record = run_json("invariants", str(path), "--json")
         assert record["signature"] == str(expected), name
         assert record["mu"] == str(expected % 16), name
+
+
+def cover_group(presentation) -> tuple[int, tuple[int, ...]]:
+    """Free rank and torsion of the cokernel of a square presentation."""
+    diag = snf_diagonal_oracle(presentation)
+    return diag.count(0), tuple(d for d in diag if d > 1)
+
+
+def test_k_fold_cover_oracles_agree_on_small_words():
+    # Oracle against oracle: no package algorithm computes either side.
+    rng = random.Random(3)
+    for k in range(2, 7):
+        for _ in range(50):
+            word = rand_braid_knot(rng, max_strands=5)
+            s = seifert_matrix_pairwise(word)
+            assert cover_group(burau_cover_presentation(word.strands, word.letters, k)) == \
+                cover_group(seifert_cover_presentation(s, k)), (word, k)
+
+
+@pytest.mark.parametrize("strands, letters, groups", [
+    # the trefoil's k = 5 cover is the Poincare sphere, its k = 6 cover has b1 = 2
+    (2, (1, 1, 1), {2: (0, (3,)), 3: (0, (2, 2)), 4: (0, (3,)), 5: (0, ()),
+                    6: (2, ()), 7: (0, ())}),
+    (3, (1, -2, 1, -2), {3: (0, (4, 4)), 5: (0, (11, 11)), 7: (0, (29, 29))}),
+], ids=["trefoil", "figure8"])
+def test_k_fold_covers_of_the_catalog_knots(strands, letters, groups):
+    s = seifert_matrix_pairwise(BraidWord(strands, letters))
+    for k, group in groups.items():
+        assert cover_group(burau_cover_presentation(strands, letters, k)) == group, k
+        assert cover_group(seifert_cover_presentation(s, k)) == group, k

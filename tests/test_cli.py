@@ -587,6 +587,22 @@ def knot_file_texts(draw):
     return text
 
 
+@st.composite
+def matrix_arguments(draw):
+    """An inline ``snf``, ``snf --full`` or ``alink`` argument: a matrix's
+    JSON text, whole or truncated, or for ``alink`` "(a,b)" column text."""
+    argv = draw(st.sampled_from([["snf"], ["snf", "--full"], ["alink"]]))
+    if argv == ["alink"] and draw(st.booleans()):
+        entry = pick(st.integers(-3, 3), ENTRY)
+        text = " ".join(f"({a},{b})" for a, b in draw(st.lists(st.tuples(entry, entry),
+                                                               max_size=4)))
+    else:
+        text = json.dumps(draw(MATRIX))
+    if draw(st.sampled_from(["whole", "whole", "whole", "truncated"])) == "truncated":
+        text = text[:draw(st.integers(0, max(len(text) - 1, 0)))]
+    return argv + [text]
+
+
 def package_error_classes() -> list[type]:
     """Every exception class defined in a ribbonmu module.
 
@@ -609,6 +625,14 @@ class TestExitContract:
         path.write_text(text)
         with time_limit(1.0):
             code, _ = run_cli("invariants", str(path), "--json")
+        assert code in (0, 2, 3)
+
+    @seed(20261019)
+    @settings(max_examples=150, deadline=None)
+    @given(argv=matrix_arguments())
+    def test_malformed_matrix_arguments(self, argv):
+        with time_limit(1.0):
+            code, _ = run_cli(*argv)
         assert code in (0, 2, 3)
 
     @pytest.mark.parametrize("command", ["invariants", "obstruct"])
