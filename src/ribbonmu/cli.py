@@ -277,9 +277,9 @@ def _batch(directory: str, out) -> int:
                 raise CliParseError(f"cannot read {path!r}: not a regular file")
             record = _invariant_record(_knot(_read_json(path), os.path.splitext(name)[0], path))
             codes.append(0)
-        except InputError as exc:
+        except (InputError, MemoryError) as exc:
             codes.append(3 if isinstance(exc, CliParseError) else 2)
-            record = {"name": name, "error": str(exc), "exit": codes[-1]}
+            record = {"name": name, "error": str(exc) or "out of memory", "exit": codes[-1]}
         _write_json(record, out)
     print(f"{len(codes)} files, {sum(map(bool, codes))} failed", file=sys.stderr)
     return max(codes, default=0)
@@ -413,9 +413,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
         record, printer = args.run(args)
         (_write_json if args.json else printer)(record, out)
         return 0
-    except InputError as exc:  # anything else is a bug: it keeps its traceback
-        code = 3 if isinstance(exc, CliParseError) else 2
-        print(f"{'parse error' if code == 3 else 'error'}: {exc}", file=sys.stderr)
+    except (InputError, MemoryError) as exc:  # bad or too large input; a bug keeps its traceback
+        code, kind = (3, "parse error") if isinstance(exc, CliParseError) else (2, "error")
+        print(f"{kind}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return code
     finally:
         sys.set_int_max_str_digits(before)

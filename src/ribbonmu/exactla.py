@@ -143,11 +143,8 @@ class IntMatrix(_Value):
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> IntMatrix:
         """Build from nested sequences of ints; ``cols`` disambiguates zero-row shapes."""
-        r = len(rows)
-        if r == 0:
-            return IntMatrix(0, 0 if cols is None else cols, ())
-        c = len(rows[0]) if cols is None else cols
-        return IntMatrix(r, c, tuple(tuple(map(index, row)) for row in rows))
+        c = (len(rows[0]) if rows else 0) if cols is None else cols
+        return IntMatrix(len(rows), c, tuple(tuple(map(index, row)) for row in rows))
 
     @staticmethod
     def empty() -> IntMatrix:
@@ -209,7 +206,8 @@ def _smith_diagonal(m: list[list[int]], det: int | None = None) -> tuple[int, li
     diagonal.  Working modulo the determinant follows Domich, Kannan and
     Trotter (1987), Math. Oper. Res. 12.
     """
-    units, core = _unit_pivots(m)
+    core = _unit_pivots(m)
+    units = len(m) - len(core)  # each unit pivot retires one row
     if not det:
         form, _ = _hermite(core, len(core[0]) if core else 0)
         core, _ = _hermite([list(c) for c in zip(*form)], len(form))
@@ -217,8 +215,8 @@ def _smith_diagonal(m: list[list[int]], det: int | None = None) -> tuple[int, li
     return units + len(core), _core_mod_det(core, abs(det))
 
 
-def _unit_pivots(m: list[list[int]]) -> tuple[int, list[list[int]]]:
-    """Pivot on units while any is left; the number of them, and the core.
+def _unit_pivots(m: list[list[int]]) -> list[list[int]]:
+    """Pivot on units while any is left; the core they leave.
 
     A unit p at (i, j) clears column j with one row operation per other
     live row that is nonzero there, inside row i's support.  Row i then
@@ -236,7 +234,6 @@ def _unit_pivots(m: list[list[int]]) -> tuple[int, list[list[int]]]:
     live = m[:]
     col_live = [True] * cols
     dirty = {id(r) for r in live}  # rows that may have gained a unit
-    units = 0
     while dirty:
         pos = 0
         while pos < len(live):
@@ -253,7 +250,6 @@ def _unit_pivots(m: list[list[int]]) -> tuple[int, list[list[int]]]:
                 continue
             del live[pos]
             col_live[j] = False
-            units += 1
             p = row[j]
             for r in [r for r in live if r[j]]:
                 q = r[j] * p  # r[j] / p, as p = +-1
@@ -261,7 +257,7 @@ def _unit_pivots(m: list[list[int]]) -> tuple[int, list[list[int]]]:
                     r[c] -= q * y
                 dirty.add(id(r))
     keep = list(compress(range(cols), col_live))
-    return units, [[r[c] for c in keep] for r in live]
+    return [[r[c] for c in keep] for r in live]
 
 
 def _core_mod_det(a: list[list[int]], det: int) -> list[int]:

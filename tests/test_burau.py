@@ -19,12 +19,13 @@ from pathlib import Path
 
 import pytest
 
-from ribbonmu import BraidWord
+from ribbonmu import BraidWord, TwoKnotInvariants, seifert_matrix_from_braid
 from ribbonmu.cli import resolve_knot
 
 from support import (burau_cover_presentation, burau_signature, matadd, rand_braid_knot,
-                     run_json, seifert_cover_presentation, seifert_matrix_pairwise,
-                     snf_diagonal_oracle, sturm_signature)
+                     run_json, scrambled_torus_word, seifert_cover_presentation,
+                     seifert_matrix_pairwise, snf_diagonal_oracle, sturm_signature,
+                     torus_determinant)
 
 LONG_BRAID = Path(__file__).parent / "data" / "braid6_1201.json"
 
@@ -92,6 +93,19 @@ def test_committed_1201_letter_word():
     inv = resolve_knot(str(LONG_BRAID)).invariants()
     assert inv.cover_torsion.invariant_factors == torsion
     assert abs(inv.form_determinant) == prod(torsion)
+
+
+def test_scrambled_torus_words():
+    # |det| alone cannot tell Z9 from Z3 + Z3; the oracle's group can
+    rng = random.Random(13)
+    for p, q in [(4, 9), (4, 27), (6, 25), (2, 45), (3, 101), (8, 15)]:
+        strands, letters = scrambled_torus_word(rng, p, q, rng.randint(1, 3),
+                                                rng.randint(100, 250))
+        torsion = burau_torsion(strands, letters)
+        assert prod(torsion) == torus_determinant(p, q)
+        word = BraidWord(strands, letters)
+        inv = TwoKnotInvariants.from_seifert(seifert_matrix_from_braid(word))
+        assert inv.cover_torsion.invariant_factors == torsion, (p, q)
 
 
 def test_signature_oracle_against_sturm_on_small_words():

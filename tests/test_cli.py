@@ -523,6 +523,16 @@ class TestKnotFiles:
         assert records[1]["error"].startswith("cannot read ")
         assert capsys.readouterr().err == "2 files, 1 failed\n"
 
+    def test_batch_directory_that_cannot_be_listed(self, tmp_path, monkeypatch, capsys):
+        # root lists a chmod 000 directory, so the listing itself is made to fail
+        def denied(path):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(cli.os, "listdir", denied)
+        assert run_cli("invariants", "--batch", str(tmp_path)) == (3, "")
+        err = capsys.readouterr().err
+        assert err == f"parse error: cannot read {str(tmp_path)!r}: Permission denied\n"
+
     def test_read_error_names_the_path_as_given(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert run_cli("invariants", "./nope.json") == (3, "")
@@ -1100,6 +1110,43 @@ class TestModuleEntryPoint:
                               text=True, env=package_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+def write_too_large_braid(path: Path) -> Path:
+    """A seeded 5001-letter 6-strand knot word: its 4996-row Seifert
+    matrix, built as lists of ints, takes about 200 MB of pointers."""
+    rng = random.Random(2)
+    while True:
+        word = BraidWord(6, tuple(rng.choice((-1, 1)) * rng.randint(1, 5) for _ in range(5001)))
+        if word.closure_components() == 1:
+            break
+    path.write_text(json.dumps({"braid": {"strands": 6, "letters": list(word.letters)}}))
+    return path
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="needs RLIMIT_AS as Linux enforces it")
+class TestOutOfMemory:
+    # An input too large for memory is bad input: exit 2 and one line on
+    # stderr, never exit 1 with a traceback.
+    def run(self, *argv):
+        return subprocess.run([sys.executable, "-m", "ribbonmu", *map(str, argv)],
+                              capture_output=True, env=package_env(),
+                              preexec_fn=address_space_cap(150_000), timeout=60)
+
+    @pytest.mark.parametrize("command", ["invariants", "obstruct"])
+    def test_exits_2(self, tmp_path, command):
+        proc = self.run(command, write_too_large_braid(tmp_path / "huge.json"), "--json")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"error: out of memory\n")
+
+    def test_batch_goes_on_to_the_next_file(self, tmp_path):
+        write_too_large_braid(tmp_path / "huge.json")
+        (tmp_path / "trefoil.json").write_text(json.dumps({"catalog": "trefoil"}))
+        proc = self.run("invariants", "--batch", tmp_path)
+        assert (proc.returncode, proc.stderr) == (2, b"2 files, 1 failed\n")
+        first, second = map(json.loads, proc.stdout.splitlines())
+        assert first == {"name": "huge.json", "error": "out of memory", "exit": 2}
+        assert (second["name"], second["mu"]) == ("trefoil", "2")
 
 
 def ascii_locale_env() -> dict[str, str]:
