@@ -15,11 +15,11 @@ errors, and 141 when standard output is closed early.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
+from types import SimpleNamespace
 
 from .abelian import FiniteAbelianGroup, is_double
 from .alink import InducedMap, alinking
@@ -38,10 +38,10 @@ class CliParseError(InputError):
     """Malformed command-line or file input: exit status 3, not 2."""
 
 
-def integer(text: str) -> int:
+def integer(text: str, where: str = "") -> int:
     """A command-line integer: ASCII ``-?[0-9]+``, as string matrix entries."""
     if _DECIMAL.fullmatch(text) is None:
-        raise CliParseError(f"{text!r} is not an integer -?[0-9]+")
+        raise CliParseError(f"{where}{text!r} is not an integer -?[0-9]+")
     return int(text)
 
 
@@ -334,71 +334,81 @@ def _cmd_braid(args):
     return _invariant_record(knot), print_text
 
 
-class _Parser(argparse.ArgumentParser):
-    """A usage error is malformed command-line input: exit 3, not 2.  No option is abbreviated."""
+# The argv grammar: each subcommand's command, arguments ("?" optional, "+" the remaining words),
+# options ("=METAVAR" takes a value, at most once; "=N" an integer) and help sentence.  Exactly one
+# of an optional first argument and the value option is given; else all but "?" are required.
+_COMMANDS = {
+    "invariants": (_cmd_invariants, ("knot?",), ("--batch=DIR", "--json"), "mu, signature, "
+                   "determinant, and cover homology of a 2-knot, or of each *.json file in DIR"),
+    "obstruct": (_cmd_obstruct, ("first", "second?"), ("--json",), "test ribbon-move "
+                 "equivalence obstructions between two 2-knots (one: against the trivial one)"),
+    "snf": (_cmd_snf, ("matrix?",), ("--file=FILE", "--full", "--json"),
+            "Smith normal form of an integer matrix, inline JSON or a JSON file; --full adds U, V"),
+    "alink": (_cmd_alink, ("matrix?",), ("--file=FILE", "--json"), "alinking number of a "
+              "(sphere, torus)-link: columns \"(a,b) (c,d)\" or a JSON 2-row matrix"),
+    "braid": (_cmd_braid, ("letters+",), ("--strands=N", "--json"), "Seifert matrix of a braid "
+              "closure: letters are signed generator indices, e.g. 1 1 1 or \"1 -2 1 -2\""),
+}
+_OPTION = r"-(?!\d+$|\d*\.\d+$)[^ ]+"  # not "-", a negative number or with a space; see is_option
 
-    def __init__(self, **kwargs) -> None:
-        super().__init__(allow_abbrev=False, **kwargs)
 
-    def error(self, message: str):
-        raise CliParseError(f"{self.prog}: {message}")
-
-
-class _Once(argparse.Action):
-    """A value option given twice is a usage error, not the last one wins."""
-
-    def __call__(self, parser, namespace, values, option_string=None) -> None:
-        if getattr(namespace, self.dest) is not None:
-            raise argparse.ArgumentError(self, "given twice")
-        setattr(namespace, self.dest, values)
+def _help(command: str | None) -> None:
+    """Print the usage of every subcommand, or of one, and exit 0."""
+    print("usage: ribbonmu [-h] SUBCOMMAND ...\n\nA knot is a catalog name, a JSON knot file or "
+          "an inline Seifert matrix.\n--json writes machine-readable output.")
+    for name in [command] if command else _COMMANDS:
+        _, arguments, options, sentence = _COMMANDS[name]
+        shown = [f"[{a[:-1]}]" if a[-1] == "?" else a.replace("+", " ...") for a in arguments]
+        shown += [f"[{o}]" if "=" not in o or arguments[0][-1] == "?" else o for o in options]
+        print(f"\n  ribbonmu {name} [-h] {' '.join(shown).replace('=', ' ')}\n      {sentence}")
+    raise SystemExit(0)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="ribbonmu",
-        description=("Ribbon-move obstructions of 2-knots: mu-invariants, branched-cover "
-                     "homology, torsion doubling tests, Smith normal forms, and alinking "
-                     "numbers, all over exact integer arithmetic."))
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("invariants", help="mu, signature, determinant, and "
-                       "cover homology of a 2-knot")
-    given = p.add_mutually_exclusive_group(required=True)
-    given.add_argument("knot", nargs="?", help="catalog name, knot file, or inline Seifert matrix")
-    given.add_argument("--batch", metavar="DIR", action=_Once, help="process every "
-                       "*.json knot file in DIR, one JSON record per line")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(run=_cmd_invariants)
-
-    p = sub.add_parser("obstruct", help="test ribbon-move equivalence "
-                       "obstructions between two 2-knots")
-    p.add_argument("first", help="knot spec")
-    p.add_argument("second", nargs="?", help="knot spec; omitted = trivial 2-knot")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(run=_cmd_obstruct)
-
-    p = sub.add_parser("snf", help="Smith normal form of an integer matrix")
-    given = p.add_mutually_exclusive_group(required=True)
-    given.add_argument("matrix", nargs="?", help="inline JSON matrix")
-    given.add_argument("--file", action=_Once, help="read the matrix from a JSON file")
-    p.add_argument("--full", action="store_true", help="also print U and V")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(run=_cmd_snf)
-
-    p = sub.add_parser("alink", help="alinking number of a (sphere, torus)-link")
-    given = p.add_mutually_exclusive_group(required=True)
-    given.add_argument("matrix", nargs="?", help="columns \"(a,b) (c,d)\" or JSON 2-row matrix")
-    given.add_argument("--file", action=_Once, help="read the 2-row matrix from a JSON file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(run=_cmd_alink)
-
-    p = sub.add_parser("braid", help="Seifert matrix of a braid closure")
-    p.add_argument("letters", nargs="+", help="signed generator indices, "
-                   "e.g. 1 1 1 or \"1 -2 1 -2\"")
-    p.add_argument("--strands", type=integer, required=True, action=_Once)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(run=_cmd_braid)
-    return parser
+def _parse(argv: list[str]) -> tuple[str, SimpleNamespace]:
+    """The subcommand that ``argv`` names first, and its fields.  The arguments are one run of
+    words no option splits, plus every word after "--".  Usage errors raise CliParseError."""
+    if (command := argv[0] if argv else None) in ("-h", "--help"):
+        _help(None)
+    if command not in _COMMANDS:
+        raise CliParseError(f"ribbonmu: expected a subcommand, one of {', '.join(_COMMANDS)}")
+    _, arguments, options, _ = _COMMANDS[command]
+    options = dict(o.partition("=")[::2] for o in options)  # option: metavar ("" for a flag)
+    is_option = re.compile(rf"(?s)(?:{'|'.join(options)}|-h|--help)=.*|{_OPTION}").fullmatch
+    fields = {o[2:]: None if metavar else False for o, metavar in options.items()}
+    value = next((o for o, metavar in options.items() if metavar), None)
+    one_of = arguments[0][-1] == "?" and value is not None
+    words, extras, dashes, rest = [], [], False, iter(argv[1:])
+    room = len(argv) if arguments[-1][-1] == "+" else len(arguments)  # words the run may take
+    try:
+        for word in rest:
+            option, equals, text = word.partition("=")
+            if dashes or not is_option(word):
+                (words if len(words) < room else extras).append(word)
+            elif word in ("--", "-h", "--help"):  # _help exits
+                dashes = word == "--" or _help(command)
+            else:
+                room = len(words) or room  # an option ends the run of arguments
+                if (metavar := options.get(option)) is None or equals and not metavar:
+                    extras.append(word)
+                elif metavar and not equals and is_option(text := next(rest, "--")):
+                    raise CliParseError(f"argument {option}: expected one argument")
+                elif metavar and fields[option[2:]] is not None:
+                    raise CliParseError(f"argument {option}: given twice")
+                else:
+                    fields[option[2:]] = not metavar or (
+                        integer(text, f"argument {option}: ") if metavar == "N" else text)
+        if one_of and bool(words) == (fields[value[2:]] is not None):
+            raise CliParseError(f"give exactly one of {arguments[0][:-1]} and {value}")
+        missing = [a.rstrip("+") for a in arguments[len(words):] if a[-1] != "?"]
+        missing += [value] if value and not one_of and fields[value[2:]] is None else []
+        if missing or extras:
+            raise CliParseError(f"the following arguments are required: {', '.join(missing)}"
+                                if missing else f"unrecognized arguments: {' '.join(extras)}")
+    except CliParseError as exc:
+        raise CliParseError(f"ribbonmu {command}: {exc}") from None
+    for i, a in enumerate(arguments):
+        fields[a.rstrip("?+")] = words[i:] if a[-1] == "+" else words[i] if i < len(words) else None
+    return command, SimpleNamespace(**fields)
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
@@ -407,10 +417,10 @@ def main(argv: list[str] | None = None, out=None) -> int:
     before = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        command, args = _parse(sys.argv[1:] if argv is None else argv)
         if getattr(args, "batch", None) is not None:
             return _batch(args.batch, out)
-        record, printer = args.run(args)
+        record, printer = _COMMANDS[command][0](args)
         (_write_json if args.json else printer)(record, out)
         return 0
     except (InputError, MemoryError) as exc:  # bad or too large input; a bug keeps its traceback

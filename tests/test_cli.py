@@ -755,6 +755,110 @@ class TestExitContract:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class TestArgvGrammar:
+    """How words are read: which ones are arguments, how options take values."""
+
+    @pytest.mark.parametrize("argv, mu", [
+        (["-1", "-1", "-1", "--strands", "2"], "14"),  # negative integers, before the option
+        (["--strands", "3", "-1 2 -1 2"], "0"),  # a word holding a space
+        (["--strands", "2", "--", "-1", "-1", "-1"], "14"),  # every word after "--"
+    ], ids=["negative", "spaced", "after --"])
+    def test_word_starting_with_a_dash_is_an_argument(self, argv, mu):
+        code, text = run_cli("braid", "--json", *argv)
+        assert code == 0
+        assert json.loads(text)["mu"] == mu
+
+    @pytest.mark.parametrize("word", ["-", "-1.5"])
+    def test_dash_word_that_is_no_integer(self, capsys, word):
+        # read as a letter, not an option, so the letter grammar rejects it
+        assert run_cli("braid", "--strands", "2", word) == (3, "")
+        assert "is not an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["braid", "1", "1", "1", "--strands", "2", "-x"],
+        ["braid", "1", "1", "1", "--strands", "2", "--jso"],
+        ["braid", "1", "1", "1", "--strands2"],
+        ["braid", "1", "1", "1", "--strands", "2", "--json=1"],  # a flag takes no value
+        ["invariants", "trefoil", "--js"], ["invariants", "trefoil", "--batch"],
+        ["obstruct", "trefoil", "-1x"], ["snf", "[[2]]", "--file"], ["alink", "(2,4)", "--fil=x"],
+        ["braid", "1", "--strands", "2", "1"],  # the arguments are one run of words
+        ["obstruct", "trefoil", "--json", "figure8"],
+        ["invariants", "trefoil", "figure8"], ["snf", "[[2]]", "[[3]]"],
+    ])
+    def test_unlisted_word_is_a_usage_error(self, capsys, argv):
+        assert run_cli(*argv) == (3, "")
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ribbonmu") and "Traceback" not in err
+
+    def test_missing_argument_is_named_by_its_name(self, capsys):
+        assert run_cli("braid", "--strands", "2") == (3, "")
+        assert capsys.readouterr().err == \
+            "parse error: ribbonmu braid: the following arguments are required: letters\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["braid", "1", "1", "1", "--strands", "{strands}"], ["snf", "--file", "{matrix}"],
+        ["alink", "--file", "{map}"], ["invariants", "--batch", "{knots}"],
+    ], ids=["strands", "snf", "alink", "batch"])
+    @pytest.mark.parametrize("folder", ["plain", "with space"])
+    def test_value_after_equals_sign(self, tmp_path, argv, folder):
+        """"--opt=value" reads as "--opt value", also when the value holds a space."""
+        base = tmp_path / folder
+        (base / "knots").mkdir(parents=True)
+        (base / "m.json").write_text("[[2, 4], [6, 8]]")
+        (base / "map.json").write_text("[[3], [0]]")
+        (base / "knots" / "k.json").write_text('{"catalog": "figure8"}')
+        spaced = [a.format(strands=2, matrix=base / "m.json", map=base / "map.json",
+                           knots=base / "knots") for a in argv]
+        joined = spaced[:-2] + [f"{spaced[-2]}={spaced[-1]}"]
+        code, text = run_cli(*joined, "--json")
+        assert code == 0 and text
+        assert (code, text) == run_cli(*spaced, "--json")
+
+    @pytest.mark.parametrize("argv", [
+        ["braid", "1", "1", "1", "--strands=2", "--strands", "2"],
+        ["braid", "1", "1", "1", "--strands", "2", "--strands=2"],
+        ["snf", "--file=a.json", "--file=a.json"],
+    ])
+    def test_value_option_twice_in_any_form(self, capsys, argv):
+        assert run_cli(*argv) == (3, "")
+        assert capsys.readouterr().err.startswith("parse error: ribbonmu")
+
+    def test_flag_twice_is_accepted(self):
+        assert run_cli("invariants", "trefoil", "--json", "--json") == \
+            run_cli("invariants", "trefoil", "--json")
+        assert run_cli("snf", "[[2]]", "--full", "--full")[0] == 0
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_after_other_arguments(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("braid", "1", "1", "1", "--strands", "2", flag)
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert "--strands" in out and err == ""
+
+    def test_strands_not_an_integer(self, capsys):
+        assert run_cli("braid", "--strands", "x", "1") == (3, "")
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ribbonmu") and "--strands" in err
+        assert "is not an integer" in err or "invalid integer value" in err
+
+    @pytest.mark.parametrize("argv, names", [
+        (["--help"], ["invariants", "obstruct", "snf", "alink", "braid"]),
+        (["-h"], ["invariants", "obstruct", "snf", "alink", "braid"]),
+        (["invariants", "--help"], ["knot", "--batch", "--json"]),
+        (["obstruct", "--help"], ["first", "second", "--json"]),
+        (["snf", "--help"], ["matrix", "--file", "--full", "--json"]),
+        (["alink", "--help"], ["matrix", "--file", "--json"]),
+        (["braid", "--help"], ["letters", "--strands", "--json"]),
+    ], ids=["--help", "-h", "invariants", "obstruct", "snf", "alink", "braid"])
+    def test_help_names_every_option(self, capsys, argv, names):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert err == "" and all(name in out for name in names)
+
+
 class TestHardToFactorOrders:
     """S = [[1,1],[0,B]] has form [[2,1],[1,2B]] and cover order 4B - 1 = p*q.
 
@@ -1100,12 +1204,13 @@ class TestModuleEntryPoint:
 
     def test_startup_stays_lean(self):
         # dataclasses and the inspect module it imports cost a fresh
-        # interpreter about 30 ms, which every CLI op pays; typing and
-        # pathlib (it loads urllib.parse and ipaddress) a few ms more each.
+        # interpreter about 30 ms, which every CLI op pays; argparse with
+        # gettext about 6 ms (import and parser); typing and pathlib (it
+        # loads urllib.parse and ipaddress) a few ms more each.
         # -S: no site hook may have loaded one of them already
         script = ("import sys; before = set(sys.modules); import ribbonmu.cli; "
-                  "print(sorted({'dataclasses', 'inspect', 'pathlib', 'typing'}"
-                  " & (set(sys.modules) - before)))")
+                  "print(sorted({'argparse', 'dataclasses', 'gettext', 'inspect', 'pathlib', "
+                  "'typing'} & (set(sys.modules) - before)))")
         proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
                               text=True, env=package_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
