@@ -365,8 +365,8 @@ def _help(command: str | None) -> None:
 
 
 def _parse(argv: list[str]) -> tuple[str, SimpleNamespace]:
-    """The subcommand that ``argv`` names first, and its fields.  The arguments are one run of
-    words no option splits, plus every word after "--".  Usage errors raise CliParseError."""
+    """The subcommand that ``argv`` names first, and its fields.  Every word that names no option
+    is an argument, in order, and so is every word after "--".  Usage errors raise CliParseError."""
     if (command := argv[0] if argv else None) in ("-h", "--help"):
         _help(None)
     if command not in _COMMANDS:
@@ -378,7 +378,7 @@ def _parse(argv: list[str]) -> tuple[str, SimpleNamespace]:
     value = next((o for o, metavar in options.items() if metavar), None)
     one_of = arguments[0][-1] == "?" and value is not None
     words, extras, dashes, rest = [], [], False, iter(argv[1:])
-    room = len(argv) if arguments[-1][-1] == "+" else len(arguments)  # words the run may take
+    room = len(argv) if arguments[-1][-1] == "+" else len(arguments)  # arguments it takes
     try:
         for word in rest:
             option, equals, text = word.partition("=")
@@ -386,17 +386,15 @@ def _parse(argv: list[str]) -> tuple[str, SimpleNamespace]:
                 (words if len(words) < room else extras).append(word)
             elif word in ("--", "-h", "--help"):  # _help exits
                 dashes = word == "--" or _help(command)
+            elif (metavar := options.get(option)) is None or equals and not metavar:
+                extras.append(word)
+            elif metavar and not equals and is_option(text := next(rest, "--")):
+                raise CliParseError(f"argument {option}: expected one argument")
+            elif metavar and fields[option[2:]] is not None:
+                raise CliParseError(f"argument {option}: given twice")
             else:
-                room = len(words) or room  # an option ends the run of arguments
-                if (metavar := options.get(option)) is None or equals and not metavar:
-                    extras.append(word)
-                elif metavar and not equals and is_option(text := next(rest, "--")):
-                    raise CliParseError(f"argument {option}: expected one argument")
-                elif metavar and fields[option[2:]] is not None:
-                    raise CliParseError(f"argument {option}: given twice")
-                else:
-                    fields[option[2:]] = not metavar or (
-                        integer(text, f"argument {option}: ") if metavar == "N" else text)
+                fields[option[2:]] = not metavar or (
+                    integer(text, f"argument {option}: ") if metavar == "N" else text)
         if one_of and bool(words) == (fields[value[2:]] is not None):
             raise CliParseError(f"give exactly one of {arguments[0][:-1]} and {value}")
         missing = [a.rstrip("+") for a in arguments[len(words):] if a[-1] != "?"]

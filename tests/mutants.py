@@ -1,0 +1,117 @@
+"""Hand mutation checks: each listed mutant must fail the tier-1 tests named for it.
+
+A mutant is (function, old text, new text, node ids).  Its old text, found exactly once in the
+function's source, becomes the new text; the function's ``__code__`` is swapped for that of the
+changed source, so every alias of the function runs the mutant.  The node ids run with
+``pytest.main`` and must fail; the function is then restored.  Before any mutant, the node ids
+must pass on the unchanged code.  Run from the repository root:
+
+    PYTHONPATH=src python tests/mutants.py
+
+It exits 1 if any mutant survives.  pytest does not collect this file; it is no part of tier-1.
+"""
+
+import inspect
+import sys
+import textwrap
+import time
+from pathlib import Path
+
+import pytest
+
+from ribbonmu import braid, cli, exactla
+
+TESTS = Path(__file__).resolve().parent
+
+MUTANTS = [
+    (exactla.determinant, "                    sign = -sign\n", "",
+     ["test_exactla.py::TestDeterminant::test_random_against_cofactor"]),
+    (exactla.determinant, "        _catch_up(pivot_row, k, e, exact[k], prev)\n", "",
+     ["test_exactla.py::TestDeterminant::test_random_against_cofactor"]),
+    (exactla.signature_and_determinant, "(p > 0) == (prev > 0)", "p > 0",
+     ["test_exactla.py::TestSignature::test_random_against_sturm_oracle"]),
+    (exactla._shear_pivot, "c = -1 if d == -2 * a else 1", "c = 1",
+     ["test_exactla.py::TestSignatureAndDeterminant"]),
+    (exactla._smith_diagonal, "units = len(m) - len(core)",
+     "units = len(m) - len(core) - bool(core)", ["test_exactla.py::TestDiagonalOnlySmith"]),
+    (exactla._core_mod_det, "d = math.gcd(p, R)", "d = math.gcd(p * p, R)",
+     ["test_exactla.py::TestSmithModuloDeterminant"]),
+    (exactla._invariant_chain, "d[i] // g * d[j]", "d[i] * d[j]",
+     ["test_abelian.py::TestDirectSum"]),
+    (exactla._unit_pivots, "q = r[j] * p", "q = r[j]",
+     ["test_exactla.py::TestDiagonalOnlySmith"]),
+    (exactla._hermite, "if x[c] < 0:", "if False:",
+     ["test_exactla.py::TestSmithNormalForm"]),
+    (exactla._xgcd, "(-a, -s, -t)", "(-a, s, t)",
+     ["test_exactla.py::TestSmithNormalForm"]),
+    (braid.seifert_matrix_from_braid, "v[a][a] = (sign(word[i]) + sign(letter)) // 2",
+     "v[a][a] = sign(letter)", ["test_braid.py::TestAgainstPairwiseOracle::test_random_words"]),
+    (braid.seifert_matrix_from_braid, "if letter > 0:\n                    v[b][a] = -1",
+     "if letter > 0:\n                    v[a][b] = -1",
+     ["test_braid.py::TestSeifertMatrixFromBraid::test_every_braid_matrix_is_valid"]),
+    (braid.seifert_matrix_from_braid, "if g > h:\n                        v[b][a] = -1",
+     "if g > h:\n                        v[a][b] = -1",
+     ["test_braid.py::TestAgainstPairwiseOracle::test_random_words"]),
+    # the argv reader: the run rule put back, "--" read as an option, a value option twice
+    (cli._parse, "elif (metavar := options.get(option)) is None or equals and not metavar:",
+     "elif (room := len(words) or room) and ((metavar := options.get(option)) is None\n"
+     "                                               or equals and not metavar):",
+     ["test_cli.py::TestArgvGrammar::test_option_between_arguments"]),
+    (cli._parse, 'elif word in ("--", "-h", "--help"):', 'elif word in ("-h", "--help"):',
+     ["test_cli.py::TestArgvGrammar::test_word_starting_with_a_dash_is_an_argument"]),
+    (cli._parse, "elif metavar and fields[option[2:]] is not None:", "elif False:",
+     ["test_cli.py::TestArgvGrammar::test_value_option_twice_in_any_form"]),
+]
+
+
+def mutated_code(function, old: str, new: str):
+    """The code of ``function`` with ``old`` in its source replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(function))
+    if old and source.count(old) != 1:
+        raise SystemExit(f"{function.__qualname__}: the old text occurs {source.count(old)} times")
+    namespace = dict(function.__globals__)
+    exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"), namespace)
+    return namespace[function.__name__].__code__
+
+
+def run(ids: list[str]) -> int:
+    return pytest.main(["-q", "-x", "-p", "no:cacheprovider", *(str(TESTS / i) for i in ids)])
+
+
+def main() -> int:
+    start = time.perf_counter()
+    ids = sorted({i for *_, kill in MUTANTS for i in kill})
+    functions = {function: function.__code__ for function, *_ in MUTANTS}
+    for function in functions:  # recompiled unchanged, so the swap itself is checked too
+        function.__code__ = mutated_code(function, "", "")
+    try:
+        if run(ids) != 0:
+            raise SystemExit("the listed tests fail on the unchanged code")
+    finally:
+        for function, code in functions.items():
+            function.__code__ = code
+    results = []
+    for function, old, new, kill in MUTANTS:
+        code, began = function.__code__, time.perf_counter()
+        function.__code__ = mutated_code(function, old, new)
+        try:
+            status = run(kill)
+        finally:
+            function.__code__ = code
+        if status not in (pytest.ExitCode.OK, pytest.ExitCode.TESTS_FAILED):
+            raise SystemExit(f"{function.__qualname__}: pytest exited {status}")
+        change = next((n for o, n in zip(old.splitlines(), new.splitlines()) if o != n),
+                      f"without {old.strip()}")
+        results.append((status == pytest.ExitCode.TESTS_FAILED, function.__qualname__,
+                        change.strip(), time.perf_counter() - began))
+    print()
+    for killed, name, change, seconds in results:
+        print(f"{'killed ' if killed else 'SURVIVED'} {seconds:5.2f} s  {name}: {change}")
+    survivors = sum(not killed for killed, *_ in results)
+    print(f"{len(results) - survivors} of {len(results)} mutants killed "
+          f"in {time.perf_counter() - start:.1f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

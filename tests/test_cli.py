@@ -1,5 +1,6 @@
 import importlib
 import io
+import itertools
 import json
 import os
 import pkgutil
@@ -781,14 +782,49 @@ class TestArgvGrammar:
         ["braid", "1", "1", "1", "--strands", "2", "--json=1"],  # a flag takes no value
         ["invariants", "trefoil", "--js"], ["invariants", "trefoil", "--batch"],
         ["obstruct", "trefoil", "-1x"], ["snf", "[[2]]", "--file"], ["alink", "(2,4)", "--fil=x"],
-        ["braid", "1", "--strands", "2", "1"],  # the arguments are one run of words
-        ["obstruct", "trefoil", "--json", "figure8"],
+        ["invariants", "trefoil", "--json", "figure8"],  # an option hides no extra argument
+        ["snf", "[[2]]", "--full", "[[3]]"],
         ["invariants", "trefoil", "figure8"], ["snf", "[[2]]", "[[3]]"],
     ])
     def test_unlisted_word_is_a_usage_error(self, capsys, argv):
         assert run_cli(*argv) == (3, "")
         err = capsys.readouterr().err
         assert err.startswith("parse error: ribbonmu") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, canonical", [
+        (["braid", "1", "--strands", "2", "1"], ["braid", "1", "1", "--strands", "2"]),
+        (["obstruct", "trefoil", "--json", "figure8"],
+         ["obstruct", "trefoil", "figure8", "--json"]),
+    ])
+    def test_option_between_arguments(self, argv, canonical):
+        assert run_cli(*argv) == run_cli(*canonical)
+        assert run_cli(*canonical)[0] != 3  # read, whatever the knot's validity
+
+    def test_options_anywhere_among_the_arguments(self, tmp_path):
+        """Each option, with its value, at every place among the arguments reads as the canonical
+        order: arguments first, in order, then the options."""
+        path = tmp_path / "with space" / "m.json"
+        path.parent.mkdir()
+        path.write_text("[[2, 4], [6, 8]]")
+        rng = random.Random(35)
+        valid = [  # subcommand, its arguments, its options with their values
+            ("invariants", ["trefoil"], [["--json"]]),
+            ("obstruct", ["trefoil", "figure8"], [["--json"]]),
+            ("snf", ["[[2,4],[6,8]]"], [["--full"], ["--json"]]),
+            ("snf", [], [["--file", str(path)], ["--full"], ["--json"]]),
+            ("alink", ["(2,4)"], [["--json"]]),
+            ("braid", [str(rng.choice([-1, 1])) for _ in range(5)], [["--strands=2"], ["--json"]]),
+            ("braid", ["-1", "-1", "-1"], [["--strands", "2"], ["--json"]]),
+        ]
+        for command, arguments, options in valid:
+            expected = run_cli(command, *arguments, *(w for o in options for w in o))
+            assert expected[0] == 0 and expected[1]
+            n = len(arguments) + len(options)
+            for slots in itertools.permutations(range(n), len(options)):  # option i at slots[i]
+                words = iter(arguments)
+                argv = [w for i in range(n)
+                        for w in (options[slots.index(i)] if i in slots else [next(words)])]
+                assert run_cli(command, *argv) == expected, argv
 
     def test_missing_argument_is_named_by_its_name(self, capsys):
         assert run_cli("braid", "--strands", "2") == (3, "")
