@@ -135,10 +135,10 @@ def _knot(spec: object, default_name: str, where: str) -> KnotRecord:
 def resolve_knot(spec: str) -> KnotRecord:
     """Inline Seifert matrix, path to a JSON knot file, or catalog name.
 
-    An argument that names a directory or no file (too long a name, say)
-    and does not end in ``.json`` is looked up in the catalog.
+    An argument ending in ``.json`` is a knot file.  Otherwise one starting with ``[`` is
+    a matrix, an existing path that is not a directory a file, and any other a name.
     """
-    if spec.lstrip().startswith("["):
+    if spec.lstrip().startswith("[") and not spec.endswith(".json"):
         return _knot({"seifert_matrix": _decode(spec, "matrix")}, "<inline>", "matrix")
     if not (spec.endswith(".json") or os.path.exists(spec) and not os.path.isdir(spec)):
         return catalog(spec)
@@ -266,7 +266,7 @@ def _batch(directory: str, out) -> int:
     if not os.path.isdir(directory):
         raise CliParseError(f"batch path {directory!r} is not a directory")
     try:
-        names = sorted(n for n in os.listdir(directory) if n.endswith(".json"))
+        names = sorted((n for n in os.listdir(directory) if n.endswith(".json")), key=os.fsencode)
     except OSError as exc:
         raise CliParseError(f"cannot read {directory!r}: {exc.strerror}") from None
     codes = []
@@ -275,7 +275,7 @@ def _batch(directory: str, out) -> int:
         try:
             if not os.path.isfile(path):  # opening a FIFO, say, would block
                 raise CliParseError(f"cannot read {path!r}: not a regular file")
-            record = _invariant_record(_knot(_read_json(path), os.path.splitext(name)[0], path))
+            record = _invariant_record(resolve_knot(path))
             codes.append(0)
         except (InputError, MemoryError) as exc:
             codes.append(3 if isinstance(exc, CliParseError) else 2)

@@ -61,6 +61,12 @@ MUTANTS = [
      ["test_cli.py::TestArgvGrammar::test_word_starting_with_a_dash_is_an_argument"]),
     (cli._parse, "elif metavar and fields[option[2:]] is not None:", "elif False:",
      ["test_cli.py::TestArgvGrammar::test_value_option_twice_in_any_form"]),
+    # the knot-file reader: --batch names in code-point order, a leading "[" before ".json"
+    (cli._batch, ", key=os.fsencode", "",
+     ["test_cli.py::TestKnotFiles::test_batch_orders_names_that_are_not_utf8_by_their_bytes"]),
+    (cli.resolve_knot, ' and not spec.endswith(".json")', "",
+     ["test_cli.py::TestKnotFiles::test_bracketed_name_ending_in_json_is_a_knot_file",
+      "test_cli.py::TestKnotFiles::test_batch_directory_starting_with_a_bracket"]),
 ]
 
 

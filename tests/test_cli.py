@@ -513,6 +513,68 @@ class TestKnotFiles:
         assert records[3]["error"].startswith("cannot read ")
         assert capsys.readouterr().err == "4 files, 1 failed\n"
 
+    def test_batch_orders_names_that_are_not_utf8_by_their_bytes(self, tmp_path):
+        # b"\x80" decodes to the lone surrogate "\udc80", which sorts after "é" as text
+        try:
+            for name in (b"\x80.json", "é.json".encode()):
+                with open(os.path.join(os.fsencode(tmp_path), name), "wb") as file:
+                    file.write(b'{"catalog": "trefoil"}')
+        except OSError:
+            pytest.skip("the file system refuses a name that is not UTF-8")
+        code, text = run_cli("invariants", "--batch", str(tmp_path))
+        assert code == 0
+        assert [json.loads(line)["name"] for line in text.splitlines()] == ["\udc80", "é"]
+
+    def test_bracketed_name_ending_in_json_is_a_knot_file(self, tmp_path, monkeypatch):
+        # the .json ending decides: without it a leading "[" is still an inline matrix
+        monkeypatch.chdir(tmp_path)
+        Path("[k].json").write_text(json.dumps({"catalog": "figure8"}))
+        for spec, expected in (("[k].json", ("[k]", "0")), ("[[1,1],[0,1]]", ("<inline>", "2"))):
+            code, text = run_cli("invariants", spec, "--json")
+            assert code == 0
+            assert (json.loads(text)["name"], json.loads(text)["mu"]) == expected
+
+    def test_batch_directory_starting_with_a_bracket(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("[d").mkdir()
+        Path("[d/a.json").write_text(json.dumps({"catalog": "trefoil"}))
+        code, text = run_cli("invariants", "--batch", "[d")
+        assert code == 0
+        assert [(r["name"], r["mu"]) for r in map(json.loads, text.splitlines())] == [("a", "2")]
+
+    def test_batch_record_agrees_with_a_single_run(self, tmp_path, capsys):
+        files = {
+            "catalog": {"catalog": "trefoil"},
+            "braid": {"braid": {"strands": 3, "letters": [1, -2, 1, -2]}},
+            "seifert": {"name": "mine", "seifert_matrix": [["1", "1"], ["0", "-1"]]},
+            "form": {"even_form": to_decimal_rows(braid.E8)},
+            "truncated": '{"braid": ',
+            "unknown_key": {"catalog": "trefoil", "twist": 5},
+            "link": {"braid": {"strands": 2, "letters": [1, 1]}},
+            "odd_form": {"even_form": [[1, 0], [0, 1]]},
+            "even_determinant": {"even_form": [[2, 0], [0, 2]]},
+            "not_seifert": {"seifert_matrix": [[1, 0], [0, 1]]},
+            "unknown_catalog": {"catalog": "no-such-knot"},
+            "array": [1, 2],
+        }
+        for stem, data in files.items():
+            (tmp_path / f"{stem}.json").write_text(
+                data if isinstance(data, str) else json.dumps(data))
+        names = sorted(f"{stem}.json" for stem in files)
+        code, text = run_cli("invariants", "--batch", str(tmp_path))
+        assert capsys.readouterr().err == "12 files, 8 failed\n"
+        records = [json.loads(line) for line in text.splitlines()]
+        assert (code, len(records)) == (3, len(names))
+        for name, record in zip(names, records):
+            single, out = run_cli("invariants", str(tmp_path / name), "--json")
+            if single == 0:
+                assert record == json.loads(out), name
+                continue
+            assert (record["name"], record["exit"]) == (name, single)
+            kind, _, error = capsys.readouterr().err.rstrip("\n").partition(": ")
+            assert (kind, error) == (("parse error" if single == 3 else "error"),
+                                     record["error"]), name
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_batch_does_not_open_a_fifo(self, tmp_path, capsys):
         (tmp_path / "a.json").write_text(json.dumps({"catalog": "trefoil"}))
