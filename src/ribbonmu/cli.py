@@ -262,9 +262,7 @@ def _cmd_invariants(args):
 
 
 def _batch(directory: str, out) -> int:
-    """One JSON line per *.json file, failures included; the worst status."""
-    if not os.path.isdir(directory):
-        raise CliParseError(f"batch path {directory!r} is not a directory")
+    """One JSON line per *.json file, errors too; the worst status. Only listing checks the dir."""
     try:
         names = sorted((n for n in os.listdir(directory) if n.endswith(".json")), key=os.fsencode)
     except OSError as exc:

@@ -67,6 +67,9 @@ MUTANTS = [
     (cli.resolve_knot, ' and not spec.endswith(".json")', "",
      ["test_cli.py::TestKnotFiles::test_bracketed_name_ending_in_json_is_a_knot_file",
       "test_cli.py::TestKnotFiles::test_batch_directory_starting_with_a_bracket"]),
+    # the --batch directory: only a permission error reads as a failed listing
+    (cli._batch, "except OSError as exc:", "except PermissionError as exc:",
+     ["test_cli.py::TestExitContract::test_unreadable_batch_path_reads_like_any_failed_read"]),
 ]
 
 

@@ -1,3 +1,4 @@
+import errno
 import importlib
 import io
 import itertools
@@ -734,9 +735,28 @@ class TestExitContract:
         assert json.loads(proc.stdout)[key] == value
 
     def test_batch_path_too_long_for_a_file_name(self, capsys):
-        # os.path.isdir is False here too: not a directory, a parse error
         assert run_cli("invariants", "--batch", "x" * 300) == (3, "")
-        assert "is not a directory" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"parse error: cannot read {'x' * 300!r}: {os.strerror(errno.ENAMETOOLONG)}\n"
+
+    @pytest.mark.parametrize("name, make, error", [
+        ("nope", None, errno.ENOENT),
+        ("k.json", lambda path: path.write_text(json.dumps({"catalog": "trefoil"})),
+         errno.ENOTDIR),
+        pytest.param("p.json", getattr(os, "mkfifo", None), errno.ENOTDIR, marks=pytest.mark.skipif(
+            not hasattr(os, "mkfifo"), reason="no named pipes")),
+        ("", None, errno.ENOENT),
+    ], ids=["missing", "file", "fifo", "empty"])
+    def test_unreadable_batch_path_reads_like_any_failed_read(self, tmp_path, capsys,
+                                                              name, make, error):
+        # listing is the only directory check, so a FIFO is never opened and cannot block
+        path = str(tmp_path / name) if name else ""
+        if make is not None:
+            make(tmp_path / name)
+        with time_limit(5.0):
+            assert run_cli("invariants", "--batch", path) == (3, "")
+        err = capsys.readouterr().err
+        assert err == f"parse error: cannot read {path!r}: {os.strerror(error)}\n"
 
     @pytest.mark.parametrize("argv", [
         ["braid", "--strands", "x", "1"],  # not an integer
