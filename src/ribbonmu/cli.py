@@ -9,12 +9,15 @@ integers or decimal strings ``-?[0-9]+`` (the grammar of braid letters
 and ``--strands`` too) and written as decimal strings; ``--json`` writes
 each record as exactly ``json.dumps(record)`` and a newline, matrices
 streamed row by row.  Exit status is a stable scripting contract: 0 on
-success (whatever the verdict), 2 on validation errors, 3 on parse
-errors, and 141 when standard output is closed early.
+success (whatever the verdict), 2 on validation errors and on output that
+cannot be written, 3 on parse errors, and 141 when standard output is
+closed early; an error line that stderr cannot take is dropped.  The
+console entry point freezes the import-time heap, so exit skips it.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -279,7 +282,7 @@ def _batch(directory: str, out) -> int:
             codes.append(3 if isinstance(exc, CliParseError) else 2)
             record = {"name": name, "error": str(exc) or "out of memory", "exit": codes[-1]}
         _write_json(record, out)
-    print(f"{len(codes)} files, {sum(map(bool, codes))} failed", file=sys.stderr)
+    _warn(f"{len(codes)} files, {sum(map(bool, codes))} failed")
     return max(codes, default=0)
 
 
@@ -421,13 +424,24 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return 0
     except (InputError, MemoryError) as exc:  # bad or too large input; a bug keeps its traceback
         code, kind = (3, "parse error") if isinstance(exc, CliParseError) else (2, "error")
-        print(f"{kind}: {str(exc) or 'out of memory'}", file=sys.stderr)
+        _warn(f"{kind}: {str(exc) or 'out of memory'}")
         return code
     finally:
         sys.set_int_max_str_digits(before)
 
 
+def _warn(line: str) -> None:
+    """Print a line to stderr, or drop it if stderr cannot take it: the exit status still tells."""
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:  # Python flushes stderr again at exit, where a failure would exit 120
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+
+
 def entry_point() -> None:
+    gc.freeze()  # all imports, no garbage: the four full collections at exit skip it, 3-9 ms
+    if sys.stderr is None:  # started with stderr closed: errors go nowhere, never to stdout
+        sys.stderr = open(os.devnull, "w")
     if sys.stdout is None:  # started with stdout closed: writing to it is a broken pipe
         reader, writer = os.pipe()
         os.close(reader)
@@ -436,11 +450,12 @@ def entry_point() -> None:
     sys.stdout.reconfigure(errors="backslashreplace")
     try:
         code = main()
-        sys.stdout.flush()  # so a closed pipe fails here, not at exit
-    except BrokenPipeError:
-        # The reader went away.  Python flushes stdout again at exit, so
-        # point it at the null device first; 141 = 128 + SIGPIPE is the
-        # status a shell reports for a writer killed by that signal.
+        sys.stdout.flush()  # so a closed pipe or a full disk fails here, not at exit
+    except OSError as exc:  # stdout cannot take the output (a read error is a CliParseError)
+        # Python flushes stdout again at exit, so point it at the null device first
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(141)
+        if isinstance(exc, BrokenPipeError):  # the reader went away: 141 = 128 + SIGPIPE, what
+            sys.exit(141)  # a shell reports for a writer killed by that signal
+        _warn(f"error: cannot write output: {exc.strerror}")
+        code = 2
     sys.exit(code)

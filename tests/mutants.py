@@ -70,6 +70,14 @@ MUTANTS = [
     # the --batch directory: only a permission error reads as a failed listing
     (cli._batch, "except OSError as exc:", "except PermissionError as exc:",
      ["test_cli.py::TestExitContract::test_unreadable_batch_path_reads_like_any_failed_read"]),
+    # the console entry point: no heap freeze; a write error read as a broken pipe only, or
+    # an error line that stderr cannot take left to fail
+    (cli.entry_point, "gc.freeze()", "",
+     ["test_cli.py::TestModuleEntryPoint::test_entry_point_freezes_the_heap_once"]),
+    (cli.entry_point, "except OSError as exc:", "except BrokenPipeError as exc:",
+     ["test_cli.py::TestModuleEntryPoint::test_write_errors_in_process"]),
+    (cli._warn, "except OSError:", "except BrokenPipeError:",
+     ["test_cli.py::TestModuleEntryPoint::test_write_errors_in_process"]),
 ]
 
 

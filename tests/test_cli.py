@@ -1334,6 +1334,77 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_entry_point_freezes_the_heap_once(self, monkeypatch, capsys):
+        # the spy also keeps this test process's heap unfrozen
+        calls = []
+        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append(None))
+        monkeypatch.setattr(sys, "argv", ["ribbonmu", "invariants", "trefoil"])
+        with pytest.raises(SystemExit) as exit_:
+            cli.entry_point()
+        assert (exit_.value.code, len(calls)) == (0, 1)
+        assert capsys.readouterr().out.startswith("name: trefoil")
+
+    def test_heap_is_frozen_at_exit(self):
+        script = ("import atexit, gc, sys; "
+                  "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr)); "
+                  "sys.argv = ['ribbonmu', 'invariants', 'trefoil', '--json']; "
+                  "from ribbonmu.cli import entry_point; entry_point()")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=package_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["name"] == "trefoil"
+        assert int(proc.stderr) > 0
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [["invariants", "trefoil", "--json"], ["--help"],
+                                      ["invariants", str(LONG_BRAID), "--json"]],
+                             ids=["record", "help", "long-record"])
+    def test_output_that_cannot_be_written_exits_2(self, argv):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "ribbonmu", *argv], stdout=full,
+                                  stderr=subprocess.PIPE, env=package_env(), timeout=60)
+        line = f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n".encode()
+        assert (proc.returncode, proc.stderr) == (2, line)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("knot, code", [("nosuchknot", 2), ("[1", 3)])
+    def test_error_line_that_stderr_cannot_take_is_dropped(self, knot, code):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "ribbonmu", "invariants", knot],
+                                  stdout=subprocess.PIPE, stderr=full, env=package_env(),
+                                  timeout=60)
+        assert (proc.returncode, proc.stdout) == (code, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_write_errors_in_process(self, capsys, monkeypatch):
+        # the branches of the two tests above, run where a mutant can reach them
+        monkeypatch.setattr(cli.gc, "freeze", lambda: None)
+        monkeypatch.setattr(sys, "argv", ["ribbonmu", "invariants", "trefoil", "--json"])
+        with open("/dev/full", "w") as full, open("/dev/full", "w") as full_too:
+            monkeypatch.setattr(sys, "stdout", full)
+            with pytest.raises(SystemExit) as exit_:
+                cli.entry_point()
+            monkeypatch.setattr(sys, "stderr", full_too)
+            assert main(["invariants", "nosuchknot"]) == 2
+        assert exit_.value.code == 2
+        line = f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+        assert capsys.readouterr().err == line
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="closes fd 2 in the child")
+    def test_stderr_closed_at_start_keeps_errors_out_of_stdout(self, tmp_path):
+        # Python starts with sys.stderr None, and print(file=None) writes to stdout
+        def run(*argv):
+            proc = subprocess.run([sys.executable, "-m", "ribbonmu", "invariants", *argv],
+                                  capture_output=True, preexec_fn=lambda: os.close(2),
+                                  env=package_env(), timeout=60)
+            return proc.returncode, proc.stdout
+        assert run("nosuchknot") == (2, b"")
+        (tmp_path / "a.json").write_text(json.dumps({"catalog": "trefoil"}))
+        (tmp_path / "b.json").write_text("[1")
+        code, out = run("--batch", str(tmp_path))
+        records = [json.loads(line) for line in out.splitlines()]
+        assert (code, [r["name"] for r in records], records[1]["exit"]) == (3, ["a", "b.json"], 3)
+
 
 def write_too_large_braid(path: Path) -> Path:
     """A seeded 5001-letter 6-strand knot word: its 4996-row Seifert
