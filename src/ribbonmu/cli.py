@@ -35,6 +35,7 @@ from .spinmu import validate_seifert
 _DECIMAL = re.compile(r"-?[0-9]+")  # a command-line integer, or a matrix entry string
 _SPACES = re.compile(r"\s+", re.ASCII)  # between braid letters: space, \t, \n, \r, \f, \v
 _COLUMN_RE = re.compile(r"\(\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*\)", re.ASCII)  # "(a,b)"
+_COLUMN_SEPARATORS = " \t\n\r\f\v,;"  # between columns: the ASCII whitespace of \s, "," and ";"
 
 
 class CliParseError(InputError):
@@ -164,7 +165,7 @@ def _induced_map(args) -> InducedMap:
                 f"induced map needs exactly 2 rows, got {matrix.rows}")
         return InducedMap(matrix)
     columns = [[int(a), int(b)] for a, b in _COLUMN_RE.findall(text)]
-    leftover = _COLUMN_RE.sub("", text).strip(" ,;\t\n")
+    leftover = _COLUMN_RE.sub("", text).strip(_COLUMN_SEPARATORS)
     if leftover or not columns:
         raise CliParseError(
             f"cannot parse induced map from {text!r}; use \"(a,b) (c,d)\" "
@@ -185,10 +186,9 @@ def _invariant_record(knot: KnotRecord) -> dict[str, object]:
         "modulus": "16",
         "signature": str(inv.signature),
         "form_determinant": str(inv.form_determinant),
-        "h1_invariant_factors": [str(d) for d in torsion.invariant_factors],
+        "h1_invariant_factors": torsion,
         "h1_is_double": half is not None,
-        "h1_double_half": None if half is None else
-            [str(d) for d in half.invariant_factors],
+        "h1_double_half": half,
         "form": inv.form,
     }
     if knot.seifert is not None:
@@ -201,11 +201,9 @@ def _print_invariant_text(record: dict[str, object], out) -> None:
     print(f"mu = {record['mu']} (mod 16)", file=out)
     print(f"signature = {record['signature']}", file=out)
     print(f"form determinant = {record['form_determinant']}", file=out)
-    h1 = FiniteAbelianGroup(tuple(map(int, record["h1_invariant_factors"])))
-    print(f"H1(Seifert hypersurface) = {h1}", file=out)
+    print(f"H1(Seifert hypersurface) = {record['h1_invariant_factors']}", file=out)
     if record["h1_is_double"]:
-        half = FiniteAbelianGroup(tuple(map(int, record["h1_double_half"])))
-        print(f"doubling test: passes, half = {half}", file=out)
+        print(f"doubling test: passes, half = {record['h1_double_half']}", file=out)
     else:
         print("doubling test: fails (not of the form G + G)", file=out)
 
@@ -218,8 +216,7 @@ def _verdict_record(verdict: Verdict, names: tuple[str, str]) -> dict[str, objec
         "rule": verdict.rule,
         "mu_pair": None if verdict.mu_pair is None else
             [str(m.value) for m in verdict.mu_pair],
-        "torsion_witness": None if verdict.torsion_witness is None else
-            [str(d) for d in verdict.torsion_witness.invariant_factors],
+        "torsion_witness": verdict.torsion_witness,
         "explanation": verdict.explanation(),
     }
 
@@ -238,14 +235,16 @@ def _print_alink_text(record: dict[str, object], out) -> None:
 def _write_json(record: dict[str, object], out) -> None:
     """Write ``json.dumps(record)`` and a newline, piece by piece.
 
-    An :class:`IntMatrix` value is written as its decimal-string rows,
-    one row at a time, so neither a list of its entries' strings nor the
-    whole record's text is ever built.
+    A :class:`FiniteAbelianGroup` value is written as its invariant factors and an
+    :class:`IntMatrix` value as its rows, one row at a time, all as decimal strings, so
+    neither a list of a matrix's entry strings nor the whole record's text is ever built.
     """
     out.write("{")
     sep = ""
     for key, value in record.items():
         prefix, sep = f"{sep}{json.dumps(key)}: ", ", "
+        if isinstance(value, FiniteAbelianGroup):
+            value = list(map(str, value.invariant_factors))
         if isinstance(value, IntMatrix):
             rows = ('["' + '", "'.join(map(str, row)) + '"]' if row else "[]"
                     for row in value.entries)
@@ -435,7 +434,15 @@ def _warn(line: str) -> None:
     try:
         print(line, file=sys.stderr, flush=True)
     except OSError:  # Python flushes stderr again at exit, where a failure would exit 120
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+        _to_null_device(sys.stderr)
+
+
+def _to_null_device(stream) -> None:
+    """Point a stream's file descriptor at the null device, where writing cannot fail."""
+    fd, null = stream.fileno(), os.open(os.devnull, os.O_WRONLY)
+    if null != fd:  # else the stream's descriptor was closed, and os.open reused it
+        os.dup2(null, fd)
+        os.close(null)
 
 
 def entry_point() -> None:
@@ -453,7 +460,7 @@ def entry_point() -> None:
         sys.stdout.flush()  # so a closed pipe or a full disk fails here, not at exit
     except OSError as exc:  # stdout cannot take the output (a read error is a CliParseError)
         # Python flushes stdout again at exit, so point it at the null device first
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _to_null_device(sys.stdout)
         if isinstance(exc, BrokenPipeError):  # the reader went away: 141 = 128 + SIGPIPE, what
             sys.exit(141)  # a shell reports for a writer killed by that signal
         _warn(f"error: cannot write output: {exc.strerror}")

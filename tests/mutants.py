@@ -78,6 +78,14 @@ MUTANTS = [
      ["test_cli.py::TestModuleEntryPoint::test_write_errors_in_process"]),
     (cli._warn, "except OSError:", "except BrokenPipeError:",
      ["test_cli.py::TestModuleEntryPoint::test_write_errors_in_process"]),
+    # the null device: its descriptor left open, or closed when it is the stream's own
+    (cli._to_null_device, "        os.close(null)\n", "",
+     ["test_cli.py::TestModuleEntryPoint::test_dropped_error_lines_leave_no_descriptor_open"]),
+    (cli._to_null_device, "if null != fd:", "if True:",
+     ["test_cli.py::TestModuleEntryPoint::test_stream_that_lost_its_descriptor_stays_writable"]),
+    # the JSON writer: a group's invariant factors as JSON integers, not decimal strings
+    (cli._write_json, "list(map(str, value.invariant_factors))", "list(value.invariant_factors)",
+     ["test_cli.py::TestInvariantsCommand::test_numbers_are_decimal_strings"]),
 ]
 
 

@@ -77,6 +77,10 @@ class TestInvariantsCommand:
             assert isinstance(record[key], str)
         for row in record["form"]:
             assert all(isinstance(x, str) for x in row)
+        # a group is its invariant factors; a group that is no double has the half null
+        assert (record["h1_invariant_factors"], record["h1_double_half"]) == (["3"], None)
+        for knot, half in ((TWO_TREFOILS, ["3"]), ("poincare", [])):  # 0 is 0 + 0
+            assert json.loads(run_cli("invariants", knot, "--json")[1])["h1_double_half"] == half
 
     def test_round_trip_recompute(self):
         _, text = run_cli("invariants", "figure8", "--json")
@@ -249,6 +253,14 @@ class TestAlinkCommand:
         assert run_cli("alink", "(1, 2) (3,4)")[0] == 2  # read, then outside the classification
         assert run_cli("alink", "( 2 ,\t4 ) (0,0)", "--json") == \
             run_cli("alink", "(2,4)(0,0)", "--json")
+
+    @pytest.mark.parametrize("text, code", [
+        ("(1,\r0) (2,0)", 0), ("(1,0)\r(2,0)", 0), ("(1,0);(2,0)", 0), ("(1,0)(2,0)", 0),
+        ("(1,0) x (2,0)", 3),
+    ], ids=["cr-inside", "cr-between", "semicolon", "adjacent", "letter-between"])
+    def test_one_separator_rule(self, text, code):
+        # ASCII whitespace inside a column; between columns that, "," or ";"
+        assert run_cli("alink", text)[0] == code
 
     def test_three_rows_is_parse_error(self, tmp_path, capsys):
         matrix = "[[1], [2], [3]]"
@@ -1389,6 +1401,28 @@ class TestModuleEntryPoint:
         assert exit_.value.code == 2
         line = f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
         assert capsys.readouterr().err == line
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts /proc/self/fd and writes to /dev/full")
+    def test_dropped_error_lines_leave_no_descriptor_open(self, monkeypatch):
+        def fail_on_full_stderr():
+            with open("/dev/full", "w") as full:
+                monkeypatch.setattr(sys, "stderr", full)
+                assert main(["invariants", "nosuchknot"]) == 2
+        fail_on_full_stderr()  # whatever a first run keeps open is counted in both counts
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(20):
+            fail_on_full_stderr()
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="POSIX lowest-descriptor rule")
+    def test_stream_that_lost_its_descriptor_stays_writable(self):
+        # os.open takes the lowest free descriptor, here the one the stream lost
+        fd = os.open(os.devnull, os.O_WRONLY)
+        with open(fd, "w") as stream:
+            os.close(fd)
+            cli._to_null_device(stream)
+            print("dropped", file=stream, flush=True)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="closes fd 2 in the child")
     def test_stderr_closed_at_start_keeps_errors_out_of_stdout(self, tmp_path):
