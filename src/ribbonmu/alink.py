@@ -18,6 +18,7 @@ under a single ribbon-move resolution, in the finite-type sense.
 
 from __future__ import annotations
 
+from .abelian import FiniteAbelianGroup
 from .exactla import DimensionError, InputError, IntMatrix, _Value, cokernel_invariants
 # Bound by the benchmark tracer (perfbench/spans.py) until ROADMAP item 2.
 from .exactla import smith_normal_form  # noqa: F401
@@ -53,9 +54,8 @@ def alinking(iota: InducedMap) -> int:
         # Cokernel Z + Z/d: value d for d >= 2, and 1 when the torsion
         # summand is trivial.
         return torsion[0] if torsion else 1
-    d1, d2 = (1, 1, *torsion)[-2:]
     raise ClassificationError(
-        f"cokernel Z/{d1} + Z/{d2} has free rank 0; alinking is only "
+        f"cokernel {FiniteAbelianGroup(torsion)} has free rank 0; alinking is only "
         "defined on cokernels Z+Z, Z, and Z+Z/n")
 
 

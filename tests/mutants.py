@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from ribbonmu import braid, cli, exactla
+from ribbonmu import alink, braid, cli, exactla
 
 TESTS = Path(__file__).resolve().parent
 
@@ -86,6 +86,10 @@ MUTANTS = [
     # the JSON writer: a group's invariant factors as JSON integers, not decimal strings
     (cli._write_json, "list(map(str, value.invariant_factors))", "list(value.invariant_factors)",
      ["test_cli.py::TestInvariantsCommand::test_numbers_are_decimal_strings"]),
+    # the alinking error: a finite cokernel padded to two cyclic summands again
+    (alink.alinking, "{FiniteAbelianGroup(torsion)}",
+     "{' + '.join(f'Z/{d}' for d in (1, 1, *torsion)[-2:])}",
+     ["test_alink.py::TestAlinking::test_finite_cokernel_is_named_as_its_group"]),
 ]
 
 

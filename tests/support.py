@@ -27,6 +27,7 @@ import json
 import os
 import random
 import signal
+import subprocess
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -98,6 +99,18 @@ def package_env() -> dict[str, str]:
     """Environment for a fresh interpreter that imports this ribbonmu."""
     src = Path(ribbonmu.__file__).resolve().parent.parent
     return dict(os.environ, PYTHONPATH=str(src))
+
+
+def run_module(*argv, **kwargs) -> subprocess.CompletedProcess:
+    """One ``python -m ribbonmu`` process, each of ``argv`` as a word.
+
+    Keywords go to ``subprocess.run`` and override its defaults:
+    ``env=package_env()``, a 60 s ``timeout`` and captured output, the
+    last unless ``stdout`` or ``stderr`` is given."""
+    defaults = {"env": package_env(), "timeout": 60,
+                "capture_output": not {"stdout", "stderr"} & kwargs.keys()}
+    return subprocess.run([sys.executable, "-m", "ribbonmu", *map(str, argv)],
+                          **(defaults | kwargs))
 
 
 def run_json(*argv: str) -> dict:

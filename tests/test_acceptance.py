@@ -6,10 +6,8 @@ for that criterion's test.  All arithmetic is exact, so the numeric
 criteria carry zero tolerance.
 """
 
-import io
 import json
 import random
-import subprocess
 import sys
 from math import prod
 from pathlib import Path
@@ -37,19 +35,19 @@ from ribbonmu import (
     validate_seifert,
 )
 from ribbonmu import BraidWord, catalog
-from ribbonmu.cli import main
 
 from support import (
     address_space_cap,
     block_diag,
     from_decimal_rows,
     matmul,
-    package_env,
     rand_group_factors,
     rand_matrix,
     rand_seifert,
     rand_symmetric,
     rand_unimodular,
+    run_json,
+    run_module,
     sturm_signature,
     time_limit,
     zeros,
@@ -219,11 +217,8 @@ def test_c11_dense_snf_transforms(tmp_path, n):
     else:
         path = tmp_path / "dense.json"
         path.write_text(json.dumps(rows))
-    out = io.StringIO()
     with time_limit(20.0):  # carrying U and V along took 79 s at n = 80
-        code = main(["snf", "--file", str(path), "--full", "--json"], out=out)
-    assert code == 0
-    record = json.loads(out.getvalue())
+        record = run_json("snf", "--file", str(path), "--full", "--json")
     assert max(len(x.lstrip("-")) for key in "uv" for row in record[key] for x in row) < 4300
     m, u, d, v = (from_decimal_rows(x) for x in
                   (rows, record["u"], record["d"], record["v"]))
@@ -246,11 +241,8 @@ def test_c12_dense_even_form_torsion_modulo_determinant():
     # determinant and cover below are read off B.
     det = -65711250078806504837999432027130558589028671875
     cover = [5, 15, 15, 15, 2445, 13445055, 118455301128916361986257709822995]
-    out = io.StringIO()
     with time_limit(10.0):
-        code = main(["invariants", str(EVEN80), "--json"], out=out)
-    assert code == 0
-    record = json.loads(out.getvalue())
+        record = run_json("invariants", str(EVEN80), "--json")
     assert record["signature"] == "-18"
     assert record["form_determinant"] == str(det)
     assert record["h1_invariant_factors"] == [str(d) for d in cover]
@@ -273,10 +265,8 @@ def test_c13_long_braid_record_in_bounded_memory(command):
     # json.dumps string, it peaked at 263 MB and died with MemoryError
     # under this limit; streamed row by row it peaks near 60 MB.  Its
     # verdict against the trivial 2-knot is settled by mu alone.
-    proc = subprocess.run(
-        [sys.executable, "-m", "ribbonmu", command, str(LONG_BRAID), "--json"],
-        capture_output=True, env=package_env(),
-        preexec_fn=address_space_cap(ADDRESS_SPACE_KB), timeout=30)
+    proc = run_module(command, LONG_BRAID, "--json",
+                      preexec_fn=address_space_cap(ADDRESS_SPACE_KB), timeout=30)
     assert proc.returncode == 0, proc.stderr.decode()[-2000:]
     assert proc.stderr == b""
     record = json.loads(proc.stdout)

@@ -51,6 +51,18 @@ class TestAlinking:
         with pytest.raises(ClassificationError):
             alinking(InducedMap(IntMatrix.from_rows([[2, 0], [0, 4]])))
 
+    @pytest.mark.parametrize("rows, group", [
+        ([[3, 0], [0, 5]], "Z15"),
+        ([[1, 0], [0, 3]], "Z3"),
+        ([[1, 0], [0, 1]], "0"),
+        ([[2, 0], [0, 4]], "Z2 \u2295 Z4"),
+    ], ids=["cyclic", "one-torsion-summand", "trivial", "two-torsion-summands"])
+    def test_finite_cokernel_is_named_as_its_group(self, rows, group):
+        with pytest.raises(ClassificationError) as error:
+            alinking(InducedMap(IntMatrix.from_rows(rows)))
+        assert str(error.value) == (f"cokernel {group} has free rank 0; alinking is only "
+                                    "defined on cokernels Z+Z, Z, and Z+Z/n")
+
     def test_against_smith_oracle(self):
         # coker = Z/d1 + Z/d2: alinking is d1 when d2 = 0 (Z+Z -> 0,
         # Z -> 1, Z+Z/n -> n) and undefined otherwise.

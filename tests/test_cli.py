@@ -20,8 +20,8 @@ from ribbonmu import (BraidWord, IntMatrix, TwoKnotInvariants, braid, cli, exact
 from ribbonmu.cli import main
 
 from support import (address_space_cap, block_diag, digit_limit_lifted, from_decimal_rows,
-                     matadd, matmul, package_env, rand_matrix, rand_unimodular, sturm_signature,
-                     time_limit, to_decimal_rows, zeros)
+                     matadd, matmul, package_env, rand_matrix, rand_unimodular, run_module,
+                     sturm_signature, time_limit, to_decimal_rows, zeros)
 
 
 DATA = Path(__file__).parent / "data"
@@ -301,10 +301,8 @@ class TestBraidCommand:
                         reason="needs RLIMIT_AS as Linux enforces it")
     def test_huge_strand_count_in_bounded_memory(self):
         # nothing is allocated per strand: a list of 1e11 would not fit
-        proc = subprocess.run(
-            [sys.executable, "-m", "ribbonmu", "braid", "--strands", "100000000000", "1"],
-            capture_output=True, env=package_env(),
-            preexec_fn=address_space_cap(1_000_000), timeout=10)
+        proc = run_module("braid", "--strands", "100000000000", "1",
+                          preexec_fn=address_space_cap(1_000_000), timeout=10)
         assert proc.returncode == 2, proc.stderr.decode()[-2000:]
         assert b"99999999999 components" in proc.stderr
 
@@ -740,9 +738,7 @@ class TestExitContract:
     def test_pipe_is_read_as_a_file(self, argv, text, key, value):
         # a pipe is no regular file, but a knot argument or --file naming
         # one is read like any file
-        proc = subprocess.run([sys.executable, "-m", "ribbonmu", *argv, "--json"],
-                              input=text.encode(), capture_output=True,
-                              env=package_env(), timeout=60)
+        proc = run_module(*argv, "--json", input=text.encode())
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert json.loads(proc.stdout)[key] == value
 
@@ -1273,31 +1269,23 @@ class TestJsonWire:
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "ribbonmu", "invariants", "trefoil", "--json"],
-            capture_output=True, text=True)
+        proc = run_module("invariants", "trefoil", "--json", text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["mu"] == "2"
 
     def test_exit_codes_via_subprocess(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "ribbonmu", "snf", "[[oops"],
-            capture_output=True, text=True)
+        proc = run_module("snf", "[[oops", text=True)
         assert proc.returncode == 3
 
     def test_knot_file_is_read_as_utf8_in_an_ascii_locale(self, tmp_path):
         path = tmp_path / "k.json"
         path.write_text('{"name": "Poincar\u00e9", "catalog": "poincare"}', encoding="utf-8")
-        proc = subprocess.run(
-            [sys.executable, "-m", "ribbonmu", "invariants", str(path), "--json"],
-            capture_output=True, env=ascii_locale_env(), timeout=60)
+        proc = run_module("invariants", path, "--json", env=ascii_locale_env())
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert json.loads(proc.stdout)["name"] == "Poincar\u00e9"
 
     def test_text_output_in_an_ascii_locale(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "ribbonmu", "invariants", TWO_TREFOILS],
-            capture_output=True, env=ascii_locale_env(), timeout=60)
+        proc = run_module("invariants", TWO_TREFOILS, env=ascii_locale_env())
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert b"H1(Seifert hypersurface) = Z3 \\u2295 Z3\n" in proc.stdout
 
@@ -1324,9 +1312,8 @@ class TestModuleEntryPoint:
         # Python starts with sys.stdout None; an error found before any
         # output keeps its own status
         def run(*argv):
-            proc = subprocess.run([sys.executable, "-m", "ribbonmu", *argv, *flags],
-                                  stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                                  preexec_fn=lambda: os.close(1), env=package_env(), timeout=60)
+            proc = run_module(*argv, *flags, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                              preexec_fn=lambda: os.close(1))
             return proc.returncode, proc.stderr
         assert run("invariants", "trefoil") == (141, b"")
         code, err = run("invariants", "nosuchknot")
@@ -1367,27 +1354,24 @@ class TestModuleEntryPoint:
         assert json.loads(proc.stdout)["name"] == "trefoil"
         assert int(proc.stderr) > 0
 
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="writes to /dev/full")
     @pytest.mark.parametrize("argv", [["invariants", "trefoil", "--json"], ["--help"],
                                       ["invariants", str(LONG_BRAID), "--json"]],
                              ids=["record", "help", "long-record"])
     def test_output_that_cannot_be_written_exits_2(self, argv):
         with open("/dev/full", "w") as full:
-            proc = subprocess.run([sys.executable, "-m", "ribbonmu", *argv], stdout=full,
-                                  stderr=subprocess.PIPE, env=package_env(), timeout=60)
+            proc = run_module(*argv, stdout=full, stderr=subprocess.PIPE)
         line = f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n".encode()
         assert (proc.returncode, proc.stderr) == (2, line)
 
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="writes to /dev/full")
     @pytest.mark.parametrize("knot, code", [("nosuchknot", 2), ("[1", 3)])
     def test_error_line_that_stderr_cannot_take_is_dropped(self, knot, code):
         with open("/dev/full", "w") as full:
-            proc = subprocess.run([sys.executable, "-m", "ribbonmu", "invariants", knot],
-                                  stdout=subprocess.PIPE, stderr=full, env=package_env(),
-                                  timeout=60)
+            proc = run_module("invariants", knot, stdout=subprocess.PIPE, stderr=full)
         assert (proc.returncode, proc.stdout) == (code, b"")
 
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="writes to /dev/full")
     def test_write_errors_in_process(self, capsys, monkeypatch):
         # the branches of the two tests above, run where a mutant can reach them
         monkeypatch.setattr(cli.gc, "freeze", lambda: None)
@@ -1428,9 +1412,7 @@ class TestModuleEntryPoint:
     def test_stderr_closed_at_start_keeps_errors_out_of_stdout(self, tmp_path):
         # Python starts with sys.stderr None, and print(file=None) writes to stdout
         def run(*argv):
-            proc = subprocess.run([sys.executable, "-m", "ribbonmu", "invariants", *argv],
-                                  capture_output=True, preexec_fn=lambda: os.close(2),
-                                  env=package_env(), timeout=60)
+            proc = run_module("invariants", *argv, preexec_fn=lambda: os.close(2))
             return proc.returncode, proc.stdout
         assert run("nosuchknot") == (2, b"")
         (tmp_path / "a.json").write_text(json.dumps({"catalog": "trefoil"}))
@@ -1458,9 +1440,7 @@ class TestOutOfMemory:
     # An input too large for memory is bad input: exit 2 and one line on
     # stderr, never exit 1 with a traceback.
     def run(self, *argv):
-        return subprocess.run([sys.executable, "-m", "ribbonmu", *map(str, argv)],
-                              capture_output=True, env=package_env(),
-                              preexec_fn=address_space_cap(150_000), timeout=60)
+        return run_module(*argv, preexec_fn=address_space_cap(150_000))
 
     @pytest.mark.parametrize("command", ["invariants", "obstruct"])
     def test_exits_2(self, tmp_path, command):
