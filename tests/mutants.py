@@ -21,6 +21,8 @@ import pytest
 
 from ribbonmu import alink, braid, cli, exactla
 
+import support
+
 TESTS = Path(__file__).resolve().parent
 
 MUTANTS = [
@@ -90,6 +92,10 @@ MUTANTS = [
     (alink.alinking, "{FiniteAbelianGroup(torsion)}",
      "{' + '.join(f'Z/{d}' for d in (1, 1, *torsion)[-2:])}",
      ["test_alink.py::TestAlinking::test_finite_cokernel_is_named_as_its_group"]),
+    # the signature oracle: the characteristic polynomial's identity term one step late
+    (support.charpoly, "c[n - k + 1]", "c[n - k]",
+     ["test_exactla.py::TestSignature::test_charpoly_oracle_against_shifted_determinants",
+      "test_exactla.py::TestSignature::test_random_against_sturm_oracle"]),
 ]
 
 

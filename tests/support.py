@@ -4,9 +4,9 @@ The oracles here deliberately take different algorithmic routes from the
 package under test: the Smith-form oracle diagonalizes with first-found
 pivots and fixes divisibility afterwards by gcd/lcm sweeps, the
 determinant oracles are cofactor expansion and Gaussian elimination
-over ``Fraction`` (which also serves the characteristic polynomial and
-the Alexander values), the signature oracle counts
-characteristic-polynomial root signs with Sturm sequences, group
+over ``Fraction`` (which also serves the Alexander values), the
+signature oracle counts root signs of the characteristic polynomial,
+from the integer Faddeev-LeVerrier recurrence, with Sturm sequences, group
 isomorphism is checked by brute-force element-order counting, group
 arithmetic by trial-division elementary divisors, and braid Seifert
 matrices by testing every pair of loops.  A braid's cover group also
@@ -820,32 +820,20 @@ def _sturm_pos_neg(p: list[Fraction]) -> tuple[int, int]:
 
 
 def charpoly(matrix: IntMatrix) -> list[int]:
-    """Coefficients of det(x I - M), lowest degree first, exactly."""
+    """Coefficients of det(x I - M), lowest degree first, exactly: the
+    Faddeev-LeVerrier recurrence B_k = M B_(k-1) + c_(n-k+1) I,
+    c_(n-k) = -tr(M B_k) / k, in integers.  Each B_k is an integer
+    polynomial in M, so every division is exact."""
     n = matrix.rows
-    points = []
-    for x in range(n + 1):
-        shifted = IntMatrix.from_rows(
-            [[(x if i == j else 0) - matrix.entries[i][j] for j in range(n)]
-             for i in range(n)], cols=n)
-        points.append((x, det_fraction(shifted)))
-    # Lagrange interpolation at 0..n
-    coeffs = [Fraction(0)] * (n + 1)
-    for xi, yi in points:
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for xj, _ in points:
-            if xj == xi:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k] += c * (-xj)
-                new[k + 1] += c
-            basis = new
-            denom *= xi - xj
-        for k, c in enumerate(basis):
-            coeffs[k] += yi * c / denom
-    assert all(c.denominator == 1 for c in coeffs)
-    return [int(c) for c in coeffs]
+    c = [0] * n + [1]
+    mb = [[0] * n for _ in range(n)]  # M B_(k-1), with B_0 = 0
+    for k in range(1, n + 1):
+        columns = list(zip(*mb))  # M B_k = M (M B_(k-1)) + c_(n-k+1) M
+        mb = [[sum(map(mul, row, col)) + c[n - k + 1] * a for col, a in zip(columns, row)]
+              for row in matrix.entries]
+        c[n - k], rest = divmod(-sum(mb[i][i] for i in range(n)), k)
+        assert rest == 0
+    return c
 
 
 def sturm_signature(matrix: IntMatrix) -> int:

@@ -22,6 +22,7 @@ from ribbonmu.exactla import _core_mod_det
 from support import (
     block_diag,
     chain_from_elementary_divisors_oracle,
+    charpoly,
     det_cofactor,
     det_fraction,
     elementary_divisors_oracle,
@@ -229,8 +230,8 @@ class TestDeterminant:
             assert determinant(m) == det_cofactor(m)
 
     def test_fraction_oracle_against_cofactor(self):
-        # det_fraction feeds the Sturm signature oracle and alexander_at,
-        # so it is checked against cofactor expansion, not against Bareiss
+        # det_fraction pins the characteristic polynomial oracle and feeds
+        # alexander_at, so it is checked against cofactor expansion, not Bareiss
         rng = random.Random(9)
         for _ in range(120):
             n = rng.randint(0, 6)
@@ -288,6 +289,25 @@ class TestSignature:
         e8 = IntMatrix.from_rows(E8_ROWS)
         assert sturm_signature(e8) == 8
         assert signature_and_determinant(e8)[0] == 8
+
+    def test_charpoly_oracle_against_shifted_determinants(self):
+        # n + 1 values fix a monic polynomial of degree n, so the recurrence
+        # is checked against naive determinants of x I - M at x = 0..n
+        assert charpoly(IntMatrix.empty()) == [1]
+        assert charpoly(IntMatrix.from_rows([[2, 1], [1, 2]])) == [3, -4, 1]
+        rng = random.Random(14)
+        for _ in range(30):
+            n = rng.randint(1, 8)
+            m = rand_matrix(rng, rows=n, cols=n)
+            symmetric = IntMatrix.from_rows(
+                [[m.entries[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+            for q in (m, symmetric):
+                p = charpoly(q)
+                assert len(p) == n + 1 and p[-1] == 1
+                for x in range(n + 1):
+                    shifted = IntMatrix.from_rows([[x * (i == j) - a for j, a in enumerate(row)]
+                                                   for i, row in enumerate(q.entries)])
+                    assert sum(c * x ** k for k, c in enumerate(p)) == det_fraction(shifted)
 
     def test_hyperbolic_pair(self):
         assert signature_and_determinant(IntMatrix.from_rows([[0, 1], [1, 0]]))[0] == 0
