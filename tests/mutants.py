@@ -24,6 +24,8 @@ from ribbonmu import alink, braid, cli, exactla
 import support
 
 TESTS = Path(__file__).resolve().parent
+# the benchmark's seed-1 ops against their digests
+GOLDEN = "test_golden.py::test_seed1_ops_match_their_digests"
 
 MUTANTS = [
     (exactla.determinant, "                    sign = -sign\n", "",
@@ -31,29 +33,31 @@ MUTANTS = [
     (exactla.determinant, "        _catch_up(pivot_row, k, e, exact[k], prev)\n", "",
      ["test_exactla.py::TestDeterminant::test_random_against_cofactor"]),
     (exactla.signature_and_determinant, "(p > 0) == (prev > 0)", "p > 0",
-     ["test_exactla.py::TestSignature::test_random_against_sturm_oracle"]),
+     ["test_exactla.py::TestSignature::test_random_against_sturm_oracle", GOLDEN]),
     (exactla._shear_pivot, "c = -1 if d == -2 * a else 1", "c = 1",
-     ["test_exactla.py::TestSignatureAndDeterminant"]),
+     ["test_exactla.py::TestSignatureAndDeterminant", GOLDEN]),
     (exactla._smith_diagonal, "units = len(m) - len(core)",
-     "units = len(m) - len(core) - bool(core)", ["test_exactla.py::TestDiagonalOnlySmith"]),
+     "units = len(m) - len(core) - bool(core)",
+     ["test_exactla.py::TestDiagonalOnlySmith", GOLDEN]),
     (exactla._core_mod_det, "d = math.gcd(p, R)", "d = math.gcd(p * p, R)",
-     ["test_exactla.py::TestSmithModuloDeterminant"]),
+     ["test_exactla.py::TestSmithModuloDeterminant", GOLDEN]),
     (exactla._invariant_chain, "d[i] // g * d[j]", "d[i] * d[j]",
-     ["test_abelian.py::TestDirectSum"]),
+     ["test_abelian.py::TestDirectSum", GOLDEN]),
     (exactla._unit_pivots, "q = r[j] * p", "q = r[j]",
-     ["test_exactla.py::TestDiagonalOnlySmith"]),
+     ["test_exactla.py::TestDiagonalOnlySmith", GOLDEN]),
     (exactla._hermite, "if x[c] < 0:", "if False:",
-     ["test_exactla.py::TestSmithNormalForm"]),
+     ["test_exactla.py::TestSmithNormalForm", GOLDEN]),
     (exactla._xgcd, "(-a, -s, -t)", "(-a, s, t)",
-     ["test_exactla.py::TestSmithNormalForm"]),
+     ["test_exactla.py::TestSmithNormalForm", GOLDEN]),
     (braid.seifert_matrix_from_braid, "v[a][a] = (sign(word[i]) + sign(letter)) // 2",
-     "v[a][a] = sign(letter)", ["test_braid.py::TestAgainstPairwiseOracle::test_random_words"]),
+     "v[a][a] = sign(letter)",
+     ["test_braid.py::TestAgainstPairwiseOracle::test_random_words", GOLDEN]),
     (braid.seifert_matrix_from_braid, "if letter > 0:\n                    v[b][a] = -1",
      "if letter > 0:\n                    v[a][b] = -1",
-     ["test_braid.py::TestSeifertMatrixFromBraid::test_every_braid_matrix_is_valid"]),
+     ["test_braid.py::TestSeifertMatrixFromBraid::test_every_braid_matrix_is_valid", GOLDEN]),
     (braid.seifert_matrix_from_braid, "if g > h:\n                        v[b][a] = -1",
      "if g > h:\n                        v[a][b] = -1",
-     ["test_braid.py::TestAgainstPairwiseOracle::test_random_words"]),
+     ["test_braid.py::TestAgainstPairwiseOracle::test_random_words", GOLDEN]),
     # the argv reader: the run rule put back, "--" read as an option, a value option twice
     (cli._parse, "elif (metavar := options.get(option)) is None or equals and not metavar:",
      "elif (room := len(words) or room) and ((metavar := options.get(option)) is None\n"
@@ -87,7 +91,7 @@ MUTANTS = [
      ["test_cli.py::TestModuleEntryPoint::test_stream_that_lost_its_descriptor_stays_writable"]),
     # the JSON writer: a group's invariant factors as JSON integers, not decimal strings
     (cli._write_json, "list(map(str, value.invariant_factors))", "list(value.invariant_factors)",
-     ["test_cli.py::TestInvariantsCommand::test_numbers_are_decimal_strings"]),
+     ["test_cli.py::TestInvariantsCommand::test_numbers_are_decimal_strings", GOLDEN]),
     # the alinking error: a finite cokernel padded to two cyclic summands again
     (alink.alinking, "{FiniteAbelianGroup(torsion)}",
      "{' + '.join(f'Z/{d}' for d in (1, 1, *torsion)[-2:])}",

@@ -113,11 +113,18 @@ def run_module(*argv, **kwargs) -> subprocess.CompletedProcess:
                           **(defaults | kwargs))
 
 
+def run_cli(*argv: str) -> tuple[int, str]:
+    """Exit status and standard output of one in-process ``ribbonmu`` run."""
+    out = io.StringIO()
+    status = main(list(argv), out=out)
+    return status, out.getvalue()
+
+
 def run_json(*argv: str) -> dict:
     """The record of one in-process ``ribbonmu`` run that must exit 0."""
-    out = io.StringIO()
-    assert main(list(argv), out=out) == 0
-    return json.loads(out.getvalue())
+    status, text = run_cli(*argv)
+    assert status == 0
+    return json.loads(text)
 
 
 # -- matrix helpers ---------------------------------------------------
@@ -210,6 +217,26 @@ def rand_braid_knot(rng: random.Random, max_strands: int = 5,
         word = BraidWord(strands, tuple(letters))
         if word.closure_components() == 1:
             return word
+
+
+def knot_word(rng: random.Random, strands: int, length: int) -> BraidWord:
+    """Uniform signed letters, drawn again until the closure is a knot,
+    that is, until the word's permutation of the strands is one cycle
+    (followed here, not by the package).  An n-cycle is a product of
+    n - 1 transpositions and no fewer, and of no other parity, so the
+    length must be one of strands - 1, strands + 1, ...."""
+    assert length >= strands - 1 and (length - strands + 1) % 2 == 0
+    while True:
+        letters = tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                        for _ in range(length))
+        perm = list(range(strands))
+        for a in map(abs, letters):
+            perm[a - 1], perm[a] = perm[a], perm[a - 1]
+        k, cycle = perm[0], 1
+        while k:
+            k, cycle = perm[k], cycle + 1
+        if cycle == strands:
+            return BraidWord(strands, letters)
 
 
 def rand_matrix(rng: random.Random, max_dim: int = 8, lo: int = -50, hi: int = 50,
@@ -431,6 +458,13 @@ def snf_diagonal_oracle(matrix: IntMatrix) -> list[int]:
                     diag[i], diag[j] = g, l
                     changed = True
     return diag
+
+
+def cokernel_oracle(matrix: IntMatrix) -> tuple[int, tuple[int, ...]]:
+    """(free rank, torsion) of the cokernel, as ``cokernel_invariants``
+    gives them, read off :func:`snf_diagonal_oracle`."""
+    diag = snf_diagonal_oracle(matrix)
+    return matrix.rows - sum(1 for d in diag if d), tuple(d for d in diag if d > 1)
 
 
 # -- braid Seifert matrix oracle -------------------------------------

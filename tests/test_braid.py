@@ -19,9 +19,9 @@ from ribbonmu import (
     validate_seifert,
 )
 
-from support import (alexander_at, det_fraction, matsub, rand_braid_knot, reduce_far_commutation,
-                     seifert_matrix_pairwise, time_limit, torus_determinant, torus_letters,
-                     torus_signature)
+from support import (alexander_at, det_fraction, knot_word, matsub, rand_braid_knot,
+                     reduce_far_commutation, seifert_matrix_pairwise, time_limit,
+                     torus_determinant, torus_letters, torus_signature)
 
 TREFOIL_BRAID = BraidWord(2, (1, 1, 1))
 FIGURE8_BRAID = BraidWord(3, (1, -2, 1, -2))
@@ -146,7 +146,7 @@ class TestSeifertMatrixFromBraid:
             spec = json.loads(LONG_BRAID.read_text())["braid"]
             word = BraidWord(spec["strands"], tuple(spec["letters"]))
         else:
-            word = six_strand_knot_word(random.Random(length), length)
+            word = knot_word(random.Random(length), 6, length)
         s = seifert_matrix_from_braid(word).matrix
         assert s.rows == length - 5
         assert determinant(matsub(s, s.transpose())) in (1, -1)
@@ -161,15 +161,6 @@ class TestSeifertMatrixFromBraid:
             assert s.size == len(word.letters) - word.strands + 1
 
 
-def six_strand_knot_word(rng: random.Random, length: int) -> BraidWord:
-    """Random 6-strand word of the given (odd) length closing to a knot."""
-    while True:
-        word = BraidWord(6, tuple(rng.choice((1, -1)) * rng.randint(1, 5)
-                                  for _ in range(length)))
-        if word.closure_components() == 1:
-            return word
-
-
 class TestAgainstPairwiseOracle:
     """The one-sweep build gives the matrix of the all-pairs build."""
 
@@ -182,7 +173,7 @@ class TestAgainstPairwiseOracle:
 
     @pytest.mark.parametrize("length", [151, 301, 601])
     def test_long_six_strand_words(self, length):
-        word = six_strand_knot_word(random.Random(length), length)
+        word = knot_word(random.Random(length), 6, length)
         s = seifert_matrix_from_braid(word).matrix
         assert s.rows == length - 5
         assert s == seifert_matrix_pairwise(word)
@@ -260,7 +251,7 @@ class TestMarkovStability:
         # and starts none, so S is the same matrix, not just congruent.
         rng = random.Random(57)
         words = [rand_braid_knot(rng, max_strands=7, max_len=25) for _ in range(150)]
-        words += [six_strand_knot_word(rng, 151) for _ in range(4)]
+        words += [knot_word(rng, 6, 151) for _ in range(4)]
         kinds = set()
         for word in words:
             s = seifert_matrix_from_braid(word)

@@ -2,7 +2,7 @@
 
 ``support.burau_cover_presentation`` presents the homology of the double
 branched cover of a braid closure with strands - 1 generators, however
-long the word, and ``support.snf_diagonal_oracle`` reads the group off
+long the word, and ``support.cokernel_oracle`` reads the group off
 it.  So random words far above the small-oracle sizes get an answer the
 package did not compute, on every route that takes a braid.
 ``support.burau_signature`` reads the closure's signature off the same
@@ -22,38 +22,12 @@ import pytest
 from ribbonmu import BraidWord, TwoKnotInvariants, seifert_matrix_from_braid
 from ribbonmu.cli import resolve_knot
 
-from support import (burau_cover_presentation, burau_signature, matadd, rand_braid_knot,
-                     run_json, scrambled_torus_word, seifert_cover_presentation,
-                     seifert_matrix_pairwise, snf_diagonal_oracle, sturm_signature,
+from support import (burau_cover_presentation, burau_signature, cokernel_oracle, knot_word,
+                     matadd, rand_braid_knot, run_json, scrambled_torus_word,
+                     seifert_cover_presentation, seifert_matrix_pairwise, sturm_signature,
                      torus_determinant)
 
 LONG_BRAID = Path(__file__).parent / "data" / "braid6_1201.json"
-
-
-def knot_letters(rng: random.Random, strands: int, length: int) -> tuple[int, ...]:
-    """Uniform signed letters, drawn again until the closure is a knot,
-    that is, until the word's permutation of the strands is one cycle.
-    An n-cycle is a product of n - 1 transpositions and no fewer, and
-    of no other parity, so the length must be one of strands - 1,
-    strands + 1, ...."""
-    assert length >= strands - 1 and (length - strands + 1) % 2 == 0
-    while True:
-        letters = tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1)
-                        for _ in range(length))
-        perm = list(range(strands))
-        for a in map(abs, letters):
-            perm[a - 1], perm[a] = perm[a], perm[a - 1]
-        k, cycle = perm[0], 1
-        while k:
-            k, cycle = perm[k], cycle + 1
-        if cycle == strands:
-            return letters
-
-
-def burau_torsion(strands: int, letters: tuple[int, ...]) -> tuple[int, ...]:
-    diag = snf_diagonal_oracle(burau_cover_presentation(strands, letters))
-    assert 0 not in diag  # a knot's cover is a rational homology sphere
-    return tuple(d for d in diag if d > 1)
 
 
 def test_oracle_against_the_seifert_form_on_small_words():
@@ -62,20 +36,21 @@ def test_oracle_against_the_seifert_form_on_small_words():
     strand_counts = set()
     for _ in range(300):
         strands = rng.randint(2, 6)
-        letters = knot_letters(rng, strands, rng.randrange(strands - 1, 13, 2))
-        s = seifert_matrix_pairwise(BraidWord(strands, letters))
-        diag = snf_diagonal_oracle(matadd(s, s.transpose()))
-        assert burau_torsion(strands, letters) == tuple(d for d in diag if d > 1)
+        word = knot_word(rng, strands, rng.randrange(strands - 1, 13, 2))
+        s = seifert_matrix_pairwise(word)
+        group = cokernel_oracle(matadd(s, s.transpose()))
+        assert group[0] == 0  # a knot's cover is a rational homology sphere
+        assert cokernel_oracle(burau_cover_presentation(strands, word.letters)) == group
         strand_counts.add(strands)
     assert strand_counts == {2, 3, 4, 5, 6}
 
 
 def test_random_601_letter_word_on_every_braid_route(tmp_path):
-    letters = knot_letters(random.Random(601), 6, 601)
-    mirror = tuple(-x for x in letters)
-    torsion = burau_torsion(6, letters)
-    assert burau_torsion(6, mirror) == torsion
-    s = seifert_matrix_pairwise(BraidWord(6, letters))
+    word = knot_word(random.Random(601), 6, 601)
+    letters, mirror = word.letters, tuple(-x for x in word.letters)
+    free, torsion = cokernel_oracle(burau_cover_presentation(6, letters))
+    assert free == 0 and cokernel_oracle(burau_cover_presentation(6, mirror)) == (0, torsion)
+    s = seifert_matrix_pairwise(word)
     specs = {"braid": {"braid": {"strands": 6, "letters": list(letters)}},
              "mirror": {"braid": {"strands": 6, "letters": list(mirror)}},
              "seifert": {"seifert_matrix": s.to_lists()}}
@@ -89,9 +64,9 @@ def test_random_601_letter_word_on_every_braid_route(tmp_path):
 
 def test_committed_1201_letter_word():
     spec = json.loads(LONG_BRAID.read_text())["braid"]
-    torsion = burau_torsion(spec["strands"], tuple(spec["letters"]))
     inv = resolve_knot(str(LONG_BRAID)).invariants()
-    assert inv.cover_torsion.invariant_factors == torsion
+    torsion = inv.cover_torsion.invariant_factors
+    assert cokernel_oracle(burau_cover_presentation(**spec)) == (0, torsion)
     assert abs(inv.form_determinant) == prod(torsion)
 
 
@@ -101,8 +76,8 @@ def test_scrambled_torus_words():
     for p, q in [(4, 9), (4, 27), (6, 25), (2, 45), (3, 101), (8, 15)]:
         strands, letters = scrambled_torus_word(rng, p, q, rng.randint(1, 3),
                                                 rng.randint(100, 250))
-        torsion = burau_torsion(strands, letters)
-        assert prod(torsion) == torus_determinant(p, q)
+        free, torsion = cokernel_oracle(burau_cover_presentation(strands, letters))
+        assert (free, prod(torsion)) == (0, torus_determinant(p, q))
         word = BraidWord(strands, letters)
         inv = TwoKnotInvariants.from_seifert(seifert_matrix_from_braid(word))
         assert inv.cover_torsion.invariant_factors == torsion, (p, q)
@@ -123,7 +98,7 @@ def test_signature_oracle_against_sturm_on_small_words():
 
 
 def test_random_301_letter_word_signature_and_its_mirror(tmp_path):
-    letters = knot_letters(random.Random(301), 6, 301)
+    letters = knot_word(random.Random(301), 6, 301).letters
     signature = burau_signature(6, letters)
     assert signature != 0  # so the mirror's negation is a real check
     for name, word, expected in (("braid", letters, signature),
@@ -135,12 +110,6 @@ def test_random_301_letter_word_signature_and_its_mirror(tmp_path):
         assert record["mu"] == str(expected % 16), name
 
 
-def cover_group(presentation) -> tuple[int, tuple[int, ...]]:
-    """Free rank and torsion of the cokernel of a square presentation."""
-    diag = snf_diagonal_oracle(presentation)
-    return diag.count(0), tuple(d for d in diag if d > 1)
-
-
 def test_k_fold_cover_oracles_agree_on_small_words():
     # Oracle against oracle: no package algorithm computes either side.
     rng = random.Random(3)
@@ -148,8 +117,8 @@ def test_k_fold_cover_oracles_agree_on_small_words():
         for _ in range(50):
             word = rand_braid_knot(rng, max_strands=5)
             s = seifert_matrix_pairwise(word)
-            assert cover_group(burau_cover_presentation(word.strands, word.letters, k)) == \
-                cover_group(seifert_cover_presentation(s, k)), (word, k)
+            assert cokernel_oracle(burau_cover_presentation(word.strands, word.letters, k)) == \
+                cokernel_oracle(seifert_cover_presentation(s, k)), (word, k)
 
 
 @pytest.mark.parametrize("strands, letters, groups", [
@@ -161,5 +130,5 @@ def test_k_fold_cover_oracles_agree_on_small_words():
 def test_k_fold_covers_of_the_catalog_knots(strands, letters, groups):
     s = seifert_matrix_pairwise(BraidWord(strands, letters))
     for k, group in groups.items():
-        assert cover_group(burau_cover_presentation(strands, letters, k)) == group, k
-        assert cover_group(seifert_cover_presentation(s, k)) == group, k
+        assert cokernel_oracle(burau_cover_presentation(strands, letters, k)) == group, k
+        assert cokernel_oracle(seifert_cover_presentation(s, k)) == group, k

@@ -15,24 +15,18 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import ribbonmu
-from ribbonmu import (BraidWord, IntMatrix, TwoKnotInvariants, braid, cli, exactla,
+from ribbonmu import (IntMatrix, TwoKnotInvariants, braid, cli, exactla,
                       seifert_matrix_from_braid, signature_and_determinant, spinmu)
 from ribbonmu.cli import main
 
 from support import (address_space_cap, block_diag, digit_limit_lifted, from_decimal_rows,
-                     matadd, matmul, package_env, rand_matrix, rand_unimodular, run_module,
-                     sturm_signature, time_limit, to_decimal_rows, zeros)
+                     knot_word, matadd, matmul, package_env, rand_matrix, rand_unimodular,
+                     run_cli, run_module, sturm_signature, time_limit, to_decimal_rows, zeros)
 
 
 DATA = Path(__file__).parent / "data"
 LONG_BRAID = DATA / "braid6_1201.json"
 TWO_TREFOILS = "[[1,1,0,0],[0,1,0,0],[0,0,1,1],[0,0,0,1]]"  # cover Z3 + Z3, a double
-
-
-def run_cli(*argv):
-    out = io.StringIO()
-    code = main(list(argv), out=out)
-    return code, out.getvalue()
 
 
 class TestInvariantsCommand:
@@ -1239,12 +1233,7 @@ class TestJsonWire:
         assert len(text.splitlines()) == 2  # the batch: one good, one failing file
 
     def test_long_braid_record_is_written_row_by_row(self, tmp_path):
-        rng = random.Random(296)
-        while True:  # a 301-letter, 6-strand knot word: a 296-row form
-            word = BraidWord(6, tuple(rng.choice((1, -1)) * rng.randint(1, 5)
-                                      for _ in range(301)))
-            if word.closure_components() == 1:
-                break
+        word = knot_word(random.Random(296), 6, 301)  # a 296-row form
         path = tmp_path / "long.json"
         path.write_text(json.dumps({"braid": {"strands": 6, "letters": list(word.letters)}}))
 
@@ -1425,11 +1414,7 @@ class TestModuleEntryPoint:
 def write_too_large_braid(path: Path) -> Path:
     """A seeded 5001-letter 6-strand knot word: its 4996-row Seifert
     matrix, built as lists of ints, takes about 200 MB of pointers."""
-    rng = random.Random(2)
-    while True:
-        word = BraidWord(6, tuple(rng.choice((-1, 1)) * rng.randint(1, 5) for _ in range(5001)))
-        if word.closure_components() == 1:
-            break
+    word = knot_word(random.Random(2), 6, 5001)
     path.write_text(json.dumps({"braid": {"strands": 6, "letters": list(word.letters)}}))
     return path
 

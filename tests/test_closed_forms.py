@@ -11,8 +11,8 @@ import pytest
 
 from ribbonmu import BraidWord, IntMatrix, seifert_matrix_from_braid
 
-from support import (det_fraction, matadd, matsub, plumbing, plumbing_invariants,
-                     run_json, scrambled_torus_word, snf_diagonal_oracle, sturm_signature,
+from support import (cokernel_oracle, det_fraction, matadd, matsub, plumbing,
+                     plumbing_invariants, run_json, scrambled_torus_word, sturm_signature,
                      torus_determinant, torus_letters, torus_signature)
 
 PLUMBING_X = (-3, -2, -1, 1, 2, 3)
@@ -40,7 +40,7 @@ class TestPlumbings:
             signature, det, factors = plumbing_invariants(xs)
             assert sturm_signature(form) == signature
             assert det_fraction(form) == det
-            assert tuple(d for d in snf_diagonal_oracle(form) if d > 1) == factors
+            assert cokernel_oracle(form) == (0, factors)
             assert det_fraction(matsub(s, s.transpose())) == 1
 
     @pytest.mark.parametrize("n", [200, 600])
