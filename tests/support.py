@@ -17,7 +17,8 @@ from the Burau matrix and from a Seifert matrix alike.  Braid words
 shrink by far commutation, which keeps the braid.  Torus knots (also as
 scrambled words) and linear plumbings come with their signature,
 determinant and cover group in closed form, so forms of any size have
-answers the package did not compute.
+answers the package did not compute.  ``snf_is_valid`` checks every
+property of a Smith decomposition that the package returns.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from operator import add, mul, sub
 from pathlib import Path
 
 import ribbonmu
-from ribbonmu import BraidWord, IntMatrix, SeifertMatrix, validate_seifert
+from ribbonmu import (BraidWord, IntMatrix, SeifertMatrix, determinant, smith_normal_form,
+                      validate_seifert)
 from ribbonmu.cli import main
 
 # -- limits -----------------------------------------------------------
@@ -123,7 +125,7 @@ def run_cli(*argv: str) -> tuple[int, str]:
 def run_json(*argv: str) -> dict:
     """The record of one in-process ``ribbonmu`` run that must exit 0."""
     status, text = run_cli(*argv)
-    assert status == 0
+    assert status == 0, f"ribbonmu {' '.join(argv)}: exit {status}"
     return json.loads(text)
 
 
@@ -465,6 +467,24 @@ def cokernel_oracle(matrix: IntMatrix) -> tuple[int, tuple[int, ...]]:
     gives them, read off :func:`snf_diagonal_oracle`."""
     diag = snf_diagonal_oracle(matrix)
     return matrix.rows - sum(1 for d in diag if d), tuple(d for d in diag if d > 1)
+
+
+def snf_is_valid(m: IntMatrix) -> None:
+    """Assert that ``smith_normal_form(m)`` is a Smith decomposition:
+    U m V = D with U and V unimodular, D zero off its diagonal, and the
+    diagonal a nonnegative chain, each entry dividing the next."""
+    res = smith_normal_form(m)
+    assert matmul(res.U, m, res.V) == res.D
+    assert determinant(res.U) in (1, -1)
+    assert determinant(res.V) in (1, -1)
+    diag = res.D.diagonal()
+    assert all(d >= 0 for d in diag)
+    for a, b in zip(diag, diag[1:]):
+        assert (b == 0) if a == 0 else (b % a == 0)
+    for i in range(m.rows):
+        for j in range(m.cols):
+            if i != j:
+                assert res.D.entries[i][j] == 0
 
 
 # -- braid Seifert matrix oracle -------------------------------------

@@ -21,7 +21,8 @@ from ribbonmu.cli import main
 
 from support import (address_space_cap, block_diag, digit_limit_lifted, from_decimal_rows,
                      knot_word, matadd, matmul, package_env, rand_matrix, rand_unimodular,
-                     run_cli, run_module, sturm_signature, time_limit, to_decimal_rows, zeros)
+                     run_cli, run_json, run_module, sturm_signature, time_limit, to_decimal_rows,
+                     zeros)
 
 
 DATA = Path(__file__).parent / "data"
@@ -38,35 +39,27 @@ class TestInvariantsCommand:
         assert "doubling test: fails" in text
 
     def test_catalog_figure8_json(self):
-        code, text = run_cli("invariants", "figure8", "--json")
-        assert code == 0
-        record = json.loads(text)
+        record = run_json("invariants", "figure8", "--json")
         assert record["mu"] == "0"
         assert record["h1_invariant_factors"] == ["5"]
         assert record["h1_is_double"] is False
 
     def test_catalog_unknot_doubling_passes(self):
-        code, text = run_cli("invariants", "unknot", "--json")
-        record = json.loads(text)
+        record = run_json("invariants", "unknot", "--json")
         assert record["mu"] == "0"
         assert record["h1_invariant_factors"] == []
         assert record["h1_is_double"] is True
 
     def test_poincare_even_form_route(self):
-        code, text = run_cli("invariants", "poincare", "--json")
-        assert code == 0
-        record = json.loads(text)
+        record = run_json("invariants", "poincare", "--json")
         assert record["mu"] == "8"
         assert record["source"] == "catalog"
 
     def test_inline_seifert_matrix(self):
-        code, text = run_cli("invariants", "[[1,1],[0,1]]", "--json")
-        assert code == 0
-        assert json.loads(text)["mu"] == "2"
+        assert run_json("invariants", "[[1,1],[0,1]]", "--json")["mu"] == "2"
 
     def test_numbers_are_decimal_strings(self):
-        _, text = run_cli("invariants", "trefoil", "--json")
-        record = json.loads(text)
+        record = run_json("invariants", "trefoil", "--json")
         for key in ("mu", "signature", "form_determinant"):
             assert isinstance(record[key], str)
         for row in record["form"]:
@@ -74,11 +67,10 @@ class TestInvariantsCommand:
         # a group is its invariant factors; a group that is no double has the half null
         assert (record["h1_invariant_factors"], record["h1_double_half"]) == (["3"], None)
         for knot, half in ((TWO_TREFOILS, ["3"]), ("poincare", [])):  # 0 is 0 + 0
-            assert json.loads(run_cli("invariants", knot, "--json")[1])["h1_double_half"] == half
+            assert run_json("invariants", knot, "--json")["h1_double_half"] == half
 
     def test_round_trip_recompute(self):
-        _, text = run_cli("invariants", "figure8", "--json")
-        record = json.loads(text)
+        record = run_json("invariants", "figure8", "--json")
         form = from_decimal_rows(record["form"])
         recomputed = TwoKnotInvariants.from_even_form(form)
         assert str(recomputed.mu.value) == record["mu"]
@@ -100,26 +92,21 @@ class TestInvariantsCommand:
 
 class TestObstructCommand:
     def test_trefoil_against_trivial(self):
-        code, text = run_cli("obstruct", "trefoil", "--json")
-        assert code == 0
-        record = json.loads(text)
+        record = run_json("obstruct", "trefoil", "--json")
         assert record["conclusion"] == "obstructed-by-mu"
         assert record["mu_pair"] == ["2", "0"]
 
     def test_figure8_against_trivial(self):
-        code, text = run_cli("obstruct", "figure8", "--json")
-        record = json.loads(text)
+        record = run_json("obstruct", "figure8", "--json")
         assert record["conclusion"] == "obstructed-by-torsion"
         assert record["torsion_witness"] == ["5"]
 
     def test_unknot_vs_unknot(self):
-        code, text = run_cli("obstruct", "unknot", "unknot", "--json")
-        assert code == 0
-        assert json.loads(text)["conclusion"] == "no-obstruction-found"
+        record = run_json("obstruct", "unknot", "unknot", "--json")
+        assert record["conclusion"] == "no-obstruction-found"
 
     def test_poincare_vs_unknot(self):
-        code, text = run_cli("obstruct", "poincare", "unknot", "--json")
-        record = json.loads(text)
+        record = run_json("obstruct", "poincare", "unknot", "--json")
         assert record["conclusion"] == "obstructed-by-mu"
         assert record["mu_pair"] == ["8", "0"]
 
@@ -157,13 +144,10 @@ class TestTextOutput:
 
 class TestSnfCommand:
     def test_diagonal(self):
-        code, text = run_cli("snf", "[[2,4],[6,8]]", "--json")
-        assert code == 0
-        assert json.loads(text)["d"] == [["2", "0"], ["0", "4"]]
+        assert run_json("snf", "[[2,4],[6,8]]", "--json")["d"] == [["2", "0"], ["0", "4"]]
 
     def test_full_transforms_reconstruct(self):
-        code, text = run_cli("snf", "[[2,4],[6,8]]", "--full", "--json")
-        record = json.loads(text)
+        record = run_json("snf", "[[2,4],[6,8]]", "--full", "--json")
         u, v, d = (from_decimal_rows(record[key]) for key in "uvd")
         m = IntMatrix.from_rows([[2, 4], [6, 8]])
         assert matmul(u, m, v) == d
@@ -211,17 +195,13 @@ class TestSnfCommand:
 
 class TestAlinkCommand:
     def test_column_syntax(self):
-        code, text = run_cli("alink", "(2,4)", "--json")
-        assert code == 0
-        assert json.loads(text) == {"alinking": "2", "mod2": "0"}
+        assert run_json("alink", "(2,4)", "--json") == {"alinking": "2", "mod2": "0"}
 
     def test_zero_column(self):
-        code, text = run_cli("alink", "(0,0)", "--json")
-        assert json.loads(text)["alinking"] == "0"
+        assert run_json("alink", "(0,0)", "--json")["alinking"] == "0"
 
     def test_row_matrix_syntax(self):
-        code, text = run_cli("alink", "[[3],[0]]", "--json")
-        assert json.loads(text) == {"alinking": "3", "mod2": "1"}
+        assert run_json("alink", "[[3],[0]]", "--json") == {"alinking": "3", "mod2": "1"}
 
     def test_outside_classification_is_validation_error(self, capsys):
         code, _ = run_cli("alink", "(1,0) (0,1)")
@@ -266,16 +246,12 @@ class TestAlinkCommand:
 
 class TestBraidCommand:
     def test_trefoil_braid(self):
-        code, text = run_cli("braid", "--strands", "2", "1", "1", "1", "--json")
-        assert code == 0
-        record = json.loads(text)
+        record = run_json("braid", "--strands", "2", "1", "1", "1", "--json")
         assert record["mu"] == "2"
         assert record["form_determinant"] in ("3", "-3")
 
     def test_quoted_letters_token(self):
-        code, text = run_cli("braid", "--strands", "3", "1 -2 1 -2", "--json")
-        assert code == 0
-        assert json.loads(text)["mu"] == "0"
+        assert run_json("braid", "--strands", "3", "1 -2 1 -2", "--json")["mu"] == "0"
 
     def test_link_closure_rejected(self, capsys):
         code, _ = run_cli("braid", "--strands", "2", "1", "1")
@@ -301,9 +277,8 @@ class TestBraidCommand:
         assert b"99999999999 components" in proc.stderr
 
     def test_negative_letters_are_read(self):
-        code, text = run_cli("braid", "--strands", "2", "-1", "-1", "-1", "--json")
-        assert code == 0
-        assert json.loads(text)["mu"] == "14"  # the mirror trefoil
+        record = run_json("braid", "--strands", "2", "-1", "-1", "-1", "--json")
+        assert record["mu"] == "14"  # the mirror trefoil
 
     @pytest.mark.parametrize("argv", [
         ["--strands", "2", "\u0661", "1", "1"], ["--strands", "2", "+1", "1", "1"],
@@ -323,9 +298,8 @@ class TestBraidCommand:
 
     @pytest.mark.parametrize("token", ["1\t-2 1\n-2", " 1\r-2\x0b1\x0c-2 "])
     def test_ascii_whitespace_separates_letters(self, token):
-        code, text = run_cli("braid", "--strands", "3", token, "--json")
-        assert code == 0
-        assert json.loads(text)["name"] == "closure of [1, -2, 1, -2] on 3 strands"
+        record = run_json("braid", "--strands", "3", token, "--json")
+        assert record["name"] == "closure of [1, -2, 1, -2] on 3 strands"
 
     @pytest.mark.parametrize("text, value", [("0", 0), ("-0", 0), ("007", 7), ("-12", -12)])
     def test_integer_grammar(self, text, value):
@@ -338,9 +312,7 @@ class TestKnotFiles:
         path.write_text(json.dumps(
             {"name": "fig8-from-braid",
              "braid": {"strands": 3, "letters": [1, -2, 1, -2]}}))
-        code, text = run_cli("invariants", str(path), "--json")
-        assert code == 0
-        record = json.loads(text)
+        record = run_json("invariants", str(path), "--json")
         assert record["name"] == "fig8-from-braid"
         assert record["mu"] == "0"
         assert record["h1_invariant_factors"] == ["5"]
@@ -349,8 +321,7 @@ class TestKnotFiles:
         path = tmp_path / "hyperbolic.json"
         path.write_text(json.dumps(
             {"even_form": [["0", "1"], ["1", "0"]]}))
-        code, text = run_cli("invariants", str(path), "--json")
-        record = json.loads(text)
+        record = run_json("invariants", str(path), "--json")
         assert record["mu"] == "0"
         assert record["source"] == "even-form"
 
@@ -378,9 +349,7 @@ class TestKnotFiles:
             {"name": "five-twist-spun trefoil",
              "seifert_matrix": [["1", "1"], ["0", "1"]],
              "even_form": e8}))
-        code, text = run_cli("invariants", str(path), "--json")
-        assert code == 0
-        record = json.loads(text)
+        record = run_json("invariants", str(path), "--json")
         assert record["mu"] == "8"
         assert record["h1_invariant_factors"] == []
 
@@ -419,11 +388,9 @@ class TestKnotFiles:
     def test_name_is_honoured_for_every_source(self, tmp_path, data):
         path = tmp_path / "k.json"
         path.write_text(json.dumps(dict(data, name="mine")))
-        code, text = run_cli("invariants", str(path), "--json")
-        assert code == 0
-        assert json.loads(text)["name"] == "mine"
+        assert run_json("invariants", str(path), "--json")["name"] == "mine"
         path.write_text(json.dumps(data))
-        assert json.loads(run_cli("invariants", str(path), "--json")[1])["name"] == "k"
+        assert run_json("invariants", str(path), "--json")["name"] == "k"
 
     @pytest.mark.parametrize("key", ["even_from", "Name", "seifert", "twist"])
     def test_unknown_key_is_parse_error(self, tmp_path, capsys, key):
@@ -452,7 +419,7 @@ class TestKnotFiles:
             (tmp_path / f"{stem}.json").write_text(json.dumps(data))
         specs = ["trefoil", str(tmp_path / "by-name.json"),
                  str(tmp_path / "by-matrix.json"), "[[1,1],[0,1]]"]
-        records = [json.loads(run_cli("invariants", spec, "--json")[1]) for spec in specs]
+        records = [run_json("invariants", spec, "--json") for spec in specs]
         assert [(r.pop("name"), r.pop("source")) for r in records] == [
             ("trefoil", "catalog"), ("by-name", "catalog"),
             ("by-matrix", "seifert-matrix"), ("<inline>", "seifert-matrix")]
@@ -535,9 +502,8 @@ class TestKnotFiles:
         monkeypatch.chdir(tmp_path)
         Path("[k].json").write_text(json.dumps({"catalog": "figure8"}))
         for spec, expected in (("[k].json", ("[k]", "0")), ("[[1,1],[0,1]]", ("<inline>", "2"))):
-            code, text = run_cli("invariants", spec, "--json")
-            assert code == 0
-            assert (json.loads(text)["name"], json.loads(text)["mu"]) == expected
+            record = run_json("invariants", spec, "--json")
+            assert (record["name"], record["mu"]) == expected
 
     def test_batch_directory_starting_with_a_bracket(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -849,9 +815,7 @@ class TestArgvGrammar:
         (["--strands", "2", "--", "-1", "-1", "-1"], "14"),  # every word after "--"
     ], ids=["negative", "spaced", "after --"])
     def test_word_starting_with_a_dash_is_an_argument(self, argv, mu):
-        code, text = run_cli("braid", "--json", *argv)
-        assert code == 0
-        assert json.loads(text)["mu"] == mu
+        assert run_json("braid", "--json", *argv)["mu"] == mu
 
     @pytest.mark.parametrize("word", ["-", "-1.5"])
     def test_dash_word_that_is_no_integer(self, capsys, word):
@@ -994,15 +958,12 @@ class TestHardToFactorOrders:
     def test_semiprime_cover_order(self, one_second, p, q):
         order = p * q
         inline = f"[[1,1],[0,{(order + 1) // 4}]]"
-        code, text = run_cli("invariants", inline, "--json")
-        assert code == 0
-        record = json.loads(text)
+        record = run_json("invariants", inline, "--json")
         assert record["h1_invariant_factors"] == [str(order)]
         assert record["h1_is_double"] is False
-        code, text = run_cli("obstruct", inline, inline, "--json")
-        assert code == 0
         # Z_pq + Z_pq is a double, so the torsion test passes
-        assert json.loads(text)["conclusion"] == "no-obstruction-found"
+        verdict = run_json("obstruct", inline, inline, "--json")
+        assert verdict["conclusion"] == "no-obstruction-found"
 
 
 class TestDigitLimit:
@@ -1027,18 +988,14 @@ class TestDigitLimit:
     def test_knot_file(self, tmp_path, one_second):
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"even_form": [["2", "1"], ["1", self.TWO_B]]}))
-        code, text = run_cli("invariants", str(path), "--json")
-        assert code == 0
-        record = json.loads(text)
+        record = run_json("invariants", str(path), "--json")
         assert record["signature"] == "2"
         assert record["form_determinant"] == self.DET
         assert record["h1_invariant_factors"] == [self.DET]
 
     def test_inline_snf(self, one_second):
         matrix = json.dumps([["2", "1"], ["1", self.TWO_B]])
-        code, text = run_cli("snf", matrix, "--json")
-        assert code == 0
-        assert json.loads(text)["d"] == [["1", "0"], ["0", self.DET]]
+        assert run_json("snf", matrix, "--json")["d"] == [["1", "0"], ["0", self.DET]]
 
 
 class TestEachFactOnce:
@@ -1067,15 +1024,14 @@ class TestEachFactOnce:
         letters = [1, 1, -2, 1, 3, -2, 3, 1, -2, 1, 3, 3, -2]
         path = tmp_path / "knot.json"
         path.write_text(json.dumps({"braid": {"strands": 4, "letters": letters}}))
-        code, text = run_cli("invariants", str(path), "--json")
-        assert code == 0
-        form = from_decimal_rows(json.loads(text)["form"])
+        record = run_json("invariants", str(path), "--json")
+        form = from_decimal_rows(record["form"])
         assert form.rows >= 4
-        assert json.loads(text)["signature"] == str(sturm_signature(form))
+        assert record["signature"] == str(sturm_signature(form))
         assert [args[0] for args in calls["pass"]] == [form]
         [(m, det)] = calls["smith"]
         assert len(m) == form.rows and all(len(r) == form.rows for r in m)  # no U or V
-        assert det == int(json.loads(text)["form_determinant"])
+        assert det == int(record["form_determinant"])
         assert calls["det"] == []  # a braid's S is not re-validated
 
     def test_inline_seifert_matrix_is_validated_once(self, calls):
@@ -1088,18 +1044,14 @@ class TestEachFactOnce:
     @pytest.mark.parametrize("argv", [
         [str(LONG_BRAID)], ["trefoil", "figure8"], ["poincare", "unknot"]])
     def test_verdict_by_mu_runs_no_smith(self, calls, argv):
-        code, text = run_cli("obstruct", *argv, "--json")
-        assert code == 0
-        assert json.loads(text)["conclusion"] == "obstructed-by-mu"
+        assert run_json("obstruct", *argv, "--json")["conclusion"] == "obstructed-by-mu"
         assert len(calls["pass"]) == 2
         assert calls["smith"] == []
 
     @pytest.mark.parametrize("argv", [
         ["figure8"], ["trefoil", "trefoil"], ["[[1, 1], [0, 1]]", "trefoil"]])
     def test_verdict_past_mu_runs_smith_once_per_knot(self, calls, argv):
-        code, text = run_cli("obstruct", *argv, "--json")
-        assert code == 0
-        assert json.loads(text)["conclusion"] != "obstructed-by-mu"
+        assert run_json("obstruct", *argv, "--json")["conclusion"] != "obstructed-by-mu"
         assert len(calls["pass"]) == len(calls["smith"]) == 2
 
     def test_dense_even_form_record(self, tmp_path, calls):
@@ -1113,9 +1065,7 @@ class TestEachFactOnce:
         assert sum(1 for row in form.entries for x in row if x) > form.rows ** 2 // 2
         path = tmp_path / "form.json"
         path.write_text(json.dumps({"even_form": to_decimal_rows(form)}))
-        code, text = run_cli("invariants", str(path), "--json")
-        assert code == 0
-        record = json.loads(text)
+        record = run_json("invariants", str(path), "--json")
         assert record["form_determinant"] == str(-15 * 11 * 3 * 27)
         assert record["h1_invariant_factors"] == ["3", "3", "1485"]
         [(pass_form,)] = calls["pass"]

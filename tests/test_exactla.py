@@ -35,6 +35,7 @@ from support import (
     rand_symmetric,
     rand_unimodular,
     snf_diagonal_oracle,
+    snf_is_valid,
     sturm_signature,
     time_limit,
     zeros,
@@ -50,21 +51,6 @@ E8_ROWS = [
     [0, 0, 0, 0, 0, -1, 2, 0],
     [0, 0, 0, 0, -1, 0, 0, 2],
 ]
-
-
-def snf_is_valid(m: IntMatrix) -> None:
-    res = smith_normal_form(m)
-    assert matmul(res.U, m, res.V) == res.D
-    assert determinant(res.U) in (1, -1)
-    assert determinant(res.V) in (1, -1)
-    diag = res.D.diagonal()
-    assert all(d >= 0 for d in diag)
-    for a, b in zip(diag, diag[1:]):
-        assert (b == 0) if a == 0 else (b % a == 0)
-    for i in range(m.rows):
-        for j in range(m.cols):
-            if i != j:
-                assert res.D.entries[i][j] == 0
 
 
 class TestSmithNormalForm:
