@@ -12,7 +12,9 @@ points are
   without building U and V.
 * :func:`determinant` -- fraction-free (Bareiss) exact determinant.
 * :func:`signature_and_determinant` -- both invariants of a symmetric
-  form from one fraction-free symmetric elimination.
+  form, a fold over :func:`_symmetric_pivots`, the one symmetric pass:
+  it yields each leading minor, repairs a zero one by a shear, and
+  yields 0 for a null variable.
 
 Matrices are immutable values (safe to share across threads); the
 algorithms copy entries into plain lists of ints internally.  Empty
@@ -68,7 +70,7 @@ long braid closures stay cheap.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from itertools import compress
 from operator import eq, index
 
@@ -576,69 +578,45 @@ def cokernel_invariants(matrix: IntMatrix,
     return matrix.rows - rank, tuple(chain)
 
 
-def _shear_pivot(m: list[list[int]], k: int, end: list[int],
-                 exact: list[int], prev: int) -> bool:
-    """Make the zero pivot m[k][k] nonzero by a shear of variable k;
-    False when variable k is null in the trailing block.
+def _symmetric_pivots(m: list[list[int]]) -> Iterator[int]:
+    """The one symmetric pass: Bareiss elimination on the upper triangle
+    of the square matrix m, in place.  Step k yields the leading minor
+    D_k, never 0, or 0 for a variable null in the trailing block.
 
-    For the first j > k with m[k][j] != 0, the congruence
-    x_k -> x_k + c * x_j changes row k alone: its upper part gains c
-    times column j, read from the upper triangle of rows k+1 .. j, and
-    its pivot becomes c * (2 * m[k][j] + c * m[j][j]), nonzero for
-    c = -1 if m[j][j] = -2 * m[k][j], else c = 1.  Only rows k .. j are
-    brought up to date first.
-    """
-    row = m[k]
-    j = next(compress(range(k + 1, end[k]), row[k + 1:end[k]]), None)
-    if j is None:
-        return False
-    for i in range(k, j + 1):
-        _catch_up(m[i], i, end[i], exact[i], prev)
-        exact[i] = prev
-    a, d, hi = row[j], m[j][j], max(end[k], end[j])
-    c = -1 if d == -2 * a else 1
-    column = [m[r][j] for r in range(k + 1, j)] + m[j][j:hi]
-    row[k + 1:hi] = [x + c * y for x, y in zip(row[k + 1:hi], column)]
-    row[k] = c * (2 * a + c * d)
-    end[k] = hi
-    return True
-
-
-def signature_and_determinant(form: IntMatrix) -> tuple[int, int]:
-    """Signature and determinant of a symmetric integer form, in one pass.
-
-    Symmetric Bareiss elimination on the upper triangle: pivot k is the
-    leading minor D_k, so sign(D_k * D_{k-1}) is the sign of the k-th
-    diagonal entry of a congruence diagonalization.  A zero pivot is
-    repaired by a unimodular shear of variable k with a later one
-    (:func:`_shear_pivot`), so Sylvester's identity still makes every
-    division exact and the determinant does not change.  A variable
-    that is null in the trailing block adds 0 to the signature and
-    makes the determinant 0; it is skipped with D_k kept, and by
+    A zero pivot m[k][k] is repaired by a shear of variable k: for the
+    first j > k with m[k][j] != 0, the congruence x_k -> x_k + c * x_j
+    changes row k alone.  Its upper part gains c times column j, read
+    from the upper triangle of rows k+1 .. j, and its pivot becomes
+    c * (2 * m[k][j] + c * m[j][j]), nonzero for c = -1 if
+    m[j][j] = -2 * m[k][j], else c = 1.  Only rows k .. j are brought up
+    to date first.  The shear is unimodular, so Sylvester's identity
+    keeps every division exact and the determinant unchanged.  With no
+    such j, variable k is null and is skipped with D_{k-1} kept: by
     Sylvester's identity the later steps are the pass on the form
     without it.  Rows are updated as in :func:`determinant`, within
     their envelopes and with deferred rescales; by symmetry only rows
-    i < end[k] can have m[k][i] != 0.  The lower triangle of the
-    working copy is never read.
+    i < end[k] can have m[k][i] != 0.  The lower triangle is never read.
     """
-    if not form.is_square:
-        raise DimensionError(
-            f"signature needs a square matrix, got {form.rows}x{form.cols}")
-    if not form.is_symmetric:
-        raise FormError("signature needs a symmetric matrix")
-    n = form.rows
-    m = form.to_lists()
-    end = [_envelope(row) for row in m]
-    exact = [1] * n
-    sig, prev, singular = 0, 1, False
-    for k in range(n):
-        if m[k][k] == 0 and not _shear_pivot(m, k, end, exact, prev):
-            singular = True
-            continue
-        pivot_row, e = m[k], end[k]
+    end, exact, prev = [_envelope(row) for row in m], [1] * len(m), 1
+    for k in range(len(m)):
+        pivot_row = m[k]
+        if pivot_row[k] == 0:
+            j = next(compress(range(k + 1, end[k]), pivot_row[k + 1:end[k]]), None)
+            if j is None:
+                yield 0
+                continue
+            for i in range(k, j + 1):
+                _catch_up(m[i], i, end[i], exact[i], prev)
+                exact[i] = prev
+            a, d, hi = pivot_row[j], m[j][j], max(end[k], end[j])
+            c = -1 if d == -2 * a else 1
+            column = [m[r][j] for r in range(k + 1, j)] + m[j][j:hi]
+            pivot_row[k + 1:hi] = [x + c * y for x, y in zip(pivot_row[k + 1:hi], column)]
+            pivot_row[k] = c * (2 * a + c * d)
+            end[k] = hi
+        e = end[k]
         _catch_up(pivot_row, k, e, exact[k], prev)
         p = pivot_row[k]
-        sig += 1 if (p > 0) == (prev > 0) else -1
         for i in range(k + 1, e):
             a = pivot_row[i]
             if a:
@@ -648,7 +626,29 @@ def signature_and_determinant(form: IntMatrix) -> tuple[int, int]:
                              for x, y in zip(row[i:hi], pivot_row[i:hi])]
                 end[i], exact[i] = hi, p
         prev = p
-    return sig, 0 if singular else prev
+        yield p
+
+
+def signature_and_determinant(form: IntMatrix) -> tuple[int, int]:
+    """Signature and determinant of a symmetric integer form, in one pass.
+
+    A fold over :func:`_symmetric_pivots`.  Pivot k is the leading minor
+    D_k, so sign(D_k * D_{k-1}) is the sign of the k-th diagonal entry of
+    a congruence diagonalization.  A null variable (pivot 0) adds 0 to the
+    signature and makes the determinant 0; else that is the last pivot.
+    """
+    if not form.is_square:
+        raise DimensionError(
+            f"signature needs a square matrix, got {form.rows}x{form.cols}")
+    if not form.is_symmetric:
+        raise FormError("signature needs a symmetric matrix")
+    sig, prev, det = 0, 1, 1
+    for p in _symmetric_pivots(form.to_lists()):
+        det = det and p  # the last pivot, and 0 from the first null variable on
+        if p:
+            sig += 1 if (p > 0) == (prev > 0) else -1
+            prev = p
+    return sig, det
 
 
 # Bound by the benchmark tracer (perfbench/spans.py) until ROADMAP item 2.

@@ -34,8 +34,11 @@ MUTANTS = [
      ["test_exactla.py::TestDeterminant::test_random_against_cofactor"]),
     (exactla.signature_and_determinant, "(p > 0) == (prev > 0)", "p > 0",
      ["test_exactla.py::TestSignature::test_random_against_sturm_oracle", GOLDEN]),
-    (exactla._shear_pivot, "c = -1 if d == -2 * a else 1", "c = 1",
+    (exactla._symmetric_pivots, "c = -1 if d == -2 * a else 1", "c = 1",
      ["test_exactla.py::TestSignatureAndDeterminant", GOLDEN]),
+    # the symmetric pass: a null variable yields the last pivot in place of 0
+    (exactla._symmetric_pivots, "yield 0\n", "yield prev\n",
+     ["test_exactla.py::TestSignatureAndDeterminant::test_pivots_are_leading_minors"]),
     (exactla._smith_diagonal, "units = len(m) - len(core)",
      "units = len(m) - len(core) - bool(core)",
      ["test_exactla.py::TestDiagonalOnlySmith", GOLDEN]),

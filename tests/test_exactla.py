@@ -17,7 +17,7 @@ from ribbonmu import (
     signature_and_determinant,
     smith_normal_form,
 )
-from ribbonmu.exactla import _core_mod_det
+from ribbonmu.exactla import _core_mod_det, _symmetric_pivots
 
 from support import (
     block_diag,
@@ -388,6 +388,31 @@ class TestSignatureAndDeterminant:
             q = structured_symmetric(rng)
             assert signature_and_determinant(q) == \
                 (sturm_signature(q), det_cofactor(q))
+
+    def test_pivots_are_leading_minors(self):
+        rng = random.Random(44)
+        hyperbolic = IntMatrix.from_rows([[0, 1], [1, 0]])
+        forms = [rand_symmetric(rng, max_dim=8) for _ in range(40)] + [
+            hyperbolic,
+            block_diag(hyperbolic, IntMatrix.from_rows([[3]]), hyperbolic),
+            IntMatrix.from_rows([[0, 1], [1, -2]]),  # the shear needs c = -1
+            IntMatrix.from_rows([[0, 3, 0, 1], [3, -6, 1, 0], [0, 1, 0, 2], [1, 0, 2, 0]]),
+            IntMatrix.from_rows([[0, 2, 0], [2, 0, 3], [0, 3, 0]]),  # zero diagonal, singular
+            IntMatrix.from_rows([[1, 1, 2], [1, 1, 2], [2, 2, 4]]),
+            block_diag(zeros(2, 2), IntMatrix.from_rows([[2, 1], [1, -2]]), zeros(1, 1)),
+            IntMatrix.from_rows(E8_ROWS),
+        ]
+        for q in forms:
+            rows, n = q.to_lists(), q.rows
+            pivots = list(_symmetric_pivots(q.to_lists()))
+            assert len(pivots) == n
+            minors = [det_fraction(IntMatrix.from_rows([r[:k] for r in rows[:k]], cols=k))
+                      for k in range(1, n + 1)]
+            if all(minors):
+                assert pivots == minors
+            free_rank, _ = cokernel_oracle(q)
+            assert pivots.count(0) == free_rank  # n - rank
+            assert signature_and_determinant(q) == (sturm_signature(q), det_fraction(q))
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(DimensionError):
