@@ -53,18 +53,20 @@ class FiniteAbelianGroup(_Value):
         return " ⊕ ".join(f"Z{d}" for d in self.invariant_factors)
 
 
-def from_presentation(matrix: IntMatrix, det: int | None = None) -> FiniteAbelianGroup:
+def from_presentation(matrix: IntMatrix, det: int | None = None,
+                      minor: int = 0) -> FiniteAbelianGroup:
     """Torsion part of the abelian group presented by the matrix columns.
 
     For a square matrix with nonzero determinant this is the whole
     cokernel.  A presentation with free quotient still yields its
     torsion part; ``exactla.cokernel_invariants`` also gives the free rank.
     A caller that already has the nonzero determinant passes it as
-    ``det``, so the reduction can work modulo it.  It must be this
-    matrix's own: a proper divisor gives a smaller group with no error
-    (see :func:`~ribbonmu.exactla.cokernel_invariants`).
+    ``det``, so the reduction can work modulo it, and any multiple of the
+    gcd of the (n-1)-minors as ``minor``.  Both are trusted, as
+    :func:`~ribbonmu.exactla.cokernel_invariants` says: a proper divisor
+    of the determinant gives a smaller group with no error.
     """
-    _, torsion = cokernel_invariants(matrix, det)
+    _, torsion = cokernel_invariants(matrix, det, minor)
     return FiniteAbelianGroup(torsion)
 
 

@@ -22,6 +22,7 @@ import json
 import os
 import re
 import sys
+from itertools import compress
 from types import SimpleNamespace
 
 from .abelian import FiniteAbelianGroup, is_double
@@ -232,6 +233,17 @@ def _print_alink_text(record: dict[str, object], out) -> None:
     print(f"alinking mod 2 = {record['mod2']}", file=out)
 
 
+def _json_row(row: tuple[int, ...]) -> str:
+    """``json.dumps`` of a row's decimal strings; a row at least half zeros as runs of zeros."""
+    if 2 * row.count(0) < len(row):
+        return '["' + '", "'.join(map(str, row)) + '"]'
+    parts, last = [], 0
+    for j in compress(range(len(row)), row):
+        parts += '"0", ' * (j - last), f'"{row[j]}", '
+        last = j + 1
+    return "[" + "".join(parts + ['"0", ' * (len(row) - last)])[:-2] + "]"
+
+
 def _write_json(record: dict[str, object], out) -> None:
     """Write ``json.dumps(record)`` and a newline, piece by piece.
 
@@ -246,8 +258,7 @@ def _write_json(record: dict[str, object], out) -> None:
         if isinstance(value, FiniteAbelianGroup):
             value = list(map(str, value.invariant_factors))
         if isinstance(value, IntMatrix):
-            rows = ('["' + '", "'.join(map(str, row)) + '"]' if row else "[]"
-                    for row in value.entries)
+            rows = map(_json_row, value.entries)
             out.write(f"{prefix}[{next(rows, '')}")
             for row in rows:
                 out.write(", " + row)

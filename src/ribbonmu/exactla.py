@@ -14,7 +14,8 @@ points are
 * :func:`signature_and_determinant` -- both invariants of a symmetric
   form, a fold over :func:`_symmetric_pivots`, the one symmetric pass:
   it yields each leading minor, repairs a zero one by a shear, and
-  yields 0 for a null variable.
+  yields 0 for a null variable.  Its D_{n-1} can certify a cyclic
+  cokernel, with no Smith reduction.
 
 Matrices are immutable values (safe to share across threads); the
 algorithms copy entries into plain lists of ints internally.  Empty
@@ -557,8 +558,8 @@ def invariant_factors(matrix: IntMatrix) -> tuple[int, ...]:
     return cokernel_invariants(matrix)[1]
 
 
-def cokernel_invariants(matrix: IntMatrix,
-                        det: int | None = None) -> tuple[int, tuple[int, ...]]:
+def cokernel_invariants(matrix: IntMatrix, det: int | None = None,
+                        minor: int = 0) -> tuple[int, tuple[int, ...]]:
     """Free rank and torsion invariant factors of coker(matrix).
 
     The matrix is read as a presentation: columns are relations among
@@ -570,10 +571,18 @@ def cokernel_invariants(matrix: IntMatrix,
     own: a wrong one raises ValueError only when the factors cannot
     multiply to it, as a multiple of the true one, and a proper divisor
     gives another group with no error (diag(3, 5), ``det=3``: Z3).
+
+    Beside it, ``minor`` may be any multiple of d_{n-1}, the gcd of the
+    (n-1)-minors and the product of all invariant factors but the last
+    (0 is one).  gcd(minor, det) = 1 then makes the group Z_|det|, with no
+    reduction.  It is trusted too: a non-multiple can give a wrong cyclic
+    group with no error (diag(3, 3), ``det=9``, ``minor=1``: Z9).
     """
     if det and not matrix.is_square:
         raise DimensionError(
             f"a determinant needs a square matrix, got {matrix.rows}x{matrix.cols}")
+    if det and math.gcd(minor, det) == 1:
+        return 0, _invariant_chain((abs(det),))
     rank, chain = _smith_diagonal(matrix.to_lists(), det)
     return matrix.rows - rank, tuple(chain)
 
@@ -630,25 +639,30 @@ def _symmetric_pivots(m: list[list[int]]) -> Iterator[int]:
 
 
 def signature_and_determinant(form: IntMatrix) -> tuple[int, int]:
-    """Signature and determinant of a symmetric integer form, in one pass.
+    """Signature and determinant of a symmetric integer form, in one pass."""
+    return _symmetric_fold(form)[:2]
 
-    A fold over :func:`_symmetric_pivots`.  Pivot k is the leading minor
-    D_k, so sign(D_k * D_{k-1}) is the sign of the k-th diagonal entry of
-    a congruence diagonalization.  A null variable (pivot 0) adds 0 to the
-    signature and makes the determinant 0; else that is the last pivot.
-    """
+
+def _symmetric_fold(form: IntMatrix) -> tuple[int, int, int]:
+    """Signature, determinant and D_{n-1} of a symmetric form, a fold over
+    :func:`_symmetric_pivots`.  Pivot k is the leading minor D_k, so
+    sign(D_k * D_{k-1}) is the sign of the k-th diagonal entry of a
+    congruence diagonalization.  A null variable (pivot 0) adds 0 to the
+    signature and makes the determinant 0; else that is the last pivot,
+    and D_{n-1} the one before (1 if n <= 1): a minor of a unimodularly
+    congruent form, so a multiple of the gcd of the (n-1)-minors."""
     if not form.is_square:
         raise DimensionError(
             f"signature needs a square matrix, got {form.rows}x{form.cols}")
     if not form.is_symmetric:
         raise FormError("signature needs a symmetric matrix")
-    sig, prev, det = 0, 1, 1
+    sig, det, minor, prev = 0, 1, 1, 1
     for p in _symmetric_pivots(form.to_lists()):
         det = det and p  # the last pivot, and 0 from the first null variable on
         if p:
             sig += 1 if (p > 0) == (prev > 0) else -1
-            prev = p
-    return sig, det
+            minor, prev = prev, p
+    return sig, det, minor
 
 
 # Bound by the benchmark tracer (perfbench/spans.py) until ROADMAP item 2.

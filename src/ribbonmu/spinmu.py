@@ -30,8 +30,7 @@ from collections.abc import Callable, Sequence
 from operator import add, index, sub
 
 from .abelian import FiniteAbelianGroup, from_presentation
-from .exactla import (FormError, InputError, IntMatrix, _Value, determinant,
-                      signature_and_determinant)
+from .exactla import FormError, InputError, IntMatrix, _symmetric_fold, _Value, determinant
 
 
 class SeifertValidationError(InputError):
@@ -117,19 +116,23 @@ class TwoKnotInvariants(_Value):
     """The computable invariant record of a 2-knot.
 
     ``form`` is the even bounding form the invariants were read from
-    (S + S^t for a 2-twist spin), with signature ``signature`` and
-    determinant ``form_determinant``, both from one symmetric pass.
-    ``cover_torsion``, the torsion of the first homology of the chosen
-    Seifert hypersurface, is derived from them each time it is read, so
-    a caller that needs only mu never runs the Smith reduction.
+    (S + S^t for a 2-twist spin), with signature ``signature``,
+    determinant ``form_determinant`` and ``form_minor``, the pass's
+    D_{n-1}, all from one symmetric pass.  ``cover_torsion``, the torsion
+    of the first homology of the chosen Seifert hypersurface, is derived
+    from them each time it is read: Z_|det| when gcd(D_{n-1}, det) = 1,
+    else by a Smith reduction.  A caller that needs only mu runs neither.
     """
 
     signature: int
     form_determinant: int
     form: IntMatrix
+    form_minor: int
 
-    def __init__(self, signature: int, form_determinant: int, form: IntMatrix) -> None:
-        self._set(signature=signature, form_determinant=form_determinant, form=form)
+    def __init__(self, signature: int, form_determinant: int, form: IntMatrix,
+                 form_minor: int = 0) -> None:
+        self._set(signature=signature, form_determinant=form_determinant, form=form,
+                  form_minor=form_minor)
 
     @property
     def mu(self) -> Mu:
@@ -137,7 +140,7 @@ class TwoKnotInvariants(_Value):
 
     @property
     def cover_torsion(self) -> FiniteAbelianGroup:
-        return from_presentation(self.form, self.form_determinant)
+        return from_presentation(self.form, self.form_determinant, self.form_minor)
 
     # Both builders are bound as staticmethods by the benchmark tracer
     # (perfbench/spans.py) until ROADMAP item 2.
@@ -153,11 +156,11 @@ class TwoKnotInvariants(_Value):
         for i, d in enumerate(form.diagonal()):
             if d % 2 != 0:
                 raise FormError(f"form not even: diagonal entry {d} at index {i}")
-        sig, det = signature_and_determinant(form)  # checks square and symmetric
+        sig, det, minor = _symmetric_fold(form)  # checks square and symmetric
         if det % 2 == 0:
             raise SpinStructureError(
                 "spin structure not unique: even form determinant; recipe inapplicable")
-        return TwoKnotInvariants(sig, det, form)
+        return TwoKnotInvariants(sig, det, form, minor)
 
     @staticmethod
     def unknot() -> TwoKnotInvariants:

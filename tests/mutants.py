@@ -32,8 +32,27 @@ MUTANTS = [
      ["test_exactla.py::TestDeterminant::test_random_against_cofactor"]),
     (exactla.determinant, "        _catch_up(pivot_row, k, e, exact[k], prev)\n", "",
      ["test_exactla.py::TestDeterminant::test_random_against_cofactor"]),
-    (exactla.signature_and_determinant, "(p > 0) == (prev > 0)", "p > 0",
+    (exactla._symmetric_fold, "(p > 0) == (prev > 0)", "p > 0",
      ["test_exactla.py::TestSignature::test_random_against_sturm_oracle", GOLDEN]),
+    # the cover group's certificate: the fold keeps D_{n-2} in place of D_{n-1}, or the
+    # certificate accepts gcd(D_{n-1}, det) <= 3
+    (exactla._symmetric_fold,
+     "    sig, det, minor, prev = 0, 1, 1, 1\n"
+     "    for p in _symmetric_pivots(form.to_lists()):\n"
+     "        det = det and p  # the last pivot, and 0 from the first null variable on\n"
+     "        if p:\n"
+     "            sig += 1 if (p > 0) == (prev > 0) else -1\n"
+     "            minor, prev = prev, p\n",
+     "    sig, det, minor, prev, later = 0, 1, 1, 1, 1\n"
+     "    for p in _symmetric_pivots(form.to_lists()):\n"
+     "        det = det and p  # the last pivot, and 0 from the first null variable on\n"
+     "        if p:\n"
+     "            sig += 1 if (p > 0) == (prev > 0) else -1\n"
+     "            minor, later, prev = later, prev, p\n",
+     ["test_spinmu.py::TestCoverGroupCertificate::test_against_cokernel_oracle"]),
+    (exactla.cokernel_invariants, "math.gcd(minor, det) == 1", "math.gcd(minor, det) <= 3",
+     ["test_spinmu.py::TestCoverGroupCertificate::test_against_cokernel_oracle",
+      "test_cli.py::TestEachFactOnce::test_uncertified_braid_knot_record"]),
     (exactla._symmetric_pivots, "c = -1 if d == -2 * a else 1", "c = 1",
      ["test_exactla.py::TestSignatureAndDeterminant", GOLDEN]),
     # the symmetric pass: a null variable yields the last pivot in place of 0
@@ -92,6 +111,15 @@ MUTANTS = [
      ["test_cli.py::TestModuleEntryPoint::test_dropped_error_lines_leave_no_descriptor_open"]),
     (cli._to_null_device, "if null != fd:", "if True:",
      ["test_cli.py::TestModuleEntryPoint::test_stream_that_lost_its_descriptor_stays_writable"]),
+    # the JSON writer: each run of zeros in a spliced row one entry too long
+    (cli._json_row,
+     "parts += '\"0\", ' * (j - last), f'\"{row[j]}\", '\n"
+     "        last = j + 1\n"
+     "    return \"[\" + \"\".join(parts + ['\"0\", ' * (len(row) - last)])",
+     "parts += '\"0\", ' * (j - last + 1), f'\"{row[j]}\", '\n"
+     "        last = j + 1\n"
+     "    return \"[\" + \"\".join(parts + ['\"0\", ' * (len(row) - last + 1)])",
+     ["test_cli.py::TestSerialization::test_written_rows_match_json_dumps", GOLDEN]),
     # the JSON writer: a group's invariant factors as JSON integers, not decimal strings
     (cli._write_json, "list(map(str, value.invariant_factors))", "list(value.invariant_factors)",
      ["test_cli.py::TestInvariantsCommand::test_numbers_are_decimal_strings", GOLDEN]),

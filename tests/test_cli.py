@@ -19,10 +19,10 @@ from ribbonmu import (IntMatrix, TwoKnotInvariants, braid, cli, exactla,
                       seifert_matrix_from_braid, signature_and_determinant, spinmu)
 from ribbonmu.cli import main
 
-from support import (address_space_cap, block_diag, digit_limit_lifted, from_decimal_rows,
-                     knot_word, matadd, matmul, package_env, rand_matrix, rand_unimodular,
-                     run_cli, run_json, run_module, sturm_signature, time_limit, to_decimal_rows,
-                     zeros)
+from support import (address_space_cap, block_diag, cokernel_oracle, digit_limit_lifted,
+                     from_decimal_rows, knot_word, matadd, matmul, package_env, rand_matrix,
+                     rand_unimodular, run_cli, run_json, run_module, sturm_signature, time_limit,
+                     to_decimal_rows, zeros)
 
 
 DATA = Path(__file__).parent / "data"
@@ -999,7 +999,9 @@ class TestDigitLimit:
 
 
 class TestEachFactOnce:
-    """One invariants record eliminates each matrix once, and only as needed."""
+    """One invariants record eliminates each matrix once, and only as needed:
+    the symmetric pass once per form, and a Smith reduction only for a cover
+    group that the pass's D_{n-1} does not certify cyclic, gcd(D_{n-1}, det) > 1."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -1011,7 +1013,8 @@ class TestEachFactOnce:
                 return fn(*args)
             return wrapper
 
-        for key, name in (("pass", "signature_and_determinant"), ("det", "determinant")):
+        # the pass is the fold over the symmetric pivots that the records call
+        for key, name in (("pass", "_symmetric_fold"), ("det", "determinant")):
             original = getattr(exactla, name)
             for mod in (exactla, spinmu, braid, cli):
                 if getattr(mod, name, None) is original:
@@ -1029,17 +1032,32 @@ class TestEachFactOnce:
         assert form.rows >= 4
         assert record["signature"] == str(sturm_signature(form))
         assert [args[0] for args in calls["pass"]] == [form]
+        # D_9 = -328 and det -489 are coprime: the pass certifies Z489
+        assert record["h1_invariant_factors"] == ["489"] == list(
+            map(str, cokernel_oracle(form)[1]))
+        assert calls["smith"] == []
+        assert calls["det"] == []  # a braid's S is not re-validated
+
+    def test_uncertified_braid_knot_record(self, tmp_path, calls):
+        path = tmp_path / "knot.json"
+        path.write_text(json.dumps({"braid": {"strands": 4, "letters": [3, 1, 3, 3, 1, 1, 2]}}))
+        record = run_json("invariants", str(path), "--json")
+        form = from_decimal_rows(record["form"])
+        assert [args[0] for args in calls["pass"]] == [form]
+        assert record["form_determinant"] == "9"  # and D_{n-1} = 6: no certificate
+        assert record["h1_invariant_factors"] == ["3", "3"]
         [(m, det)] = calls["smith"]
         assert len(m) == form.rows and all(len(r) == form.rows for r in m)  # no U or V
-        assert det == int(record["form_determinant"])
-        assert calls["det"] == []  # a braid's S is not re-validated
+        assert det == 9
+        assert calls["det"] == []
 
     def test_inline_seifert_matrix_is_validated_once(self, calls):
         code, _ = run_cli("invariants", "[[1, 1], [0, 1]]", "--json")
         assert code == 0
         [(skew,)] = calls["det"]  # det(S - S^t) of the user's matrix
         assert skew == IntMatrix.from_rows([[0, 1], [-1, 0]])
-        assert len(calls["pass"]) == len(calls["smith"]) == 1
+        assert len(calls["pass"]) == 1
+        assert calls["smith"] == []  # S + S^t = [[2, 1], [1, 2]]: D_1 = 2, det 3, Z3
 
     @pytest.mark.parametrize("argv", [
         [str(LONG_BRAID)], ["trefoil", "figure8"], ["poincare", "unknot"]])
@@ -1049,10 +1067,14 @@ class TestEachFactOnce:
         assert calls["smith"] == []
 
     @pytest.mark.parametrize("argv", [
-        ["figure8"], ["trefoil", "trefoil"], ["[[1, 1], [0, 1]]", "trefoil"]])
+        ["figure8"], ["trefoil", "trefoil"], ["[[3, 2], [1, 3]]", "trefoil"]])
     def test_verdict_past_mu_runs_smith_once_per_knot(self, calls, argv):
-        assert run_json("obstruct", *argv, "--json")["conclusion"] != "obstructed-by-mu"
-        assert len(calls["pass"]) == len(calls["smith"]) == 2
+        # Smith runs once for each knot whose group the pass leaves uncertified: only
+        # [[3, 2], [1, 3]], whose form [[6, 3], [3, 6]] has D_1 = 6, det 27 and cover Z3 + Z9.
+        record = run_json("obstruct", *argv, "--json")
+        assert record["conclusion"] != "obstructed-by-mu"
+        assert len(calls["pass"]) == 2
+        assert len(calls["smith"]) == argv.count("[[3, 2], [1, 3]]")
 
     def test_dense_even_form_record(self, tmp_path, calls):
         # P^t B P: even, dense, det -15 * 11 * 3 * 27, cover Z3 + Z3 + Z1485
@@ -1085,8 +1107,17 @@ NONZERO = st.one_of(st.sampled_from([1, -1]),
 @st.composite
 def wire_matrices(draw):
     """Shapes 0 x 0, 0 x c and r x 0 included; rows all zero, all nonzero
-    or mixed."""
-    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 24))
+    or mixed; or wide rows that are mostly zeros, as in a braid's form: up
+    to 64 columns with 0 to 3 nonzero entries, zeros at both ends."""
+    rows = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        cols = draw(st.integers(0, 64))
+        body = [[0] * cols for _ in range(rows)]
+        for row in body:
+            for j in draw(st.lists(st.integers(1, cols - 2), max_size=3)) if cols > 2 else ():
+                row[j] = draw(NONZERO)
+        return IntMatrix.from_rows(body, cols=cols)
+    cols = draw(st.integers(0, 24))
     body = []
     for _ in range(rows):
         entry = draw(st.sampled_from([st.just(0), NONZERO, st.one_of(st.just(0), NONZERO)]))

@@ -1,5 +1,5 @@
 import random
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -14,15 +14,17 @@ from ribbonmu import (
     SpinStructureError,
     TwoKnotInvariants,
     determinant,
+    exactla,
     intersection_form,
     mu_boundary_link_sum,
+    seifert_matrix_from_braid,
     signature_and_determinant,
     spinmu,
     validate_seifert,
 )
 
-from support import (block_diag, identity, matmul, rand_seifert, rand_unimodular,
-                     sturm_signature)
+from support import (block_diag, burau_cover_presentation, cokernel_oracle, identity,
+                     knot_word, matmul, rand_seifert, rand_unimodular, sturm_signature)
 
 TREFOIL = IntMatrix.from_rows([[1, 1], [0, 1]])
 FIGURE8 = IntMatrix.from_rows([[1, 1], [0, -1]])
@@ -138,7 +140,7 @@ class TestMuFromEvenForm:
     def test_odd_form_rejected_before_elimination(self, monkeypatch):
         def eliminate(form):
             raise AssertionError("an odd form reached the elimination")
-        monkeypatch.setattr(spinmu, "signature_and_determinant", eliminate)
+        monkeypatch.setattr(spinmu, "_symmetric_fold", eliminate)
         odd = IntMatrix.from_rows([[2, 1, 0], [1, 2, 1], [0, 1, 3]])
         with pytest.raises(FormError, match="form not even"):
             TwoKnotInvariants.from_even_form(odd)
@@ -154,6 +156,60 @@ class TestMuFromEvenForm:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
             TwoKnotInvariants.from_even_form(IntMatrix.from_rows([[2, 0], [0, 2], [0, 0]]))
+
+
+def even_form(rng: random.Random) -> IntMatrix:
+    """P^t B P for a random unimodular P and a block sum B of one to three
+    even 2 x 2 blocks of odd determinant, hyperbolic planes among them, each
+    repeated with probability 0.3, so cyclic and non-cyclic groups both occur."""
+    blocks = []
+    for _ in range(rng.randint(1, 3)):
+        b = 2 * rng.randint(0, 3) + 1
+        blocks.append(HYPERBOLIC if rng.random() < 0.2 else IntMatrix.from_rows(
+            [[2 * rng.randint(-3, 3), b], [b, 2 * rng.randint(-3, 3)]]))
+        if rng.random() < 0.3:
+            blocks.append(blocks[-1])
+    base = block_diag(*blocks)
+    p = rand_unimodular(rng, base.rows)
+    return matmul(p.transpose(), base, p)
+
+
+class TestCoverGroupCertificate:
+    """gcd(D_{n-1}, det) = 1 certifies the cover group cyclic, Z_|det|:
+    D_{n-1} is a multiple of the product of all invariant factors but the
+    last, so they are all 1, and no Smith reduction runs."""
+
+    def test_against_cokernel_oracle(self, monkeypatch):
+        rng = random.Random(46)
+        # (form, a presentation of its group): a braid form's group is read off
+        # the word's 6 x 6 Burau presentation, as the oracle's first-found
+        # pivots can take seconds on a braid form of 86 rows or more
+        cases = [(f, f) for f in (IntMatrix.empty(), E8)]
+        # the pass repairs D_1 = 0 by a shear: Z9 certified, and Z3 + Z3 not
+        shears = [IntMatrix.from_rows(rows) for rows in ([[0, 3], [3, 2]], [[0, 3], [3, 0]])]
+        cases += [(f, f) for f in shears]
+        for _ in range(60):
+            word = knot_word(rng, 6, rng.randrange(21, 152, 2))
+            cases.append((intersection_form(seifert_matrix_from_braid(word)),
+                          burau_cover_presentation(6, word.letters)))
+        cases += [(f, f) for f in (even_form(rng) for _ in range(240))]
+
+        def refuse(*args):
+            raise AssertionError("a certified group ran the Smith reduction")
+
+        certified = []
+        for form, presentation in cases:
+            inv = TwoKnotInvariants.from_even_form(form)
+            sure = gcd(inv.form_minor, inv.form_determinant) == 1
+            with monkeypatch.context() as patch:
+                if sure:
+                    patch.setattr(exactla, "_smith_diagonal", refuse)
+                group = inv.cover_torsion
+            assert group == FiniteAbelianGroup(cokernel_oracle(presentation)[1])
+            certified.append(sure)
+        assert 0 < sum(certified) < len(cases)
+        assert certified[2:4] == [True, False]
+        assert all(TwoKnotInvariants.from_even_form(f).form_minor for f in shears)
 
 
 class TestParityTheorem:

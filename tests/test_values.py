@@ -56,10 +56,10 @@ CASES = [
     (SeifertMatrix, {"matrix": S}, SeifertMatrix(ONE), f"SeifertMatrix(matrix={S_REPR})"),
     (Mu, {"value": 2}, Mu(3), "Mu(value=2)"),
     (TwoKnotInvariants, {"signature": 2, "form_determinant": 3,
-                         "form": IntMatrix(2, 2, ((2, 1), (1, 2)))},
-     TwoKnotInvariants(-2, 3, IntMatrix(2, 2, ((-2, -1), (-1, -2)))),
+                         "form": IntMatrix(2, 2, ((2, 1), (1, 2))), "form_minor": 2},
+     TwoKnotInvariants(-2, 3, IntMatrix(2, 2, ((-2, -1), (-1, -2))), -2),
      "TwoKnotInvariants(signature=2, form_determinant=3, "
-     "form=IntMatrix(rows=2, cols=2, entries=((2, 1), (1, 2))))"),
+     "form=IntMatrix(rows=2, cols=2, entries=((2, 1), (1, 2))), form_minor=2)"),
     (Verdict, {"conclusion": Conclusion.OBSTRUCTED_BY_MU,
                "mu_pair": (Mu(2), Mu(0)), "torsion_witness": None},
      Verdict(Conclusion.OBSTRUCTED_BY_MU, (Mu(0), Mu(2))),
@@ -177,7 +177,7 @@ def test_cover_torsion_is_derived_not_stored(monkeypatch):
 
     monkeypatch.setattr(spinmu, "from_presentation", unread)
     inv = TwoKnotInvariants.from_even_form(forms[0])
-    twin = TwoKnotInvariants(inv.signature, inv.form_determinant, inv.form)
+    twin = TwoKnotInvariants(inv.signature, inv.form_determinant, inv.form, inv.form_minor)
     assert inv == twin and hash(inv) == hash(twin)
     assert "cover_torsion" not in repr(inv) and "cover_torsion" not in vars(inv)
     with pytest.raises(AttributeError):
