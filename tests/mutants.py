@@ -33,7 +33,7 @@ MUTANTS = [
     (exactla.determinant, "        _catch_up(pivot_row, k, e, exact[k], prev)\n", "",
      ["test_exactla.py::TestDeterminant::test_random_against_cofactor"]),
     (exactla._symmetric_fold, "(p > 0) == (prev > 0)", "p > 0",
-     ["test_exactla.py::TestSignature::test_random_against_sturm_oracle", GOLDEN]),
+     ["test_exactla.py::TestSignature::test_random_against_charpoly_oracle", GOLDEN]),
     # the cover group's certificate: the fold keeps D_{n-2} in place of D_{n-1}, or the
     # certificate accepts gcd(D_{n-1}, det) <= 3
     (exactla._symmetric_fold,
@@ -130,7 +130,16 @@ MUTANTS = [
     # the signature oracle: the characteristic polynomial's identity term one step late
     (support.charpoly, "c[n - k + 1]", "c[n - k]",
      ["test_exactla.py::TestSignature::test_charpoly_oracle_against_shifted_determinants",
-      "test_exactla.py::TestSignature::test_random_against_sturm_oracle"]),
+      "test_exactla.py::TestSignature::test_random_against_charpoly_oracle"]),
+    # the signature oracle: p(-x) read with p's own signs, so no root counts as negative
+    (support.charpoly_signature, "(-1) ** i * c", "c",
+     ["test_exactla.py::TestSignature::test_random_against_charpoly_oracle",
+      "test_acceptance.py::test_c05_signature_oracle_equivalence"]),
+    # the Smith oracle: the diagonal as the pivots leave it, with no gcd/lcm sweep
+    (support.snf_diagonal_oracle, "changed = True\n    while changed:",
+     "changed = False\n    while changed:",
+     ["test_exactla.py::TestSmithNormalForm::test_random_decompositions_and_oracle",
+      "test_exactla.py::TestDiagonalOnlySmith"]),
 ]
 
 

@@ -1,12 +1,13 @@
 """Shared random generators and independent oracles for the test suite.
 
 The oracles here deliberately take different algorithmic routes from the
-package under test: the Smith-form oracle diagonalizes with first-found
+package under test: the Smith-form oracle diagonalizes with smallest-entry
 pivots and fixes divisibility afterwards by gcd/lcm sweeps, the
 determinant oracles are cofactor expansion and Gaussian elimination
 over ``Fraction`` (which also serves the Alexander values), the
-signature oracle counts root signs of the characteristic polynomial,
-from the integer Faddeev-LeVerrier recurrence, with Sturm sequences, group
+signature oracle is Descartes' sign count on the exact characteristic
+polynomial, from the integer Faddeev-LeVerrier recurrence (exact, since a
+symmetric matrix's characteristic polynomial has only real roots), group
 isomorphism is checked by brute-force element-order counting, group
 arithmetic by trial-division elementary divisors, and braid Seifert
 matrices by testing every pair of loops.  A braid's cover group also
@@ -36,7 +37,7 @@ from functools import cache
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm, prod
-from operator import add, mul, sub
+from operator import add, eq, mul, ne, sub
 from pathlib import Path
 
 import ribbonmu
@@ -405,49 +406,58 @@ def plumbing_invariants(xs: list[int]) -> tuple[int, int, tuple[int, ...]]:
 # -- Smith-form diagonal oracle --------------------------------------
 
 
+def _smallest_entry(m: list[list[int]], k: int) -> tuple[int, int] | None:
+    """Where a nonzero entry of least absolute value first sits in the block
+    of rows and columns k and on, or None if the block is zero."""
+    best = None
+    for i, row in enumerate(m[k:], k):
+        for j, x in enumerate(row[k:], k):
+            if x and (best is None or abs(x) < best[0]):
+                best = abs(x), i, j
+                if best[0] == 1:
+                    return i, j
+    return best and best[1:]
+
+
 def snf_diagonal_oracle(matrix: IntMatrix) -> list[int]:
-    """Diagonalize with first-found pivots (no size optimization), then
-    repair divisibility on the diagonal by gcd/lcm sweeps."""
+    """Diagonalize with smallest-entry pivots, the textbook Smith algorithm
+    (Newman (1972), *Integral Matrices*, ch. II): bring a nonzero entry of
+    least absolute value in the remaining block to (k, k), reduce the rest
+    of column k and row k by it, and take the least remainder as the next
+    pivot until both are clear; then repair divisibility on the diagonal
+    by gcd/lcm sweeps."""
     rows, cols = matrix.rows, matrix.cols
     m = matrix.to_lists()
     n = min(rows, cols)
     for k in range(n):
-        pivot = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                if m[i][j] != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
+        pivot = _smallest_entry(m, k)
         if pivot is None:
             break
-        i, j = pivot
-        m[k], m[i] = m[i], m[k]
-        for row in m:
-            row[k], row[j] = row[j], row[k]
-        while True:
-            for i in range(k + 1, rows):
-                while m[i][k] != 0:
-                    q = m[i][k] // m[k][k]
-                    m[i] = [a - q * b for a, b in zip(m[i], m[k])]
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
+        while pivot:
+            i, j = pivot
+            m[k], m[i] = m[i], m[k]
+            for row in m[k:]:
+                row[k], row[j] = row[j], row[k]
+            top = m[k]
+            for row in m[k + 1:]:
+                if row[k]:
+                    q = row[k] // top[k]
+                    row[k:] = [a - q * b for a, b in zip(row[k:], top[k:])]
             for j in range(k + 1, cols):
-                while m[k][j] != 0:
-                    q = m[k][j] // m[k][k]
-                    for row in m:
+                if top[j]:
+                    q = top[j] // top[k]
+                    for row in m[k:]:
                         row[j] -= q * row[k]
-                    if m[k][j] != 0:
-                        for row in m:
-                            row[k], row[j] = row[j], row[k]
-            if all(m[i][k] == 0 for i in range(k + 1, rows)):
-                break
+            rest = ([(abs(m[i][k]), i, k) for i in range(k + 1, rows) if m[i][k]]
+                    + [(abs(top[j]), k, j) for j in range(k + 1, cols) if top[j]])
+            pivot = min(rest)[1:] if rest else None
     diag = [abs(m[i][i]) for i in range(n)]
     changed = True
     while changed:
         changed = False
         for i in range(len(diag)):
+            if diag[i] == 1:  # gcd 1 and lcm diag[j]: no pair changes
+                continue
             for j in range(i + 1, len(diag)):
                 a, b = diag[i], diag[j]
                 if a == 0 and b == 0:
@@ -773,104 +783,7 @@ def det_fraction(matrix: IntMatrix) -> int:
     return int(det)
 
 
-# -- Sturm-sequence signature oracle ---------------------------------
-# Polynomials are coefficient lists, lowest degree first, Fractions.
-
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_deriv(p: list[Fraction]) -> list[Fraction]:
-    return _poly_trim([c * i for i, c in enumerate(p)][1:])
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = a[:]
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and a:
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        q[shift] = f
-        for i, c in enumerate(b):
-            a[shift + i] -= f * c
-        _poly_trim(a)
-    return _poly_trim(q), a
-
-
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = a[:], b[:]
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _yun_squarefree(p: list[Fraction]) -> list[tuple[list[Fraction], int]]:
-    """p = prod f_i ^ i with each f_i squarefree; returns (f_i, i) pairs."""
-    if len(p) <= 1:
-        return []
-    dp = _poly_deriv(p)
-    g = _poly_gcd(p, dp)
-    if len(g) == 1:
-        return [(p, 1)]
-    c = _poly_divmod(p, g)[0]
-    d = [x - y for x, y in zip_pad(_poly_divmod(dp, g)[0], _poly_deriv(c))]
-    _poly_trim(d)
-    out = []
-    i = 1
-    while len(c) > 1:
-        a = _poly_gcd(c, d)
-        if len(a) > 1:
-            out.append((a, i))
-        c_next = _poly_divmod(c, a)[0]
-        d = [x - y for x, y in zip_pad(_poly_divmod(d, a)[0], _poly_deriv(c_next))]
-        _poly_trim(d)
-        c = c_next
-        i += 1
-    return out
-
-
-def zip_pad(a: list[Fraction], b: list[Fraction]):
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return zip(a, b)
-
-
-def _sign_changes(signs: list[int]) -> int:
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _sturm_pos_neg(p: list[Fraction]) -> tuple[int, int]:
-    """Root counts of squarefree p on (0, inf) and (-inf, 0); p(0) != 0."""
-    chain = [p[:], _poly_deriv(p)]
-    while chain[-1]:
-        _, r = _poly_divmod(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-c for c in r])
-    chain = [c for c in chain if c]
-
-    def sign_at_zero(q):
-        return 0 if q[0] == 0 else (1 if q[0] > 0 else -1)
-
-    def sign_at_pinf(q):
-        return 1 if q[-1] > 0 else -1
-
-    def sign_at_ninf(q):
-        s = 1 if q[-1] > 0 else -1
-        return s if (len(q) - 1) % 2 == 0 else -s
-
-    v0 = _sign_changes([sign_at_zero(q) for q in chain])
-    vp = _sign_changes([sign_at_pinf(q) for q in chain])
-    vn = _sign_changes([sign_at_ninf(q) for q in chain])
-    return v0 - vp, vn - v0
+# -- characteristic-polynomial signature oracle ----------------------
 
 
 def charpoly(matrix: IntMatrix) -> list[int]:
@@ -890,32 +803,25 @@ def charpoly(matrix: IntMatrix) -> list[int]:
     return c
 
 
-def sturm_signature(matrix: IntMatrix) -> int:
+def _sign_changes(coefficients: list[int]) -> int:
+    """Sign changes along the sequence, its zeros skipped."""
+    signs = [c > 0 for c in coefficients if c]
+    return sum(map(ne, signs, signs[1:]))
+
+
+def charpoly_signature(matrix: IntMatrix) -> int:
     """Signature = (positive eigenvalues) - (negative ones), counted with
-    multiplicity via Yun squarefree split + Sturm chains.  Cross-checked
-    internally against Descartes' rule, which is exact for real-rooted
-    polynomials."""
-    n = matrix.rows
-    p_int = charpoly(matrix)
-    zeros = 0
-    while p_int and p_int[0] == 0:
-        p_int = p_int[1:]
-        zeros += 1
-    p = [Fraction(c) for c in p_int]
-    pos = neg = 0
-    for factor, mult in _yun_squarefree(p):
-        fp, fn = _sturm_pos_neg(factor)
-        pos += mult * fp
-        neg += mult * fn
-    assert pos + neg + zeros == n, "symmetric matrix must have all-real spectrum"
-    # Descartes cross-check: sign variations count positive roots exactly
-    # when all roots are real.
-    d_pos = _sign_changes([0 if c == 0 else (1 if c > 0 else -1) for c in p_int])
-    d_neg = _sign_changes(
-        [0 if c == 0 else (1 if c > 0 else -1) * (-1) ** i
-         for i, c in enumerate(p_int)])
-    assert (pos, neg) == (d_pos, d_neg)
-    return pos - neg
+    multiplicity by Descartes' rule of signs on p = :func:`charpoly`: the
+    sign changes of p's coefficients count its positive roots, and those
+    of p(-x) its negative ones.  The counts are exact because a symmetric
+    matrix's characteristic polynomial has only real roots (Basu, Pollack
+    and Roy (2006), *Algorithms in Real Algebraic Geometry*, §2.2), so
+    the matrix must be symmetric."""
+    rows = matrix.entries
+    assert matrix.rows == matrix.cols and all(map(eq, rows, zip(*rows))), \
+        "the sign count is exact for symmetric matrices only"
+    p = charpoly(matrix)
+    return _sign_changes(p) - _sign_changes([(-1) ** i * c for i, c in enumerate(p)])
 
 
 # -- brute-force finite abelian group oracles ------------------------

@@ -38,6 +38,8 @@ from ribbonmu import BraidWord, catalog
 from support import (
     address_space_cap,
     block_diag,
+    charpoly_signature,
+    cokernel_oracle,
     from_decimal_rows,
     matmul,
     rand_group_factors,
@@ -48,7 +50,6 @@ from support import (
     run_json,
     run_module,
     snf_is_valid,
-    sturm_signature,
     time_limit,
     zeros,
 )
@@ -109,11 +110,11 @@ def test_c05_signature_oracle_equivalence():
     cases = 0
     for _ in range(500):
         q = rand_symmetric(rng, max_dim=6, lo=-50, hi=50)
-        assert signature_and_determinant(q)[0] == sturm_signature(q)
+        assert signature_and_determinant(q)[0] == charpoly_signature(q)
         cases += 1
     assert cases == 500
-    print(f"PASS criterion 5: signature matches the Sturm-sequence oracle "
-          f"on {cases}/500 random symmetric matrices up to 6x6")
+    print(f"PASS criterion 5: signature matches Descartes' sign count on the characteristic "
+          f"polynomial on {cases}/500 random symmetric matrices up to 6x6")
 
 
 def test_c06_doubling_and_combiner_suite():
@@ -241,8 +242,10 @@ def test_c12_dense_even_form_torsion_modulo_determinant():
     assert record["h1_invariant_factors"] == [str(d) for d in cover]
     form = from_decimal_rows(json.loads(EVEN80.read_text())["even_form"])
     assert determinant(form) == det == -prod(cover)
+    assert cokernel_oracle(form) == (0, tuple(cover))
     print("PASS criterion 12: the torsion of a dense 80-row even form, reduced "
-          "modulo its determinant, matches its block recipe")
+          "modulo its determinant, matches its block recipe and a smallest-entry "
+          "Smith reduction")
 
 
 LONG_BRAID = Path(__file__).parent / "data" / "braid6_1201.json"

@@ -22,9 +22,9 @@ import pytest
 from ribbonmu import BraidWord, TwoKnotInvariants, seifert_matrix_from_braid
 from ribbonmu.cli import resolve_knot
 
-from support import (burau_cover_presentation, burau_signature, cokernel_oracle, knot_word,
-                     matadd, rand_braid_knot, run_json, scrambled_torus_word,
-                     seifert_cover_presentation, seifert_matrix_pairwise, sturm_signature,
+from support import (burau_cover_presentation, burau_signature, charpoly_signature,
+                     cokernel_oracle, knot_word, matadd, rand_braid_knot, run_json,
+                     scrambled_torus_word, seifert_cover_presentation, seifert_matrix_pairwise,
                      torus_determinant)
 
 LONG_BRAID = Path(__file__).parent / "data" / "braid6_1201.json"
@@ -83,14 +83,14 @@ def test_scrambled_torus_words():
         assert inv.cover_torsion.invariant_factors == torsion, (p, q)
 
 
-def test_signature_oracle_against_sturm_on_small_words():
+def test_signature_oracle_against_charpoly_on_small_words():
     # Oracle against oracle: no package algorithm computes either side.
     rng = random.Random(5)
     strand_counts = set()
     for _ in range(150):
         word = rand_braid_knot(rng, max_strands=6, max_len=10)
         s = seifert_matrix_pairwise(word)
-        assert burau_signature(word.strands, word.letters) == sturm_signature(
+        assert burau_signature(word.strands, word.letters) == charpoly_signature(
             matadd(s, s.transpose())), word
         strand_counts.add(word.strands)
     assert strand_counts == {2, 3, 4, 5, 6}

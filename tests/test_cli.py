@@ -19,10 +19,10 @@ from ribbonmu import (IntMatrix, TwoKnotInvariants, braid, cli, exactla,
                       seifert_matrix_from_braid, signature_and_determinant, spinmu)
 from ribbonmu.cli import main
 
-from support import (address_space_cap, block_diag, cokernel_oracle, digit_limit_lifted,
-                     from_decimal_rows, knot_word, matadd, matmul, package_env, rand_matrix,
-                     rand_unimodular, run_cli, run_json, run_module, sturm_signature, time_limit,
-                     to_decimal_rows, zeros)
+from support import (address_space_cap, block_diag, charpoly_signature, cokernel_oracle,
+                     digit_limit_lifted, from_decimal_rows, knot_word, matadd, matmul,
+                     package_env, rand_matrix, rand_unimodular, run_cli, run_json, run_module,
+                     time_limit, to_decimal_rows, zeros)
 
 
 DATA = Path(__file__).parent / "data"
@@ -1030,7 +1030,7 @@ class TestEachFactOnce:
         record = run_json("invariants", str(path), "--json")
         form = from_decimal_rows(record["form"])
         assert form.rows >= 4
-        assert record["signature"] == str(sturm_signature(form))
+        assert record["signature"] == str(charpoly_signature(form))
         assert [args[0] for args in calls["pass"]] == [form]
         # D_9 = -328 and det -489 are coprime: the pass certifies Z489
         assert record["h1_invariant_factors"] == ["489"] == list(

@@ -23,6 +23,7 @@ from support import (
     block_diag,
     chain_from_elementary_divisors_oracle,
     charpoly,
+    charpoly_signature,
     cokernel_oracle,
     det_cofactor,
     det_fraction,
@@ -36,7 +37,6 @@ from support import (
     rand_unimodular,
     snf_diagonal_oracle,
     snf_is_valid,
-    sturm_signature,
     time_limit,
     zeros,
 )
@@ -268,9 +268,9 @@ class TestSignature:
         assert signature_and_determinant(zeros(4, 4))[0] == 0
         assert signature_and_determinant(IntMatrix.empty())[0] == 0
 
-    def test_e8_against_sturm_oracle(self):
+    def test_e8_against_charpoly_oracle(self):
         e8 = IntMatrix.from_rows(E8_ROWS)
-        assert sturm_signature(e8) == 8
+        assert charpoly_signature(e8) == 8
         assert signature_and_determinant(e8)[0] == 8
 
     def test_charpoly_oracle_against_shifted_determinants(self):
@@ -325,11 +325,11 @@ class TestSignature:
             assert signature_and_determinant(block_diag(q1, q2))[0] == s1 + s2
             assert signature_and_determinant(matsub(zeros(q1.rows, q1.rows), q1))[0] == -s1
 
-    def test_random_against_sturm_oracle(self):
+    def test_random_against_charpoly_oracle(self):
         rng = random.Random(13)
         for _ in range(60):
             q = rand_symmetric(rng, max_dim=6)
-            assert signature_and_determinant(q)[0] == sturm_signature(q)
+            assert signature_and_determinant(q)[0] == charpoly_signature(q)
 
 
 # Blocks with known (signature, determinant), for congruence tests.
@@ -380,14 +380,14 @@ class TestSignatureAndDeterminant:
         h = IntMatrix.from_rows([[0, 1], [1, 0]])
         assert signature_and_determinant(h) == (0, -1)
         q = IntMatrix.from_rows([[0, 2, 0], [2, 0, 3], [0, 3, 0]])
-        assert signature_and_determinant(q) == (sturm_signature(q), det_cofactor(q))
+        assert signature_and_determinant(q) == (charpoly_signature(q), det_cofactor(q))
 
     def test_structured_against_oracles(self):
         rng = random.Random(18)
         for _ in range(300):
             q = structured_symmetric(rng)
             assert signature_and_determinant(q) == \
-                (sturm_signature(q), det_cofactor(q))
+                (charpoly_signature(q), det_cofactor(q))
 
     def test_pivots_are_leading_minors(self):
         rng = random.Random(44)
@@ -412,7 +412,7 @@ class TestSignatureAndDeterminant:
                 assert pivots == minors
             free_rank, _ = cokernel_oracle(q)
             assert pivots.count(0) == free_rank  # n - rank
-            assert signature_and_determinant(q) == (sturm_signature(q), det_fraction(q))
+            assert signature_and_determinant(q) == (charpoly_signature(q), det_fraction(q))
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(DimensionError):
@@ -502,7 +502,7 @@ class TestSparseInput:
     @pytest.mark.parametrize("form", SPARSE_FORMS, ids=lambda q: f"{q.rows}x{q.rows}")
     def test_structured_forms_against_oracles(self, form):
         det = det_cofactor(form)
-        assert signature_and_determinant(form) == (sturm_signature(form), det)
+        assert signature_and_determinant(form) == (charpoly_signature(form), det)
         assert determinant(form) == det
         TestDiagonalOnlySmith.check(form)
 
@@ -516,7 +516,7 @@ class TestSparseInput:
     @settings(max_examples=150, deadline=None)
     @given(q=band_matrices(max_n=8, symmetric=True))
     def test_band_forms_against_oracles(self, q):
-        assert signature_and_determinant(q) == (sturm_signature(q), det_cofactor(q))
+        assert signature_and_determinant(q) == (charpoly_signature(q), det_cofactor(q))
 
     @seed(20261018)
     @settings(max_examples=150, deadline=None)

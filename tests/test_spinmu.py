@@ -23,8 +23,8 @@ from ribbonmu import (
     validate_seifert,
 )
 
-from support import (block_diag, burau_cover_presentation, cokernel_oracle, identity,
-                     knot_word, matmul, rand_seifert, rand_unimodular, sturm_signature)
+from support import (block_diag, charpoly_signature, cokernel_oracle, identity, knot_word,
+                     matmul, rand_seifert, rand_unimodular)
 
 TREFOIL = IntMatrix.from_rows([[1, 1], [0, 1]])
 FIGURE8 = IntMatrix.from_rows([[1, 1], [0, -1]])
@@ -122,7 +122,7 @@ class TestMuTwoTwistSpin:
 
 class TestMuFromEvenForm:
     def test_e8_reproduces_five_twist_spun_trefoil(self):
-        assert sturm_signature(E8) == 8
+        assert charpoly_signature(E8) == 8
         assert TwoKnotInvariants.from_even_form(E8).mu.value == 8
 
     def test_trefoil_form(self):
@@ -181,34 +181,33 @@ class TestCoverGroupCertificate:
 
     def test_against_cokernel_oracle(self, monkeypatch):
         rng = random.Random(46)
-        # (form, a presentation of its group): a braid form's group is read off
-        # the word's 6 x 6 Burau presentation, as the oracle's first-found
-        # pivots can take seconds on a braid form of 86 rows or more
-        cases = [(f, f) for f in (IntMatrix.empty(), E8)]
+        forms = [IntMatrix.empty(), E8]
         # the pass repairs D_1 = 0 by a shear: Z9 certified, and Z3 + Z3 not
         shears = [IntMatrix.from_rows(rows) for rows in ([[0, 3], [3, 2]], [[0, 3], [3, 0]])]
-        cases += [(f, f) for f in shears]
-        for _ in range(60):
-            word = knot_word(rng, 6, rng.randrange(21, 152, 2))
-            cases.append((intersection_form(seifert_matrix_from_braid(word)),
-                          burau_cover_presentation(6, word.letters)))
-        cases += [(f, f) for f in (even_form(rng) for _ in range(240))]
+        forms += shears
+        words = [knot_word(rng, 6, rng.randrange(21, 152, 2)) for _ in range(60)]
+        forms += [even_form(rng) for _ in range(240)]
+        # 301 letters, the benchmark's 296-row forms: Random(11)'s word is
+        # certified, and Random(12)'s falls back to the Smith reduction
+        words += [knot_word(random.Random(seed), 6, 301) for seed in (11, 12)]
+        forms += [intersection_form(seifert_matrix_from_braid(word)) for word in words]
 
         def refuse(*args):
             raise AssertionError("a certified group ran the Smith reduction")
 
         certified = []
-        for form, presentation in cases:
+        for form in forms:
             inv = TwoKnotInvariants.from_even_form(form)
             sure = gcd(inv.form_minor, inv.form_determinant) == 1
             with monkeypatch.context() as patch:
                 if sure:
                     patch.setattr(exactla, "_smith_diagonal", refuse)
                 group = inv.cover_torsion
-            assert group == FiniteAbelianGroup(cokernel_oracle(presentation)[1])
+            assert group == FiniteAbelianGroup(cokernel_oracle(form)[1])
             certified.append(sure)
-        assert 0 < sum(certified) < len(cases)
-        assert certified[2:4] == [True, False]
+        assert 0 < sum(certified) < len(forms)
+        assert certified[2:4] == certified[-2:] == [True, False]
+        assert forms[-1].rows == 296
         assert all(TwoKnotInvariants.from_even_form(f).form_minor for f in shears)
 
 
