@@ -19,13 +19,15 @@ from pathlib import Path
 
 import pytest
 
-from ribbonmu import alink, braid, cli, exactla
+from ribbonmu import abelian, alink, braid, cli, exactla, spinmu
 
 import support
 
 TESTS = Path(__file__).resolve().parent
 # the benchmark's seed-1 ops against their digests
 GOLDEN = "test_golden.py::test_seed1_ops_match_their_digests"
+# the signature's random sweep against the oracle
+C05 = "test_acceptance.py::test_c05_signature_oracle_equivalence"
 
 MUTANTS = [
     (exactla.determinant, "                    sign = -sign\n", "",
@@ -33,7 +35,7 @@ MUTANTS = [
     (exactla.determinant, "        _catch_up(pivot_row, k, e, exact[k], prev)\n", "",
      ["test_exactla.py::TestDeterminant::test_random_against_cofactor"]),
     (exactla._symmetric_fold, "(p > 0) == (prev > 0)", "p > 0",
-     ["test_exactla.py::TestSignature::test_random_against_charpoly_oracle", GOLDEN]),
+     [C05, GOLDEN]),
     # the cover group's certificate: the fold keeps D_{n-2} in place of D_{n-1}, or the
     # certificate accepts gcd(D_{n-1}, det) <= 3
     (exactla._symmetric_fold,
@@ -127,14 +129,22 @@ MUTANTS = [
     (alink.alinking, "{FiniteAbelianGroup(torsion)}",
      "{' + '.join(f'Z/{d}' for d in (1, 1, *torsion)[-2:])}",
      ["test_alink.py::TestAlinking::test_finite_cokernel_is_named_as_its_group"]),
+    # paper content whose random sweep lives in an acceptance criterion alone: alinking 0
+    # for the free cokernel Z, the combiner halving a + b, the link sum starting at mu 1
+    (alink.alinking, "return torsion[0] if torsion else 1", "return torsion[0] if torsion else 0",
+     ["test_acceptance.py::test_c10_alinking"]),
+    (abelian.combine_doubles, "half = is_double(direct_sum(a, c))",
+     "half = is_double(direct_sum(a, b))",
+     ["test_acceptance.py::test_c06_doubling_and_combiner_suite"]),
+    (spinmu.mu_boundary_link_sum, "Mu(0))", "Mu(1))",
+     ["test_acceptance.py::test_c08_additivity"]),
     # the signature oracle: the characteristic polynomial's identity term one step late
     (support.charpoly, "c[n - k + 1]", "c[n - k]",
-     ["test_exactla.py::TestSignature::test_charpoly_oracle_against_shifted_determinants",
-      "test_exactla.py::TestSignature::test_random_against_charpoly_oracle"]),
+     ["test_exactla.py::TestSignatureAndDeterminant::"
+      "test_charpoly_oracle_against_shifted_determinants", C05]),
     # the signature oracle: p(-x) read with p's own signs, so no root counts as negative
     (support.charpoly_signature, "(-1) ** i * c", "c",
-     ["test_exactla.py::TestSignature::test_random_against_charpoly_oracle",
-      "test_acceptance.py::test_c05_signature_oracle_equivalence"]),
+     [C05]),
     # the Smith oracle: the diagonal as the pivots leave it, with no gcd/lcm sweep
     (support.snf_diagonal_oracle, "changed = True\n    while changed:",
      "changed = False\n    while changed:",

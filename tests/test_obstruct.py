@@ -6,7 +6,6 @@ import pytest
 
 from ribbonmu import (
     Conclusion,
-    E8,
     FiniteAbelianGroup,
     IntMatrix,
     Mu,
@@ -29,18 +28,6 @@ UNKNOT = knot(validate_seifert(IntMatrix.empty()))
 
 
 class TestAgainstTrivial:
-    def test_trefoil_spin_obstructed_by_mu(self):
-        verdict = obstruct_ribbon_trivial(TREFOIL)
-        assert verdict.conclusion is Conclusion.OBSTRUCTED_BY_MU
-        assert {m.value for m in verdict.mu_pair} == {2, 0}
-        assert verdict.conclusion is not Conclusion.NO_OBSTRUCTION_FOUND
-
-    def test_figure8_spin_obstructed_by_torsion(self):
-        verdict = obstruct_ribbon_trivial(FIGURE8)
-        assert verdict.conclusion is Conclusion.OBSTRUCTED_BY_TORSION
-        assert verdict.torsion_witness == FiniteAbelianGroup((5,))
-        assert is_double(verdict.torsion_witness) is None
-
     def test_unknot_unobstructed(self):
         verdict = obstruct_ribbon_trivial(UNKNOT)
         assert verdict.conclusion is Conclusion.NO_OBSTRUCTION_FOUND
@@ -52,12 +39,6 @@ class TestAgainstTrivial:
 
 
 class TestPairwise:
-    def test_five_twist_spun_trefoil_vs_unknot(self):
-        poincare = TwoKnotInvariants.from_even_form(E8)
-        verdict = obstruct_ribbon_equivalent(poincare, UNKNOT)
-        assert verdict.conclusion is Conclusion.OBSTRUCTED_BY_MU
-        assert [m.value for m in verdict.mu_pair] == [8, 0]
-
     def test_reflexive_inputs_unobstructed(self):
         verdict = obstruct_ribbon_equivalent(TREFOIL, TREFOIL)
         assert verdict.conclusion is Conclusion.NO_OBSTRUCTION_FOUND
