@@ -14,8 +14,9 @@ implemented as a verdict engine on invariant records
 Verdicts are one-sided: the engine reports an obstruction or reports
 that it found none; it never claims two 2-knots ARE ribbon-move
 equivalent.  The mu test fires first, so every verdict names exactly
-one rule, and the cover groups (a Smith reduction each) are built only
-when the two mus agree.
+one rule, and the cover groups are built only when the two mus agree.
+A group that the symmetric pass certifies cyclic (its form's D_{n-1}
+prime to the determinant) needs no Smith reduction; any other takes one.
 """
 
 from __future__ import annotations

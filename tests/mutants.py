@@ -86,11 +86,14 @@ MUTANTS = [
     (cli._parse, "elif (metavar := options.get(option)) is None or equals and not metavar:",
      "elif (room := len(words) or room) and ((metavar := options.get(option)) is None\n"
      "                                               or equals and not metavar):",
-     ["test_cli.py::TestArgvGrammar::test_option_between_arguments"]),
+     ["test_cli.py::TestArgvGrammar::test_options_anywhere_among_the_arguments"]),
     (cli._parse, 'elif word in ("--", "-h", "--help"):', 'elif word in ("-h", "--help"):',
      ["test_cli.py::TestArgvGrammar::test_word_starting_with_a_dash_is_an_argument"]),
     (cli._parse, "elif metavar and fields[option[2:]] is not None:", "elif False:",
-     ["test_cli.py::TestArgvGrammar::test_value_option_twice_in_any_form"]),
+     ["test_cli.py::TestExitContract::test_usage_error_is_parse_error"]),
+    # the alink column reader: text between or around the columns ignored
+    (cli._induced_map, "if leftover or not columns:", "if not columns:",
+     ["test_cli.py::TestAlinkCommand::test_one_separator_rule"]),
     # the knot-file reader: --batch names in code-point order, a leading "[" before ".json"
     (cli._batch, ", key=os.fsencode", "",
      ["test_cli.py::TestKnotFiles::test_batch_orders_names_that_are_not_utf8_by_their_bytes"]),

@@ -6,6 +6,7 @@ import json
 import os
 import pkgutil
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from ribbonmu.cli import main
 
 from support import (address_space_cap, block_diag, charpoly_signature, cokernel_oracle,
                      digit_limit_lifted, from_decimal_rows, knot_word, matadd, matmul,
-                     package_env, rand_matrix, rand_unimodular, run_cli, run_json, run_module,
+                     package_env, rand_unimodular, run_cli, run_json, run_module,
                      time_limit, to_decimal_rows, zeros)
 
 
@@ -31,13 +32,6 @@ TWO_TREFOILS = "[[1,1,0,0],[0,1,0,0],[0,0,1,1],[0,0,0,1]]"  # cover Z3 + Z3, a d
 
 
 class TestInvariantsCommand:
-    def test_catalog_trefoil_text(self):
-        code, text = run_cli("invariants", "trefoil")
-        assert code == 0
-        assert "mu = 2 (mod 16)" in text
-        assert "Z3" in text
-        assert "doubling test: fails" in text
-
     def test_catalog_figure8_json(self):
         record = run_json("invariants", "figure8", "--json")
         assert record["mu"] == "0"
@@ -54,9 +48,6 @@ class TestInvariantsCommand:
         record = run_json("invariants", "poincare", "--json")
         assert record["mu"] == "8"
         assert record["source"] == "catalog"
-
-    def test_inline_seifert_matrix(self):
-        assert run_json("invariants", "[[1,1],[0,1]]", "--json")["mu"] == "2"
 
     def test_numbers_are_decimal_strings(self):
         record = run_json("invariants", "trefoil", "--json")
@@ -110,17 +101,20 @@ class TestObstructCommand:
         assert record["conclusion"] == "obstructed-by-mu"
         assert record["mu_pair"] == ["8", "0"]
 
-    def test_text_output_names_rule(self):
-        code, text = run_cli("obstruct", "trefoil")
-        assert code == 0
-        assert "obstructed-by-mu" in text
-        assert "mu-invariants" in text
-
 
 class TestTextOutput:
     """The text printers, byte for byte."""
 
     @pytest.mark.parametrize("argv, text", [
+        (["invariants", "trefoil"],
+         "name: trefoil  (source: catalog)\n"
+         "mu = 2 (mod 16)\nsignature = 2\nform determinant = 3\n"
+         "H1(Seifert hypersurface) = Z3\n"
+         "doubling test: fails (not of the form G + G)\n"),
+        (["obstruct", "trefoil"],
+         "trefoil vs trivial 2-knot:\nconclusion: obstructed-by-mu\n"
+         "mu-invariants differ (2 (mod 16) vs 0 (mod 16)); "
+         "ribbon-move equivalent 2-links have equal mu-invariants\n"),
         (["snf", "[[2,4],[6,8]]"], "D =\n[2 0]\n[0 4]\n"),
         (["snf", "[[2,4],[6,8]]", "--full"],
          "D =\n[2 0]\n[0 4]\nU =\n[-2 1]\n[3 -1]\nV =\n[1 0]\n[0 1]\n"),
@@ -137,7 +131,8 @@ class TestTextOutput:
          "mu = 4 (mod 16)\nsignature = 4\nform determinant = 9\n"
          "H1(Seifert hypersurface) = Z3 \u2295 Z3\n"
          "doubling test: passes, half = Z3\n"),
-    ], ids=["snf", "snf-full", "snf-empty", "alink", "braid", "invariants-double"])
+    ], ids=["invariants", "obstruct", "snf", "snf-full", "snf-empty", "alink", "braid",
+            "invariants-double"])
     def test_text(self, argv, text):
         assert run_cli(*argv) == (0, text)
 
@@ -194,34 +189,28 @@ class TestSnfCommand:
 
 
 class TestAlinkCommand:
-    def test_column_syntax(self):
-        assert run_json("alink", "(2,4)", "--json") == {"alinking": "2", "mod2": "0"}
-
-    def test_zero_column(self):
-        assert run_json("alink", "(0,0)", "--json")["alinking"] == "0"
-
-    def test_row_matrix_syntax(self):
-        assert run_json("alink", "[[3],[0]]", "--json") == {"alinking": "3", "mod2": "1"}
+    @pytest.mark.parametrize("text, record", [
+        ("(2,4)", {"alinking": "2", "mod2": "0"}),
+        ("(0,0)", {"alinking": "0", "mod2": "0"}),
+        ("[[3],[0]]", {"alinking": "3", "mod2": "1"}),
+    ], ids=["column", "zero-column", "row-matrix"])
+    def test_map_syntax(self, text, record):
+        assert run_json("alink", text, "--json") == record
 
     def test_outside_classification_is_validation_error(self, capsys):
         code, _ = run_cli("alink", "(1,0) (0,1)")
         assert code == 2
         assert "alinking" in capsys.readouterr().err
 
-    def test_garbage_is_parse_error(self, capsys):
-        code, _ = run_cli("alink", "twist")
-        assert code == 3
-
-    def test_non_ascii_digit_is_parse_error(self, capsys):
-        # int() reads the Arabic-Indic digit one as 1; the column syntax does not
-        assert run_cli("alink", "(\u0661,2)") == (3, "")
-        assert "cannot parse induced map" in capsys.readouterr().err
-
-    def test_non_ascii_space_is_parse_error(self, capsys):
-        # a no-break space is Unicode whitespace, not a separator of the syntax
-        assert run_cli("alink", "(1,\u00a02)") == (3, "")
-        err = capsys.readouterr().err
-        assert err.startswith("parse error: cannot parse induced map") and "Traceback" not in err
+    @pytest.mark.parametrize("text", [
+        "(\u0661,2)",  # int() reads the Arabic-Indic digit one as 1; the column syntax does not
+        "(1,\u00a02)",  # a no-break space is Unicode whitespace, not a separator of the syntax
+    ], ids=["digit", "space"])
+    def test_non_ascii_character_is_parse_error(self, capsys, text):
+        assert run_cli("alink", text) == (3, "")
+        assert capsys.readouterr().err == (
+            f"parse error: cannot parse induced map from {text!r}; "
+            'use "(a,b) (c,d)" columns or a JSON 2-row matrix\n')
 
     def test_ascii_spaces_in_columns(self):
         assert run_cli("alink", "(1, 2) (3,4)")[0] == 2  # read, then outside the classification
@@ -230,10 +219,10 @@ class TestAlinkCommand:
 
     @pytest.mark.parametrize("text, code", [
         ("(1,\r0) (2,0)", 0), ("(1,0)\r(2,0)", 0), ("(1,0);(2,0)", 0), ("(1,0)(2,0)", 0),
-        ("(1,0) x (2,0)", 3),
-    ], ids=["cr-inside", "cr-between", "semicolon", "adjacent", "letter-between"])
+        ("(1,0) x (2,0)", 3), ("twist", 3),
+    ], ids=["cr-inside", "cr-between", "semicolon", "adjacent", "letter-between", "no-column"])
     def test_one_separator_rule(self, text, code):
-        # ASCII whitespace inside a column; between columns that, "," or ";"
+        # ASCII whitespace inside a column; between columns that, "," or ";"; one column at least
         assert run_cli("alink", text)[0] == code
 
     def test_three_rows_is_parse_error(self, tmp_path, capsys):
@@ -250,17 +239,10 @@ class TestBraidCommand:
         assert record["mu"] == "2"
         assert record["form_determinant"] in ("3", "-3")
 
-    def test_quoted_letters_token(self):
-        assert run_json("braid", "--strands", "3", "1 -2 1 -2", "--json")["mu"] == "0"
-
     def test_link_closure_rejected(self, capsys):
         code, _ = run_cli("braid", "--strands", "2", "1", "1")
         assert code == 2
         assert "components" in capsys.readouterr().err
-
-    def test_bad_letter_is_parse_error(self, capsys):
-        code, _ = run_cli("braid", "--strands", "2", "x")
-        assert code == 3
 
     def test_huge_strand_count_is_not_a_knot(self, one_second, capsys):
         code, _ = run_cli("braid", "--strands", "100000000000", "1")
@@ -276,25 +258,27 @@ class TestBraidCommand:
         assert proc.returncode == 2, proc.stderr.decode()[-2000:]
         assert b"99999999999 components" in proc.stderr
 
-    def test_negative_letters_are_read(self):
-        record = run_json("braid", "--strands", "2", "-1", "-1", "-1", "--json")
-        assert record["mu"] == "14"  # the mirror trefoil
-
     @pytest.mark.parametrize("argv", [
         ["--strands", "2", "\u0661", "1", "1"], ["--strands", "2", "+1", "1", "1"],
         ["--strands", "2", "1_0"], ["--strands", "2", "0x1"], ["--strands", "2", "1 +1 1"],
         ["--strands", "2", "1.0"], ["--strands", "2", "\uff11"], ["--strands", "2", "-"],
         ["--strands", "\u0662", "1", "1", "1"], ["--strands", "+2", "1", "1", "1"],
         ["--strands", "2_0", "1"], ["--strands", "2", "1\u00a01 1"],
-        ["--strands", "2", "1\u30001 1"],
+        ["--strands", "2", "1\u30001 1"], ["--strands", "2", "x"],
+        ["--strands", "2", "-1.5"],  # a word starting with a dash is a letter, not an option
+        ["--strands", "x", "1"],
     ], ids=lambda argv: " ".join(argv).encode("ascii", "backslashreplace").decode())
     def test_integers_are_ascii_decimal(self, capsys, argv):
         # letters and --strands take the grammar of string matrix entries;
-        # only ASCII whitespace separates letters, not U+00A0 or U+3000
+        # only ASCII whitespace separates letters, not U+00A0 or U+3000.
+        # The error line names the first word outside the grammar.
+        strands, *letters = argv[1:]
+        words = [strands] + [word for token in letters for word in token.split(" ")]
+        bad = next(word for word in words if re.fullmatch("-?[0-9]+", word) is None)
+        where = "ribbonmu braid: argument --strands: " if bad == strands else ""
         assert run_cli("braid", *argv) == (3, "")
         err = capsys.readouterr().err
-        assert err.startswith("parse error: ") and "Traceback" not in err
-        assert "is not an integer" in err or "invalid integer value" in err
+        assert err == f"parse error: {where}{bad!r} is not an integer -?[0-9]+\n"
 
     @pytest.mark.parametrize("token", ["1\t-2 1\n-2", " 1\r-2\x0b1\x0c-2 "])
     def test_ascii_whitespace_separates_letters(self, token):
@@ -424,31 +408,14 @@ class TestKnotFiles:
             ("trefoil", "catalog"), ("by-name", "catalog"),
             ("by-matrix", "seifert-matrix"), ("<inline>", "seifert-matrix")]
         assert all(r == records[0] for r in records)
+        assert records[0]["mu"] == "2"
         assert cli.resolve_knot("trefoil") is braid.catalog("trefoil")
-
-    def test_missing_file(self, tmp_path):
-        code, _ = run_cli("invariants", f"{tmp_path}/absent.json")
-        assert code == 3
 
     def test_undecodable_file(self, tmp_path):
         path = tmp_path / "binary.json"
         path.write_bytes(b"\xff\xfe{")
         code, _ = run_cli("invariants", str(path))
         assert code == 3
-
-    def test_batch_mode(self, tmp_path):
-        (tmp_path / "a_trefoil.json").write_text(
-            json.dumps({"catalog": "trefoil"}))
-        (tmp_path / "b_figure8.json").write_text(
-            json.dumps({"seifert_matrix": [["1", "1"], ["0", "-1"]]}))
-        (tmp_path / "notes.txt").write_text("ignored")
-        code, text = run_cli("invariants", "--batch", str(tmp_path))
-        assert code == 0
-        lines = text.strip().splitlines()
-        assert len(lines) == 2
-        first, second = (json.loads(line) for line in lines)
-        assert first["mu"] == "2"      # sorted order: a_... then b_...
-        assert second["mu"] == "0"
 
     def test_batch_reports_every_file(self, tmp_path, capsys):
         (tmp_path / "a_good.json").write_text(json.dumps({"catalog": "trefoil"}))
@@ -573,13 +540,6 @@ class TestKnotFiles:
         err = capsys.readouterr().err
         assert err == "parse error: cannot read './nope.json': No such file or directory\n"
 
-    def test_batch_round_trip(self, tmp_path):
-        (tmp_path / "k.json").write_text(json.dumps({"catalog": "poincare"}))
-        code, text = run_cli("invariants", "--batch", str(tmp_path))
-        record = json.loads(text.strip())
-        form = from_decimal_rows(record["form"])
-        assert str(TwoKnotInvariants.from_even_form(form).mu.value) == record["mu"]
-
 
 @pytest.fixture
 def one_second():
@@ -702,11 +662,6 @@ class TestExitContract:
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert json.loads(proc.stdout)[key] == value
 
-    def test_batch_path_too_long_for_a_file_name(self, capsys):
-        assert run_cli("invariants", "--batch", "x" * 300) == (3, "")
-        err = capsys.readouterr().err
-        assert err == f"parse error: cannot read {'x' * 300!r}: {os.strerror(errno.ENAMETOOLONG)}\n"
-
     @pytest.mark.parametrize("name, make, error", [
         ("nope", None, errno.ENOENT),
         ("k.json", lambda path: path.write_text(json.dumps({"catalog": "trefoil"})),
@@ -714,7 +669,8 @@ class TestExitContract:
         pytest.param("p.json", getattr(os, "mkfifo", None), errno.ENOTDIR, marks=pytest.mark.skipif(
             not hasattr(os, "mkfifo"), reason="no named pipes")),
         ("", None, errno.ENOENT),
-    ], ids=["missing", "file", "fifo", "empty"])
+        ("x" * 300, None, errno.ENAMETOOLONG),
+    ], ids=["missing", "file", "fifo", "empty", "too-long"])
     def test_unreadable_batch_path_reads_like_any_failed_read(self, tmp_path, capsys,
                                                               name, make, error):
         # listing is the only directory check, so a FIFO is never opened and cannot block
@@ -740,11 +696,24 @@ class TestExitContract:
         ["invariants", "--batch", "a", "--batch", "b"],
         ["snf", "--file", "a.json", "--file", "b.json"],
         ["alink", "--file", "a.json", "--file", "a.json"],
+        # a word that no option or argument of the subcommand takes
+        ["braid", "1", "1", "1", "--strands", "2", "-x"],
+        ["braid", "1", "1", "1", "--strands", "2", "--jso"],
+        ["braid", "1", "1", "1", "--strands2"],
+        ["braid", "1", "1", "1", "--strands", "2", "--json=1"],  # a flag takes no value
+        ["invariants", "trefoil", "--js"], ["invariants", "trefoil", "--batch"],
+        ["obstruct", "trefoil", "-1x"], ["snf", "[[2]]", "--file"], ["alink", "(2,4)", "--fil=x"],
+        ["invariants", "trefoil", "--json", "figure8"],  # an option hides no extra argument
+        ["snf", "[[2]]", "--full", "[[3]]"],
+        ["invariants", "trefoil", "figure8"], ["snf", "[[2]]", "[[3]]"],
+        # a value option twice, with or without "="
+        ["braid", "1", "1", "1", "--strands=2", "--strands", "2"],
+        ["braid", "1", "1", "1", "--strands", "2", "--strands=2"],
+        ["snf", "--file=a.json", "--file=a.json"],
     ])
     def test_usage_error_is_parse_error(self, capsys, argv):
         assert run_cli(*argv) == (3, "")
-        err = capsys.readouterr().err
-        assert err.startswith("parse error: ribbonmu") and "Traceback" not in err
+        assert capsys.readouterr().err.startswith("parse error: ribbonmu")
 
     @pytest.mark.parametrize("argv", [
         ["invariants", "trefoil", "--batch", "{dir}"],
@@ -761,15 +730,9 @@ class TestExitContract:
         argv = [a.format(dir=tmp_path / "knots", file=tmp_path / "m.json") for a in argv]
         assert run_cli(*argv) == (3, "")
         err = capsys.readouterr().err
-        assert err.startswith("parse error: ") and "Traceback" not in err
+        assert err.startswith("parse error: ")
         if "" in argv:  # the name as given, not the "." that pathlib makes of it
             assert "''" in err and "'.'" not in err and "Errno" not in err
-
-    def test_help_still_exits_zero(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("braid", "--help")
-        assert exc.value.code == 0
-        assert "--strands" in capsys.readouterr().out
 
     def test_bare_value_error_is_a_bug_not_bad_input(self, monkeypatch):
         # e.g. _core_mod_det's "wrong determinant": the kernel is at fault
@@ -816,37 +779,6 @@ class TestArgvGrammar:
     ], ids=["negative", "spaced", "after --"])
     def test_word_starting_with_a_dash_is_an_argument(self, argv, mu):
         assert run_json("braid", "--json", *argv)["mu"] == mu
-
-    @pytest.mark.parametrize("word", ["-", "-1.5"])
-    def test_dash_word_that_is_no_integer(self, capsys, word):
-        # read as a letter, not an option, so the letter grammar rejects it
-        assert run_cli("braid", "--strands", "2", word) == (3, "")
-        assert "is not an integer" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("argv", [
-        ["braid", "1", "1", "1", "--strands", "2", "-x"],
-        ["braid", "1", "1", "1", "--strands", "2", "--jso"],
-        ["braid", "1", "1", "1", "--strands2"],
-        ["braid", "1", "1", "1", "--strands", "2", "--json=1"],  # a flag takes no value
-        ["invariants", "trefoil", "--js"], ["invariants", "trefoil", "--batch"],
-        ["obstruct", "trefoil", "-1x"], ["snf", "[[2]]", "--file"], ["alink", "(2,4)", "--fil=x"],
-        ["invariants", "trefoil", "--json", "figure8"],  # an option hides no extra argument
-        ["snf", "[[2]]", "--full", "[[3]]"],
-        ["invariants", "trefoil", "figure8"], ["snf", "[[2]]", "[[3]]"],
-    ])
-    def test_unlisted_word_is_a_usage_error(self, capsys, argv):
-        assert run_cli(*argv) == (3, "")
-        err = capsys.readouterr().err
-        assert err.startswith("parse error: ribbonmu") and "Traceback" not in err
-
-    @pytest.mark.parametrize("argv, canonical", [
-        (["braid", "1", "--strands", "2", "1"], ["braid", "1", "1", "--strands", "2"]),
-        (["obstruct", "trefoil", "--json", "figure8"],
-         ["obstruct", "trefoil", "figure8", "--json"]),
-    ])
-    def test_option_between_arguments(self, argv, canonical):
-        assert run_cli(*argv) == run_cli(*canonical)
-        assert run_cli(*canonical)[0] != 3  # read, whatever the knot's validity
 
     def test_options_anywhere_among_the_arguments(self, tmp_path):
         """Each option, with its value, at every place among the arguments reads as the canonical
@@ -898,15 +830,6 @@ class TestArgvGrammar:
         assert code == 0 and text
         assert (code, text) == run_cli(*spaced, "--json")
 
-    @pytest.mark.parametrize("argv", [
-        ["braid", "1", "1", "1", "--strands=2", "--strands", "2"],
-        ["braid", "1", "1", "1", "--strands", "2", "--strands=2"],
-        ["snf", "--file=a.json", "--file=a.json"],
-    ])
-    def test_value_option_twice_in_any_form(self, capsys, argv):
-        assert run_cli(*argv) == (3, "")
-        assert capsys.readouterr().err.startswith("parse error: ribbonmu")
-
     def test_flag_twice_is_accepted(self):
         assert run_cli("invariants", "trefoil", "--json", "--json") == \
             run_cli("invariants", "trefoil", "--json")
@@ -919,12 +842,6 @@ class TestArgvGrammar:
         assert exc.value.code == 0
         out, err = capsys.readouterr()
         assert "--strands" in out and err == ""
-
-    def test_strands_not_an_integer(self, capsys):
-        assert run_cli("braid", "--strands", "x", "1") == (3, "")
-        err = capsys.readouterr().err
-        assert err.startswith("parse error: ribbonmu") and "--strands" in err
-        assert "is not an integer" in err or "invalid integer value" in err
 
     @pytest.mark.parametrize("argv, names", [
         (["--help"], ["invariants", "obstruct", "snf", "alink", "braid"]),
@@ -1135,20 +1052,6 @@ class TestSerialization:
     """The wire format: ``cli._write_json`` writes a matrix as rows of
     decimal strings, and ``cli._matrix_from_json`` reads them back."""
 
-    def test_decimal_round_trip(self):
-        rng = random.Random(14)
-        for _ in range(20):
-            m = rand_matrix(rng, max_dim=5)
-            back = cli._matrix_from_json(json.loads(write_matrix(m))["m"])
-            # no rows carry no column count: a 0 x c matrix reads back as 0 x 0
-            assert back == (m if m.rows else IntMatrix.empty())
-
-    def test_preserves_huge_entries(self):
-        huge = 10 ** 40 + 7
-        m = IntMatrix.from_rows([[huge, -huge]])
-        assert write_matrix(m) == f'{{"m": [["{huge}", "{-huge}"]]}}\n'
-        assert cli._matrix_from_json(to_decimal_rows(m)) == m
-
     @seed(20261018)
     @settings(max_examples=150, deadline=None)
     @given(m=wire_matrices())
@@ -1157,6 +1060,7 @@ class TestSerialization:
             text = write_matrix(m)
             assert text == json.dumps({"m": to_decimal_rows(m)}) + "\n"
             back = cli._matrix_from_json(json.loads(text)["m"])
+        # no rows carry no column count: a 0 x c matrix reads back as 0 x 0
         assert back == (m if m.rows else IntMatrix.empty())
 
 
