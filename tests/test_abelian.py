@@ -12,13 +12,11 @@ from ribbonmu import (
     DoublingHypothesisError,
     FiniteAbelianGroup,
     IntMatrix,
-    cokernel_invariants,
     combine_doubles,
     direct_sum,
     from_presentation,
     is_double,
 )
-from ribbonmu import abelian
 
 from support import (
     chain_from_elementary_divisors_oracle,
@@ -62,10 +60,6 @@ class TestFromPresentation:
     def test_identity_presents_trivial(self):
         assert from_presentation(identity(4)) == Z(())
 
-    def test_torsion_of_non_square(self):
-        rank, torsion = cokernel_invariants(IntMatrix.from_rows([[2], [4]]))
-        assert rank == 1 and Z(torsion) == Z((2,))
-
 
 class TestDirectSum:
     def test_same_prime(self):
@@ -106,9 +100,6 @@ class TestDirectSum:
 
 class TestIsIsomorphic:
     """Chains are canonical, so isomorphism is ``==``."""
-
-    def test_crt(self):
-        assert Z((6,)) == direct_sum(Z((2,)), Z((3,)))
 
     def test_z4_is_not_z2_z2(self):
         assert Z((4,)) != Z((2, 2))
@@ -232,20 +223,9 @@ class TestCombineDoubles:
         with pytest.raises(DoublingHypothesisError, match="second"):
             combine_doubles(Z((3,)), Z((3,)), Z((5,)))
 
-    def test_broken_parity_argument_raises(self, monkeypatch):
-        real = is_double
-        seen = []
-
-        def third_call_fails(g):
-            seen.append(g)
-            return None if len(seen) == 3 else real(g)
-
-        monkeypatch.setattr(abelian, "is_double", third_call_fails)
-        with pytest.raises(RuntimeError, match="parity argument"):
-            combine_doubles(Z((8,)), Z((8,)), Z((8,)))
-
     def test_parity_check_survives_python_dash_o(self):
-        # -O strips assert statements; the last check must still run
+        # -O strips assert statements; the last check must still run and
+        # name the parity argument
         script = (
             "from ribbonmu import abelian, FiniteAbelianGroup as Z\n"
             "real, seen = abelian.is_double, []\n"
@@ -255,8 +235,8 @@ class TestCombineDoubles:
             "abelian.is_double = third_call_fails\n"
             "try:\n"
             "    abelian.combine_doubles(Z((8,)), Z((8,)), Z((8,)))\n"
-            "except RuntimeError:\n"
-            "    raise SystemExit(0)\n"
+            "except RuntimeError as exc:\n"
+            "    raise SystemExit(0 if 'parity argument' in str(exc) else repr(exc))\n"
             "raise SystemExit('combine_doubles returned without a double')\n")
         proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                               text=True, env=package_env(), timeout=60)

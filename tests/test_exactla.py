@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import compress
 from math import isqrt, prod
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from ribbonmu import (
+    E8,
     DimensionError,
     FormError,
     IntMatrix,
@@ -17,7 +19,8 @@ from ribbonmu import (
     signature_and_determinant,
     smith_normal_form,
 )
-from ribbonmu.exactla import _core_mod_det, _symmetric_pivots
+from ribbonmu import exactla
+from ribbonmu.exactla import SnfResult, _core_mod_det, _symmetric_pivots
 
 from support import (
     block_diag,
@@ -41,18 +44,6 @@ from support import (
     zeros,
 )
 
-E8_ROWS = [
-    [2, -1, 0, 0, 0, 0, 0, 0],
-    [-1, 2, -1, 0, 0, 0, 0, 0],
-    [0, -1, 2, -1, 0, 0, 0, 0],
-    [0, 0, -1, 2, -1, 0, 0, 0],
-    [0, 0, 0, -1, 2, -1, 0, -1],
-    [0, 0, 0, 0, -1, 2, -1, 0],
-    [0, 0, 0, 0, 0, -1, 2, 0],
-    [0, 0, 0, 0, -1, 0, 0, 2],
-]
-
-
 class TestSmithNormalForm:
     def test_worked_example_matches_reduction_oracle(self):
         m = IntMatrix.from_rows([[2, 4], [6, 8]])
@@ -60,21 +51,17 @@ class TestSmithNormalForm:
         assert smith_normal_form(m).D.diagonal() == (2, 4)
         snf_is_valid(m)
 
-    def test_identity(self):
-        m = identity(3)
-        res = smith_normal_form(m)
-        assert res.D == identity(3)
+    # Empty, zero, one row or one column, and the identity.  Both checks
+    # together pin D entry for entry.
+    @pytest.mark.parametrize("m", [
+        zeros(0, 0), zeros(3, 0), zeros(0, 3),
+        rand_matrix(random.Random(14), rows=1, cols=4),
+        rand_matrix(random.Random(41), rows=4, cols=1),
+        zeros(1, 1), zeros(2, 2), identity(3),
+    ], ids=["0-0", "3-0", "0-3", "1-4", "4-1", "zero-1-1", "zero-2-2", "identity-3"])
+    def test_degenerate_shapes(self, m):
         snf_is_valid(m)
-
-    def test_zero_matrix(self):
-        m = zeros(2, 2)
-        assert smith_normal_form(m).D == m
-
-    @pytest.mark.parametrize("rows,cols", [(0, 0), (3, 0), (0, 3), (1, 4), (4, 1)])
-    def test_degenerate_shapes(self, rows, cols):
-        rng = random.Random(rows * 10 + cols)
-        m = rand_matrix(rng, rows=rows, cols=cols)
-        snf_is_valid(m)
+        TestDiagonalOnlySmith.check(m)
 
     def test_deterministic(self):
         rng = random.Random(5)
@@ -99,27 +86,18 @@ class TestSmithNormalForm:
             assert wide.D == tall.D.transpose(), (rows, cols)
             assert wide.V == tall.U.transpose(), (rows, cols)
 
-    def test_random_decompositions_and_oracle(self):
-        rng = random.Random(101)
-        for _ in range(120):
-            m = rand_matrix(rng, max_dim=6, lo=-30, hi=30)
-            snf_is_valid(m)
-            assert list(smith_normal_form(m).D.diagonal()) == snf_diagonal_oracle(m)
-
 
 class TestDiagonalOnlySmith:
     """cokernel_invariants reduces without U and V."""
 
     @staticmethod
-    def check(m: IntMatrix) -> None:
+    def check(m: IntMatrix) -> SnfResult:
+        """U M V = D, D and the cokernel against the oracle; the decomposition."""
         res = smith_normal_form(m)
         assert matmul(res.U, m, res.V) == res.D
         assert list(res.D.diagonal()) == snf_diagonal_oracle(m)
         assert cokernel_invariants(m) == cokernel_oracle(m)
-
-    @pytest.mark.parametrize("rows,cols", [(0, 0), (3, 0), (0, 3), (1, 1)])
-    def test_empty_and_tiny(self, rows, cols):
-        self.check(zeros(rows, cols))
+        return res
 
     def test_rectangular(self):
         rng = random.Random(16)
@@ -164,8 +142,7 @@ class TestTransformSize:
     """
 
     def check(self, m: IntMatrix) -> None:
-        TestDiagonalOnlySmith.check(m)  # U M V = D, and D against the oracle
-        res = smith_normal_form(m)
+        res = TestDiagonalOnlySmith.check(m)
         bits = max((abs(x).bit_length() for t in (res.U, res.V)
                     for row in t.entries for x in row), default=0)
         assert bits <= 3 * hadamard_bits(m), (m.rows, m.cols)
@@ -190,17 +167,6 @@ class TestTransformSize:
 
 
 class TestDeterminant:
-    def test_examples_against_cofactor_oracle(self):
-        m1 = IntMatrix.from_rows([[2, 1], [1, 2]])
-        assert det_cofactor(m1) == 3
-        assert determinant(m1) == 3
-        m2 = IntMatrix.from_rows([[2, 1], [1, -2]])
-        assert det_cofactor(m2) == -5
-        assert determinant(m2) == -5
-
-    def test_empty_is_one(self):
-        assert determinant(IntMatrix.empty()) == 1
-
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
             determinant(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
@@ -243,29 +209,24 @@ class TestCokernel:
         m = IntMatrix(2, 0, ((), ()))
         assert cokernel_invariants(m) == (2, ())
 
-    def test_det_equals_product_of_invariant_factors(self):
-        rng = random.Random(9)
-        for _ in range(60):
-            n = rng.randint(1, 5)
-            m = rand_matrix(rng, rows=n, cols=n, lo=-12, hi=12)
-            d = determinant(m)
-            if d == 0:
-                continue
-            prod = 1
-            for f in cokernel_invariants(m)[1]:
-                prod *= f
-            assert prod == abs(d)
-
 
 # Blocks with known (signature, determinant), for congruence tests.
 KNOWN_BLOCKS = (
-    (IntMatrix.from_rows(E8_ROWS), 8, 1),
-    (matsub(zeros(8, 8), IntMatrix.from_rows(E8_ROWS)), -8, 1),
+    (E8, 8, 1),
+    (matsub(zeros(8, 8), E8), -8, 1),
     (IntMatrix.from_rows([[0, 1], [1, 0]]), 0, -1),
     (IntMatrix.from_rows([[2, 1], [1, 4]]), 2, 7),
     (IntMatrix.from_rows([[-2, 1], [1, -6]]), -2, 11),
     (IntMatrix.from_rows([[2, 1], [1, -8]]), 0, -17),
     (IntMatrix.from_rows([[0]]), 0, 0),
+)
+
+# The known blocks, and more small forms; the zero form of size 1 is a block.
+KNOWN_FORMS = KNOWN_BLOCKS + (
+    (IntMatrix.empty(), 0, 1),
+    *((zeros(n, n), 0, 0) for n in range(2, 5)),
+    (IntMatrix.from_rows([[2, 1], [1, 2]]), 2, 3),
+    (IntMatrix.from_rows([[2, 1], [1, -2]]), 0, -5),
 )
 
 
@@ -294,29 +255,12 @@ def structured_symmetric(rng: random.Random) -> IntMatrix:
 
 
 class TestSignatureAndDeterminant:
-    def test_empty_form(self):
-        assert signature_and_determinant(IntMatrix.empty()) == (0, 1)
-
-    def test_zero_forms(self):
-        for n in range(1, 5):
-            assert signature_and_determinant(zeros(n, n)) == (0, 0)
-
-    def test_hyperbolic_and_zero_diagonal_examples(self):
-        h = IntMatrix.from_rows([[0, 1], [1, 0]])
-        assert signature_and_determinant(h) == (0, -1)
-        q = IntMatrix.from_rows([[0, 2, 0], [2, 0, 3], [0, 3, 0]])
-        assert signature_and_determinant(q) == (charpoly_signature(q), det_cofactor(q))
-
-    def test_positive_definite_rank_two(self):
-        assert signature_and_determinant(IntMatrix.from_rows([[2, 1], [1, 2]]))[0] == 2
-
-    def test_indefinite_rank_two(self):
-        assert signature_and_determinant(IntMatrix.from_rows([[2, 1], [1, -2]]))[0] == 0
-
-    def test_e8_against_charpoly_oracle(self):
-        e8 = IntMatrix.from_rows(E8_ROWS)
-        assert charpoly_signature(e8) == 8
-        assert signature_and_determinant(e8)[0] == 8
+    @pytest.mark.parametrize("form, sig, det", KNOWN_FORMS,
+                             ids=[f"{q.rows}x{q.rows},{s},{d}" for q, s, d in KNOWN_FORMS])
+    def test_known_forms(self, form, sig, det):
+        assert signature_and_determinant(form) == (sig, det)
+        assert determinant(form) == det_cofactor(form) == det
+        assert charpoly_signature(form) == sig
 
     def test_charpoly_oracle_against_shifted_determinants(self):
         # n + 1 values fix a monic polynomial of degree n, so the recurrence
@@ -372,7 +316,7 @@ class TestSignatureAndDeterminant:
             IntMatrix.from_rows([[0, 2, 0], [2, 0, 3], [0, 3, 0]]),  # zero diagonal, singular
             IntMatrix.from_rows([[1, 1, 2], [1, 1, 2], [2, 2, 4]]),
             block_diag(zeros(2, 2), IntMatrix.from_rows([[2, 1], [1, -2]]), zeros(1, 1)),
-            IntMatrix.from_rows(E8_ROWS),
+            E8,
         ]
         for q in forms:
             rows, n = q.to_lists(), q.rows
@@ -518,7 +462,7 @@ class TestSparseInput:
                     cokernel_invariants: (0, (abs(det),))}[kernel]
         assert (result[1] if kernel is signature_and_determinant else result) == expected
 
-    def test_unit_cascade_is_not_cubic(self):
+    def test_unit_cascade_is_not_cubic(self, monkeypatch):
         # 3 on the diagonal, 2 below, -2 above, and a last row ending in
         # (-2, 1): each unit pivot makes a unit in the row above, so the
         # unit phase retires one per sweep, bottom up, and a sweep that
@@ -531,9 +475,21 @@ class TestSparseInput:
             m[i][i + 1], m[i + 1][i] = -2, 2
         m[n - 1][n - 2:] = [-2, 1]
         form = IntMatrix.from_rows(m, cols=n)
-        with time_limit(3.0):
+        # Each row scan reads the row's support with one compress call:
+        # 2n calls in all here, and about n^2 / 2 if every sweep rescanned.
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            if calls > 3 * n:
+                raise AssertionError(f"more than {3 * n} row scans for {n} rows")
+            return compress(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(exactla, "compress", counted)
             assert cokernel_invariants(form) == (0, ())
-            assert determinant(form) == (-1) ** (n - 1)
+        assert determinant(form) == (-1) ** (n - 1)
 
 
 # Symmetric 2 x 2 blocks with a unit entry, keyed by d = det; coker is Z_d.
@@ -588,9 +544,8 @@ class TestSmithModuloDeterminant:
         ((3, 9, 13, 13, 9), (3, 117, 117))])
     def test_repeated_and_non_coprime_factors(self, orders, chain):
         rng = random.Random(sum(orders))
-        e8 = IntMatrix.from_rows(E8_ROWS)
         for _ in range(5):
-            m = congruent_sum(rng, [CYCLIC_BLOCKS[d] for d in orders] + [e8], steps=60)
+            m = congruent_sum(rng, [CYCLIC_BLOCKS[d] for d in orders] + [E8], steps=60)
             assert cokernel_invariants(m, determinant(m)) == (0, chain)
             self.check(m)
 
@@ -635,10 +590,9 @@ class TestSmithModuloDeterminant:
         assert signs == {True, False}
 
     def test_unimodular_forms_stop_at_once(self):
-        e8 = IntMatrix.from_rows(E8_ROWS)
-        assert cokernel_invariants(e8, 1) == (0, ())
+        assert cokernel_invariants(E8, 1) == (0, ())
         p = rand_unimodular(random.Random(45), 8, steps=40)
-        assert cokernel_invariants(matmul(p.transpose(), e8, p), 1) == (0, ())
+        assert cokernel_invariants(matmul(p.transpose(), E8, p), 1) == (0, ())
         assert cokernel_invariants(IntMatrix.from_rows([[0, 1], [1, 0]]), -1) == (0, ())
         # R = 1 before the first pivot: a unit-free core is left untouched
         core = [[2, 3], [3, 5]]

@@ -101,18 +101,14 @@ class TestVerdictWitnesses:
         with pytest.raises(ValueError, match="not a double"):
             Verdict(Conclusion.OBSTRUCTED_BY_TORSION, torsion_witness=witness)
 
-    def test_consistent_verdicts_build(self):
-        for conclusion, args in ((Conclusion.OBSTRUCTED_BY_MU, {"mu_pair": (Mu(2), Mu(0))}),
-                                 (Conclusion.OBSTRUCTED_BY_TORSION,
-                                  {"torsion_witness": FiniteAbelianGroup((3, 9))}),
-                                 (Conclusion.NO_OBSTRUCTION_FOUND, {})):
-            assert Verdict(conclusion, **args).conclusion is conclusion
-
     def test_rule_is_read_off_the_conclusion(self):
         verdicts = (Verdict(Conclusion.OBSTRUCTED_BY_MU, (Mu(2), Mu(0))),
                     Verdict(Conclusion.OBSTRUCTED_BY_TORSION,
                             torsion_witness=FiniteAbelianGroup((3,))),
                     Verdict(Conclusion.NO_OBSTRUCTION_FOUND))
+        assert [v.conclusion for v in verdicts] == [
+            Conclusion.OBSTRUCTED_BY_MU, Conclusion.OBSTRUCTED_BY_TORSION,
+            Conclusion.NO_OBSTRUCTION_FOUND]
         assert [v.rule for v in verdicts] == [
             "ribbon-move equivalent 2-links have equal mu-invariants",
             "combined Seifert-hypersurface torsion of ribbon-move equivalent 2-links "

@@ -44,12 +44,6 @@ class TestMu:
 
 
 class TestValidateSeifert:
-    def test_trefoil_matrix(self):
-        assert validate_seifert(TREFOIL).size == 2
-
-    def test_empty_unknot(self):
-        assert validate_seifert(IntMatrix.empty()).size == 0
-
     def test_symmetric_matrix_rejected(self):
         with pytest.raises(SeifertValidationError, match="det"):
             validate_seifert(identity(2))
@@ -73,10 +67,6 @@ class TestIntersectionForm:
 
 
 class TestBranchedDoubleCover:
-    def test_unknot_homology(self):
-        assert TwoKnotInvariants.from_seifert(
-            validate_seifert(IntMatrix.empty())).cover_torsion.is_trivial
-
     def test_order_equals_form_determinant(self):
         rng = random.Random(32)
         for _ in range(80):
@@ -86,10 +76,6 @@ class TestBranchedDoubleCover:
 
 
 class TestMuTwoTwistSpin:
-    def test_unknot(self):
-        inv = TwoKnotInvariants.from_seifert(validate_seifert(IntMatrix.empty()))
-        assert inv.mu.value == 0
-
     def test_congruence_invariance(self):
         rng = random.Random(33)
         for _ in range(60):
@@ -101,25 +87,17 @@ class TestMuTwoTwistSpin:
 
 
 class TestMuFromEvenForm:
-    def test_trefoil_form(self):
-        form = IntMatrix.from_rows([[2, 1], [1, 2]])
-        assert TwoKnotInvariants.from_even_form(form).mu.value == 2
-
     def test_hyperbolic_form(self):
         assert determinant(HYPERBOLIC) == -1
         assert TwoKnotInvariants.from_even_form(HYPERBOLIC).mu.value == 0
-
-    def test_odd_diagonal_rejected(self):
-        with pytest.raises(FormError, match="even"):
-            TwoKnotInvariants.from_even_form(IntMatrix.from_rows([[1, 0], [0, 2]]))
 
     def test_odd_form_rejected_before_elimination(self, monkeypatch):
         def eliminate(form):
             raise AssertionError("an odd form reached the elimination")
         monkeypatch.setattr(spinmu, "_symmetric_fold", eliminate)
-        odd = IntMatrix.from_rows([[2, 1, 0], [1, 2, 1], [0, 1, 3]])
-        with pytest.raises(FormError, match="form not even"):
-            TwoKnotInvariants.from_even_form(odd)
+        for odd in ([[1, 0], [0, 2]], [[2, 1, 0], [1, 2, 1], [0, 1, 3]]):
+            with pytest.raises(FormError, match="form not even"):
+                TwoKnotInvariants.from_even_form(IntMatrix.from_rows(odd))
 
     def test_even_determinant_rejected(self):
         with pytest.raises(SpinStructureError, match="spin structure"):
