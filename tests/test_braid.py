@@ -76,6 +76,14 @@ class TestBraidWord:
             assert word.closure_components() != 1
 
 
+def long_six_strand_word(length: int) -> BraidWord:
+    """Knot word on 6 strands: the stored 1201-letter word, or a seeded one."""
+    if length == 1201:
+        spec = json.loads(LONG_BRAID.read_text())["braid"]
+        return BraidWord(spec["strands"], tuple(spec["letters"]))
+    return knot_word(random.Random(length), 6, length)
+
+
 class TestSeifertMatrixFromBraid:
     def test_torus_3_5_braid_and_poincare_agree(self):
         # both bound the Poincare homology sphere: mu 8 and a trivial cover group
@@ -107,6 +115,12 @@ class TestSeifertMatrixFromBraid:
             assert abs(det_fraction(matsub(s.matrix, s.matrix.transpose()))) == 1
             assert alexander_at(s, 1) in (1, -1)
 
+    @pytest.mark.parametrize("length", [151, 301, 1201])
+    def test_long_braid_matrix_is_valid(self, length):
+        s = seifert_matrix_from_braid(long_six_strand_word(length)).matrix
+        assert s.rows == length - 5
+        assert determinant(matsub(s, s.transpose())) in (1, -1)
+
     def test_genus_bound_on_reduced_words(self):
         # A knot word uses each of its strands - 1 generators, and every
         # occurrence after a generator's first closes one loop.
@@ -131,15 +145,8 @@ class TestAgainstPairwiseOracle:
 
     @pytest.mark.parametrize("length", [151, 301, 601, 1201])
     def test_long_six_strand_words(self, length):
-        if length == 1201:
-            spec = json.loads(LONG_BRAID.read_text())["braid"]
-            word = BraidWord(spec["strands"], tuple(spec["letters"]))
-        else:
-            word = knot_word(random.Random(length), 6, length)
-        s = seifert_matrix_from_braid(word).matrix
-        assert s.rows == length - 5
-        assert s == seifert_matrix_pairwise(word)
-        assert determinant(matsub(s, s.transpose())) in (1, -1)
+        word = long_six_strand_word(length)
+        assert seifert_matrix_from_braid(word).matrix == seifert_matrix_pairwise(word)
 
 
 class TestTorusKnots:
@@ -248,8 +255,8 @@ class TestFarCommutation:
             self.check(word.strands, word.letters)
 
     def test_committed_1201_letter_word(self):
-        spec = json.loads(LONG_BRAID.read_text())["braid"]
-        assert self.check(spec["strands"], tuple(spec["letters"])) == 1196 - 706
+        word = long_six_strand_word(1201)
+        assert self.check(word.strands, word.letters) == 1196 - 706
 
 
 class TestAlexander:
