@@ -148,17 +148,20 @@ class KnotRecord(_Value):
     When an even bounding form is present it is the route to mu and
     cover homology (it is the hypersurface data for the 2-knot itself,
     e.g. for twist spins other than the 2-twist spin); a Seifert matrix
-    alone means the 2-twist-spin route.
+    alone means the 2-twist-spin route.  A record given a braid word
+    keeps it and builds its Seifert matrix from it, once, here.
     """
 
     name: str
     source: str  # catalog | braid | seifert-matrix | even-form
     seifert: SeifertMatrix | None
     even_form: IntMatrix | None
+    braid: BraidWord | None
 
     def __init__(self, name: str, source: str, seifert: SeifertMatrix | None = None,
-                 even_form: IntMatrix | None = None) -> None:
-        self._set(name=name, source=source, seifert=seifert, even_form=even_form)
+                 even_form: IntMatrix | None = None, braid: BraidWord | None = None) -> None:
+        seifert = seifert if braid is None else seifert_matrix_from_braid(braid)
+        self._set(name=name, source=source, seifert=seifert, even_form=even_form, braid=braid)
 
     def invariants(self) -> TwoKnotInvariants:
         if self.even_form is not None:

@@ -27,7 +27,7 @@ from types import SimpleNamespace
 
 from .abelian import FiniteAbelianGroup, is_double
 from .alink import InducedMap, alinking
-from .braid import BraidWord, KnotRecord, catalog, seifert_matrix_from_braid
+from .braid import BraidWord, KnotRecord, catalog
 from .exactla import (InputError, IntMatrix, _diagonal_matrix, cokernel_invariants,
                       smith_normal_form)
 from .obstruct import Verdict, obstruct_ribbon_equivalent, obstruct_ribbon_trivial
@@ -114,7 +114,7 @@ def _knot(spec: object, default_name: str, where: str) -> KnotRecord:
         raise CliParseError(
             f"{where}: need one of catalog/braid/seifert_matrix (or an "
             f"even_form), got {sources or 'none'}")
-    source, seifert = (sources or ["even_form"])[0], None
+    source, seifert, word = (sources or ["even_form"])[0], None, None
     if source == "catalog":
         entry = catalog(spec["catalog"])
         seifert = entry.seifert
@@ -130,11 +130,11 @@ def _knot(spec: object, default_name: str, where: str) -> KnotRecord:
                 or any(type(x) is not int for x in letters)):
             raise CliParseError(f"{where}: braid 'strands' must be an integer and 'letters' "
                                 "a list of integers")
-        seifert = seifert_matrix_from_braid(BraidWord(strands, letters))
+        word = BraidWord(strands, letters)
     elif source == "seifert_matrix":
         seifert = validate_seifert(_matrix_from_json(spec["seifert_matrix"]))
     return KnotRecord(name=spec.get("name", default_name), source=source.replace("_", "-"),
-                      seifert=seifert, even_form=even_form)
+                      seifert=seifert, even_form=even_form, braid=word)
 
 
 def resolve_knot(spec: str) -> KnotRecord:
@@ -334,12 +334,12 @@ def _cmd_alink(args):
 
 def _cmd_braid(args):
     letters = [integer(p) for token in args.letters for p in _SPACES.split(token) if p]
-    knot = _knot({"braid": {"strands": args.strands, "letters": letters}},
-                 f"closure of {letters} on {args.strands} strands", "braid")
+    knot = KnotRecord(f"closure of {letters} on {args.strands} strands", "braid",
+                      braid=BraidWord(args.strands, letters))
 
     def print_text(record, out):
         print("Seifert matrix:", file=out)
-        print(knot.seifert.matrix, file=out)
+        print(record["seifert_matrix"], file=out)
         _print_invariant_text(record, out)
 
     return _invariant_record(knot), print_text

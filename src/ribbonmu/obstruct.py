@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 
 from .abelian import FiniteAbelianGroup, direct_sum, is_double
+from .braid import catalog
 from .exactla import _Value
 from .spinmu import Mu, TwoKnotInvariants
 
@@ -93,4 +94,4 @@ def obstruct_ribbon_equivalent(a: TwoKnotInvariants, b: TwoKnotInvariants) -> Ve
 
 def obstruct_ribbon_trivial(knot: TwoKnotInvariants) -> Verdict:
     """Test whether a 2-knot can be ribbon-move equivalent to the trivial one."""
-    return obstruct_ribbon_equivalent(knot, TwoKnotInvariants.unknot())
+    return obstruct_ribbon_equivalent(knot, catalog("unknot").invariants())

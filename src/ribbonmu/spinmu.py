@@ -161,7 +161,3 @@ class TwoKnotInvariants(_Value):
             raise SpinStructureError(
                 "spin structure not unique: even form determinant; recipe inapplicable")
         return TwoKnotInvariants(sig, det, form, minor)
-
-    @staticmethod
-    def unknot() -> TwoKnotInvariants:
-        return TwoKnotInvariants.from_seifert(SeifertMatrix(IntMatrix.empty()))

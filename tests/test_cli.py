@@ -16,7 +16,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import ribbonmu
-from ribbonmu import (IntMatrix, TwoKnotInvariants, braid, cli, exactla,
+from ribbonmu import (BraidWord, IntMatrix, TwoKnotInvariants, braid, cli, exactla,
                       seifert_matrix_from_braid, signature_and_determinant, spinmu)
 from ribbonmu.cli import main
 
@@ -308,6 +308,7 @@ class TestKnotFiles:
         record = run_json("invariants", str(path), "--json")
         assert record["mu"] == "0"
         assert record["source"] == "even-form"
+        assert cli.resolve_knot(str(path)).braid is None
 
     def test_file_with_two_sources_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -410,6 +411,7 @@ class TestKnotFiles:
         assert all(r == records[0] for r in records)
         assert records[0]["mu"] == "2"
         assert cli.resolve_knot("trefoil") is braid.catalog("trefoil")
+        assert [cli.resolve_knot(spec).braid for spec in specs] == [None] * 4
 
     def test_undecodable_file(self, tmp_path):
         path = tmp_path / "binary.json"
@@ -918,11 +920,12 @@ class TestDigitLimit:
 class TestEachFactOnce:
     """One invariants record eliminates each matrix once, and only as needed:
     the symmetric pass once per form, and a Smith reduction only for a cover
-    group that the pass's D_{n-1} does not certify cyclic, gcd(D_{n-1}, det) > 1."""
+    group that the pass's D_{n-1} does not certify cyclic, gcd(D_{n-1}, det) > 1.
+    A braid record builds its Seifert matrix once."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        log: dict[str, list] = {"pass": [], "det": [], "smith": []}
+        log: dict[str, list] = {"pass": [], "det": [], "smith": [], "seifert": []}
 
         def counted(key, fn):
             def wrapper(*args):
@@ -931,9 +934,11 @@ class TestEachFactOnce:
             return wrapper
 
         # the pass is the fold over the symmetric pivots that the records call
-        for key, name in (("pass", "_symmetric_fold"), ("det", "determinant")):
-            original = getattr(exactla, name)
-            for mod in (exactla, spinmu, braid, cli):
+        for key, name, owner in (("pass", "_symmetric_fold", exactla),
+                                 ("det", "determinant", exactla),
+                                 ("seifert", "seifert_matrix_from_braid", braid)):
+            original = getattr(owner, name)
+            for mod in (exactla, spinmu, braid, cli, ribbonmu):
                 if getattr(mod, name, None) is original:
                     monkeypatch.setattr(mod, name, counted(key, original))
         monkeypatch.setattr(exactla, "_smith_diagonal",
@@ -954,6 +959,20 @@ class TestEachFactOnce:
             map(str, cokernel_oracle(form)[1]))
         assert calls["smith"] == []
         assert calls["det"] == []  # a braid's S is not re-validated
+        assert calls["seifert"] == [(BraidWord(4, letters),)]
+        assert cli.resolve_knot(str(path)).braid == BraidWord(4, letters)
+
+    @pytest.mark.parametrize("argv, builds", [
+        (["invariants", "{k}", "--json"], 1), (["braid", "--strands", "3", "1 -2 1 -2"], 1),
+        (["braid", "--strands", "3", "1 -2 1 -2", "--json"], 1), (["obstruct", "{k}"], 1),
+        (["obstruct", "{k}", "{k}"], 2)], ids=["invariants", "braid", "braid-json",
+                                             "obstruct", "obstruct-pair"])
+    def test_braid_record_builds_its_seifert_matrix_once(self, tmp_path, calls, argv, builds):
+        path = tmp_path / "knot.json"
+        path.write_text(json.dumps({"braid": {"strands": 3, "letters": [1, -2, 1, -2]}}))
+        code, _ = run_cli(*(arg.format(k=path) for arg in argv))
+        assert code == 0
+        assert calls["seifert"] == [(BraidWord(3, (1, -2, 1, -2)),)] * builds
 
     def test_uncertified_braid_knot_record(self, tmp_path, calls):
         path = tmp_path / "knot.json"

@@ -65,11 +65,16 @@ CASES = [
      Verdict(Conclusion.OBSTRUCTED_BY_MU, (Mu(0), Mu(2))),
      "Verdict(conclusion=<Conclusion.OBSTRUCTED_BY_MU: 'obstructed-by-mu'>, "
      "mu_pair=(Mu(value=2), Mu(value=0)), torsion_witness=None)"),
-    (KnotRecord, {"name": "k", "source": "braid", "seifert": None,
-                  "even_form": IntMatrix(2, 2, ((2, 1), (1, 2)))},
+    # a braid record's seifert is the matrix its __init__ builds from the word
+    (KnotRecord, {"name": "k", "source": "braid",
+                  "seifert": SeifertMatrix(IntMatrix(2, 2, ((1, 0), (-1, 1)))),
+                  "even_form": IntMatrix(2, 2, ((2, 1), (1, 2))),
+                  "braid": BraidWord(2, (1, 1, 1))},
      KnotRecord("k", "braid", SeifertMatrix(S)),
-     "KnotRecord(name='k', source='braid', seifert=None, "
-     "even_form=IntMatrix(rows=2, cols=2, entries=((2, 1), (1, 2))))"),
+     "KnotRecord(name='k', source='braid', seifert=SeifertMatrix(matrix=IntMatrix("
+     "rows=2, cols=2, entries=((1, 0), (-1, 1)))), "
+     "even_form=IntMatrix(rows=2, cols=2, entries=((2, 1), (1, 2))), "
+     "braid=BraidWord(strands=2, letters=(1, 1, 1)))"),
 ]
 IDS = [case[0].__name__ for case in CASES]
 
@@ -140,7 +145,7 @@ def test_defaults():
     verdict = Verdict(Conclusion.NO_OBSTRUCTION_FOUND)
     assert verdict.mu_pair is None and verdict.torsion_witness is None
     record = KnotRecord(name="k", source="catalog")
-    assert record.seifert is None and record.even_form is None
+    assert record.seifert is None and record.even_form is None and record.braid is None
     assert KnotRecord("k", "seifert-matrix", SeifertMatrix(S)) == KnotRecord(
         "k", "seifert-matrix", seifert=SeifertMatrix(S), even_form=None)
 
