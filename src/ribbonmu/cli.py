@@ -234,9 +234,7 @@ def _print_alink_text(record: dict[str, object], out) -> None:
 
 
 def _json_row(row: tuple[int, ...]) -> str:
-    """``json.dumps`` of a row's decimal strings; a row at least half zeros as runs of zeros."""
-    if 2 * row.count(0) < len(row):
-        return '["' + '", "'.join(map(str, row)) + '"]'
+    """``json.dumps`` of a row's decimal strings, with its zeros written as runs of ``"0", ``."""
     parts, last = [], 0
     for j in compress(range(len(row)), row):
         parts += '"0", ' * (j - last), f'"{row[j]}", '

@@ -1091,7 +1091,10 @@ class TestJsonWire:
         IntMatrix.empty(), IntMatrix(0, 3, ()), IntMatrix(2, 0, ((), ())),
         zeros(3, 5), IntMatrix.from_rows([[0, 1, 0, 0, 0, 0, 0, -1]]),
         IntMatrix.from_rows([[10 ** 4400 + 1, 0], [0, -2]]),
-    ], ids=["0x0", "0x3", "2x0", "zero", "sparse", "beyond-digit-limit"])
+        IntMatrix.from_rows([[3, -1, 7]]),
+        IntMatrix.from_rows([[10 ** 4400 + 1, -2, 5]]),
+    ], ids=["0x0", "0x3", "2x0", "zero", "sparse", "beyond-digit-limit", "zero-free",
+            "zero-free-beyond-digit-limit"])
     def test_record_matches_json_dumps(self, matrix):
         record = {"name": "\u00e9\"", "m": matrix, "list": ["1"], "none": None,
                   "flag": True}
